@@ -9,26 +9,27 @@ from Apollonius loci), sort the candidates by covering radius and return
 the first one the certificate accepts.  Since the covering radius at any
 point bounds the optimum from below by nothing and from above by itself,
 no candidate ordered earlier can beat the certified one.
+
+Every public function here validates its input by building one
+``fermat.WeightedConfiguration``.  A configuration may be passed in place
+of ``points`` (with ``weights`` None); it is then used as it is, with its
+own weights, and not validated again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
 from . import geom
 from .bjorth import SupportCertificate
-from .errors import (
-    CollinearPoints,
-    EmptyInput,
-    LengthMismatch,
-    NotOrthogonal,
-    SinglePoint,
-)
-from .tolerances import EPS_CLASS, EPS_REL, spread
+from .errors import CollinearPoints, NotOrthogonal, SinglePoint
+from .fermat import WeightedConfiguration, solve_ft3_weighted, solve_ft4
+from .tolerances import EPS_CLASS, EPS_REL
 
 
 @dataclass(frozen=True)
@@ -50,29 +51,12 @@ class ChebySolveResult:
     certificate: Optional[SupportCertificate]
 
 
-def _validated(points, weights) -> tuple[list[complex], list[float]]:
-    pts = [complex(z) for z in points]
-    if not pts:
-        raise EmptyInput("no points")
-    geom.ensure_distinct(pts)
-    if weights is None:
-        wts = [1.0] * len(pts)
-    else:
-        wts = [float(a) for a in weights]
-    if len(wts) != len(pts):
-        raise LengthMismatch("one weight per point")
-    for a in wts:
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"weights must be positive and finite, got {a!r}")
-    return pts, wts
-
-
 def chebyshev_radius(points, weights, w: complex) -> float:
     """Largest weighted distance from w to the points."""
-    pts, wts = _validated(points, weights)
+    config = WeightedConfiguration.of(points, weights)
     w = complex(w)
     geom.require_finite(w)
-    return max(a * abs(z - w) for z, a in zip(pts, wts))
+    return max(a * abs(z - w) for z, a in zip(config.points, config.weights))
 
 
 def cheby_certificate(points, weights, w: complex) -> SupportCertificate:
@@ -83,7 +67,8 @@ def cheby_certificate(points, weights, w: complex) -> SupportCertificate:
     the unit directions toward them.  On success ``t`` carries the convex
     coefficients, full length with zeros off the support.
     """
-    pts, wts = _validated(points, weights)
+    config = WeightedConfiguration.of(points, weights)
+    pts, wts = config.points, config.weights
     if len(pts) == 1:
         raise SinglePoint("a single point centers at itself")
     w = complex(w)
@@ -152,7 +137,7 @@ def _result_from(wts, w: complex, radius: float, cert) -> ChebySolveResult:
     )
 
 
-def _scan_candidates(pts, wts, cands) -> ChebySolveResult:
+def _scan_candidates(config: WeightedConfiguration, cands) -> ChebySolveResult:
     """Pick the least-radius candidate that passes the certificate.
 
     The covering radius at any plane point is at least the optimal radius,
@@ -161,8 +146,8 @@ def _scan_candidates(pts, wts, cands) -> ChebySolveResult:
     the lexicographically smallest support wins.
     """
     arr = np.asarray(cands, dtype=complex)
-    parr = np.asarray(pts, dtype=complex)
-    warr = np.asarray(wts, dtype=float)
+    parr = np.asarray(config.points, dtype=complex)
+    warr = np.asarray(config.weights, dtype=float)
     radii = (np.abs(arr[:, None] - parr[None, :]) * warr[None, :]).max(axis=1)
     order = np.argsort(radii, kind="stable")
     best = None
@@ -171,10 +156,10 @@ def _scan_candidates(pts, wts, cands) -> ChebySolveResult:
         idx = int(idx)
         if limit is not None and radii[idx] > limit:
             break
-        cert = cheby_certificate(pts, wts, complex(arr[idx]))
+        cert = cheby_certificate(config, None, complex(arr[idx]))
         if not cert.passed:
             continue
-        cand = _result_from(wts, complex(arr[idx]), float(radii[idx]), cert)
+        cand = _result_from(config.weights, complex(arr[idx]), float(radii[idx]), cert)
         if best is None:
             best = cand
             limit = float(radii[idx]) * (1.0 + EPS_REL)
@@ -185,74 +170,59 @@ def _scan_candidates(pts, wts, cands) -> ChebySolveResult:
     return best
 
 
+def _solve(config: WeightedConfiguration) -> ChebySolveResult:
+    """Enumerate the candidates the weights call for, then scan them.
+
+    Equal weights: all pair midpoints and all circumcenters of
+    non-collinear triples, one of which is the center.  Unequal weights:
+    pair candidates split each segment at the weight ratio; triple
+    candidates intersect two Apollonius loci and are kept only inside the
+    triple's hull, where a three-point support can actually live.
+    """
+    pts, wts = config.points, config.weights
+    if config.n == 1:
+        return _single_point_result(pts[0])
+    pairs = combinations(range(config.n), 2)
+    triples = combinations(range(config.n), 3)
+    if all(a == wts[0] for a in wts):
+        cands = [0.5 * (pts[i] + pts[j]) for i, j in pairs]
+        for i, j, k in triples:
+            try:
+                cands.append(geom.circumcenter3(pts[i], pts[j], pts[k]))
+            except CollinearPoints:
+                continue
+        return _scan_candidates(config, cands)
+    cands = [(wts[i] * pts[i] + wts[j] * pts[j]) / (wts[i] + wts[j]) for i, j in pairs]
+    for i, j, k in triples:
+        l_ij = geom.apollonius_locus(pts[i], pts[j], wts[i], wts[j])
+        l_jk = geom.apollonius_locus(pts[j], pts[k], wts[j], wts[k])
+        l_ik = geom.apollonius_locus(pts[i], pts[k], wts[i], wts[k])
+        triple = (pts[i], pts[j], pts[k])
+        # all three pairings: near-equal weights blow one locus up into a
+        # badly conditioned giant circle, and the remaining pair still pins
+        # the equalizing point accurately
+        for locus_a, locus_b in ((l_ij, l_jk), (l_jk, l_ik), (l_ij, l_ik)):
+            for p in geom.intersect_loci(locus_a, locus_b, config.diameter):
+                if geom.convex_hull_membership(p, triple) is not None:
+                    cands.append(p)
+    return _scan_candidates(config, cands)
+
+
 def solve_chebyshev(points) -> ChebySolveResult:
     """Chebyshev center with unit weights.
 
-    Candidates are all pair midpoints and all circumcenters of
-    non-collinear triples; one of them is the center.
+    A configuration passed as ``points`` is solved with its own weights.
     """
-    pts, wts = _validated(points, None)
-    n = len(pts)
-    if n == 1:
-        return _single_point_result(pts[0])
-    cands: list[complex] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cands.append(0.5 * (pts[i] + pts[j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                try:
-                    cands.append(geom.circumcenter3(pts[i], pts[j], pts[k]))
-                except CollinearPoints:
-                    continue
-    return _scan_candidates(pts, wts, cands)
+    return _solve(WeightedConfiguration.of(points))
 
 
 def solve_chebyshev_weighted(points, weights) -> ChebySolveResult:
     """Weighted Chebyshev center.
 
-    Pair candidates split each segment at the weight ratio; triple
-    candidates intersect two Apollonius loci and are kept only inside the
-    triple's hull, where a three-point support can actually live.  Equal
-    weights delegate to the unweighted solver so that the two entry points
-    agree to the bit.
+    Equal weights give the plain solver's center and support to the bit,
+    since both take the same candidates in the same order.
     """
-    pts, wts = _validated(points, weights)
-    n = len(pts)
-    if n == 1:
-        return _single_point_result(pts[0])
-    if all(a == wts[0] for a in wts):
-        base = solve_chebyshev(pts)
-        cert = cheby_certificate(pts, wts, base.center)
-        return ChebySolveResult(
-            center=base.center,
-            radius=wts[0] * base.radius,
-            support=base.support,
-            t=base.t,
-            hull_coefficients=base.hull_coefficients,
-            certificate=cert,
-        )
-    scale = spread(pts)
-    cands: list[complex] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cands.append((wts[i] * pts[i] + wts[j] * pts[j]) / (wts[i] + wts[j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                l_ij = geom.apollonius_locus(pts[i], pts[j], wts[i], wts[j])
-                l_jk = geom.apollonius_locus(pts[j], pts[k], wts[j], wts[k])
-                l_ik = geom.apollonius_locus(pts[i], pts[k], wts[i], wts[k])
-                triple = (pts[i], pts[j], pts[k])
-                # all three pairings: near-equal weights blow one locus up
-                # into a badly conditioned giant circle, and the remaining
-                # pair still pins the equalizing point accurately
-                for locus_a, locus_b in ((l_ij, l_jk), (l_jk, l_ik), (l_ij, l_ik)):
-                    for p in geom.intersect_loci(locus_a, locus_b, scale):
-                        if geom.convex_hull_membership(p, triple) is not None:
-                            cands.append(p)
-    return _scan_candidates(pts, wts, cands)
+    return _solve(WeightedConfiguration.of(points, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +235,23 @@ def ft_cheby_coincide3(z1: complex, z2: complex, z3: complex) -> bool:
     Both solvers run with unit weights and the locations are compared in
     the classification band.  Agreement characterizes equilateral triples.
     """
-    from .fermat import solve_ft3_weighted
-
-    pts = [complex(z1), complex(z2), complex(z3)]
-    geom.ensure_distinct(pts)
-    scale = spread(pts)
+    config = WeightedConfiguration.of((z1, z2, z3))
+    pts = config.points
+    scale = config.diameter
     area2 = abs(
         (pts[1] - pts[0]).real * (pts[2] - pts[0]).imag
         - (pts[1] - pts[0]).imag * (pts[2] - pts[0]).real
     )
     if area2 <= EPS_CLASS * scale * scale:
         raise CollinearPoints("coincidence test needs a genuine triangle")
-    ft = solve_ft3_weighted(pts[0], pts[1], pts[2], (1.0, 1.0, 1.0))
-    ch = solve_chebyshev(pts)
+    ft = solve_ft3_weighted(pts[0], pts[1], pts[2], config.weights)
+    ch = _solve(config)
     return abs(ft.location - ch.center) <= EPS_CLASS * scale
 
 
 def ft_cheby_coincide4(z1: complex, z2: complex, z3: complex, z4: complex) -> bool:
     """Whether the two centers agree for four points with unit weights."""
-    from .fermat import solve_ft4
-
-    pts = [complex(z) for z in (z1, z2, z3, z4)]
-    geom.ensure_distinct(pts)
-    ft = solve_ft4(pts[0], pts[1], pts[2], pts[3])
-    ch = solve_chebyshev(pts)
-    return abs(ft.location - ch.center) <= EPS_CLASS * spread(pts)
+    config = WeightedConfiguration.of((z1, z2, z3, z4))
+    ft = solve_ft4(*config.points)
+    ch = _solve(config)
+    return abs(ft.location - ch.center) <= EPS_CLASS * config.diameter

@@ -4,8 +4,10 @@ Three commands: ``solve`` runs a solver and prints a certified result
 document, ``certify`` checks a candidate location and prints its residual
 and slack, ``plot`` renders a problem plus an existing result to SVG.
 Exit codes: 0 success, 1 parse or validation trouble, 2 a certificate
-refused to pass.  Nothing is ever printed as a solution without its
-certificate re-run first.
+refused to pass (a solver that found no certified point included).  Nothing
+is ever printed as a solution without its certificate re-run first.  A
+problem is validated once, when it is loaded; every step after that uses
+its ``config``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import Optional
 
 from . import chebyshev as cheby
 from . import documents, fermat, oracle, svgplot
-from .errors import MaxIterationsExceeded, PlanarLocError
-from .tolerances import EPS_REL
+from .errors import MaxIterationsExceeded, NotOrthogonal, PlanarLocError
 
 
 def _parse_at(text: str) -> complex:
@@ -30,26 +31,18 @@ def _parse_at(text: str) -> complex:
         raise documents.ProblemFormatError(f"--at: {e}") from e
 
 
-def _config_of(problem: documents.ProblemFile) -> fermat.WeightedConfiguration:
-    weights = problem.weights or tuple(1.0 for _ in problem.points)
-    return fermat.WeightedConfiguration(problem.points, weights)
-
-
-def _solve_fermat(problem, tol, max_iter) -> fermat.FtSolveResult:
-    pts = problem.points
-    wts = problem.weights
-    unit = wts is None or all(a == 1.0 for a in wts)
-    if len(pts) == 3:
-        return fermat.solve_ft3_weighted(pts[0], pts[1], pts[2], wts or (1.0,) * 3)
-    if len(pts) == 4 and unit:
-        return fermat.solve_ft4(pts[0], pts[1], pts[2], pts[3])
-    return fermat.solve_ft_n(_config_of(problem), tol=tol, max_iter=max_iter)
+def _solve_fermat(config, tol, max_iter) -> fermat.FtSolveResult:
+    if config.n == 3:
+        return fermat.solve_ft3_weighted(*config.points, config.weights)
+    if config.n == 4 and all(a == 1.0 for a in config.weights):
+        return fermat.solve_ft4(*config.points)
+    return fermat.solve_ft_n(config, tol=tol, max_iter=max_iter)
 
 
 def _certify(problem, kind: str, w: complex, tol: Optional[float]):
     if kind == "fermat":
-        return fermat.ft_certificate(_config_of(problem), w, tol)
-    return cheby.cheby_certificate(problem.points, problem.weights, w)
+        return fermat.ft_certificate(problem.config, w, tol)
+    return cheby.cheby_certificate(problem.config, None, w)
 
 
 def _recertify_location(result) -> complex:
@@ -68,13 +61,16 @@ def cmd_solve(args) -> int:
             raise documents.ProblemFormatError("--certificate-only needs --at X,Y")
         return _run_certify(problem, kind, _parse_at(args.at), args.tol)
     tol = args.tol if args.tol is not None else 1e-10
+    config = problem.config
+    try:
+        if kind == "fermat":
+            result = _solve_fermat(config, tol, args.max_iter)
+        else:
+            result = cheby.solve_chebyshev_weighted(config, None)
+    except (MaxIterationsExceeded, NotOrthogonal) as e:
+        print(f"certification failed: {e}", file=sys.stderr)
+        return 2
     if kind == "fermat":
-        try:
-            result = _solve_fermat(problem, tol, args.max_iter)
-        except MaxIterationsExceeded as e:
-            print(f"certification failed: {e}", file=sys.stderr)
-            return 2
-        config = _config_of(problem)
         cert = fermat.ft_certificate(config, _recertify_location(result))
         doc = documents.fermat_result_document(result, tol)
         value = result.objective
@@ -88,23 +84,15 @@ def cmd_solve(args) -> int:
                 )
                 return 2
     else:
-        if problem.weights is None:
-            result = cheby.solve_chebyshev(problem.points)
-        else:
-            result = cheby.solve_chebyshev_weighted(problem.points, problem.weights)
         cert = None
-        if len(problem.points) >= 2:
-            cert = cheby.cheby_certificate(
-                problem.points, problem.weights, result.center
-            )
+        if config.n >= 2:
+            cert = cheby.cheby_certificate(config, None, result.center)
         doc = documents.cheby_result_document(result)
         if args.oracle:
-            wts = problem.weights or tuple(1.0 for _ in problem.points)
-            _, oval = oracle.oracle_cheby(problem.points, problem.weights)
-            from .tolerances import spread
-
-            gap = 1e-5 * max(1.0, spread(problem.points) * max(wts))
-            if abs(result.radius - oval) > gap:
+            _, oval = oracle.oracle_cheby(config.points, config.weights)
+            gap = 1e-5 * max(1.0, config.diameter * max(config.weights))
+            # the grid oracle only bounds the optimum from above
+            if result.radius > oval + gap:
                 print(
                     f"oracle disagrees: solver {result.radius!r} vs oracle {oval!r}",
                     file=sys.stderr,

@@ -1,9 +1,12 @@
 """Problem and result documents: parsing, validation, serialization.
 
 Problems arrive as JSON ({"kind": ..., "points": [[x, y], ...],
-"weights": [...]}) or as CSV rows "x,y[,weight]".  Results leave as JSON
-with every float printed at 17 significant digits, which round-trips IEEE
-doubles exactly; parse(serialize(doc)) equals doc.
+"weights": [...]}) or as CSV rows "x,y[,weight]".  The parsers report
+malformed fields as ProblemFormatError; the point set itself is validated
+once, by the ``fermat.WeightedConfiguration`` that every ProblemFile
+carries as ``config`` and that the solvers and certificates then share.
+Results leave as JSON with every float printed at 17 significant digits,
+which round-trips IEEE doubles exactly; parse(serialize(doc)) equals doc.
 """
 
 from __future__ import annotations
@@ -11,11 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
-from . import geom
 from .errors import ProblemFormatError
+from .fermat import FtPoint, WeightedConfiguration
 from .tolerances import EPS_CLASS, EPS_REL
 
 KINDS = ("fermat", "chebyshev")
@@ -23,9 +26,20 @@ KINDS = ("fermat", "chebyshev")
 
 @dataclass(frozen=True)
 class ProblemFile:
+    """A parsed problem and its validated configuration.
+
+    ``config`` is built once, here, with unit weights when the file gives
+    none; building it raises DuplicatePoints for coinciding points.
+    """
+
     kind: Optional[str]
     points: tuple[complex, ...]
     weights: Optional[tuple[float, ...]]
+    config: WeightedConfiguration = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        config = WeightedConfiguration.of(self.points, self.weights)
+        object.__setattr__(self, "config", config)
 
 
 def _pair(value, where: str) -> complex:
@@ -54,7 +68,6 @@ def _validate(kind, points, weights) -> ProblemFile:
         for i, a in enumerate(weights):
             if not (math.isfinite(a) and a > 0.0):
                 raise ProblemFormatError(f"weights[{i}]: must be positive and finite")
-    geom.ensure_distinct(points)
     return ProblemFile(
         kind=kind,
         points=tuple(points),
@@ -215,7 +228,6 @@ def certificate_payload(cert) -> dict:
 
 def fermat_result_document(result, tol_used: float) -> ResultDocument:
     from . import __version__
-    from .fermat import FtPoint
 
     if isinstance(result.solution, FtPoint):
         solution = {"type": "point", "location": _c(result.solution.location)}

@@ -5,7 +5,9 @@ weighted displacements (alpha_i * (z_i - w))_i is orthogonal, in the sum
 norm, to the weight vector.  Concretely the weighted unit directions from w
 to the configuration points must sum to something no larger than the slack
 contributed by points coinciding with w.  Every solver in this module
-returns that test's outcome as a certificate next to the location.
+returns a location only together with that test's passing certificate;
+a location that fails it raises NotOrthogonal (MaxIterationsExceeded for
+the iterative solver) instead.
 
 Closed forms cover three points (case dispatch on the weights, then vertex
 angle tests, then an inscribed-arc construction) and four points with unit
@@ -16,10 +18,9 @@ polish step.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -40,10 +41,17 @@ from .tolerances import EPS_CLASS, EPS_REL, spread
 
 @dataclass(frozen=True)
 class WeightedConfiguration:
-    """Pairwise distinct planar points with positive weights."""
+    """Pairwise distinct planar points with positive weights.
+
+    The one validated instance of the package: the solvers, their
+    certificates and the command line all take it as built.  ``diameter``
+    and ``total_weight`` are computed once, at construction.
+    """
 
     points: tuple[complex, ...]
     weights: tuple[float, ...]
+    diameter: float = field(init=False, repr=False, compare=False)
+    total_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(complex(z) for z in self.points)
@@ -56,21 +64,31 @@ class WeightedConfiguration:
         for a in wts:
             if not (math.isfinite(a) and a > 0.0):
                 raise ValueError(f"weights must be positive and finite, got {a!r}")
-        geom.ensure_distinct(pts)
+        diameter = spread(pts)
+        geom.ensure_distinct(pts, diameter)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "total_weight", sum(wts))
+
+    @classmethod
+    def of(cls, points, weights=None) -> "WeightedConfiguration":
+        """Raw points and weights (unit weights for None) as a configuration.
+
+        A configuration passed as ``points`` comes back unchanged, without
+        validating it again; it carries its own weights, so ``weights`` must
+        then be None.
+        """
+        if isinstance(points, cls):
+            if weights is not None:
+                raise ValueError("a configuration carries its own weights")
+            return points
+        pts = tuple(points)
+        return cls(pts, (1.0,) * len(pts) if weights is None else tuple(weights))
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    @property
-    def diameter(self) -> float:
-        return spread(self.points)
-
-    @property
-    def total_weight(self) -> float:
-        return sum(self.weights)
 
 
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
@@ -148,6 +166,8 @@ class FtSolveResult:
 
 def _point_result(config, w, case, **extra) -> FtSolveResult:
     cert = ft_certificate(config, w)
+    if not cert.passed:
+        raise NotOrthogonal(f"{case.value} solution failed its certificate")
     return FtSolveResult(
         solution=FtPoint(w),
         objective=ft_objective(config, w),
@@ -200,7 +220,8 @@ def solve_ft3_weighted(
     boundary case (one weight equal to the sum of the others) gives either
     a whole segment of solutions or that point alone; under the triangle
     condition either some vertex passes the slack test or the solution is
-    interior, constructed by intersecting two inscribed-angle arcs.
+    interior, constructed by intersecting two inscribed-angle arcs.  Raises
+    NotOrthogonal when the location found fails its certificate.
     """
     config = WeightedConfiguration((z1, z2, z3), tuple(weights))
     zs = config.points
@@ -241,6 +262,7 @@ def solve_ft3_weighted(
 
     w = _interior_ft3(config)
     if w is None:
+        # the certificate below, not the iteration's own flag, decides
         w = _iterate(config, EPS_REL, 20000)[0]
     theta = geom.directed_angle(w, zs[0], zs[1])
     phi = geom.directed_angle(w, zs[0], zs[2])
@@ -269,8 +291,10 @@ def _boundary_ft3(
     elif _on_segment(zs[k], zs[i], zs[j], band_len):
         seg = FtSegment(zs[i], zs[k])
     if seg is None:
-        result = _point_result(config, zs[i], FtCase.DOMINANT_WEIGHT, vertex=i)
-        return result if result.certificate.passed else None
+        try:
+            return _point_result(config, zs[i], FtCase.DOMINANT_WEIGHT, vertex=i)
+        except NotOrthogonal:
+            return None
     cert = ft_certificate(config, 0.5 * (seg.start + seg.end))
     if not cert.passed:
         return None
@@ -332,18 +356,14 @@ def solve_ft4(z1: complex, z2: complex, z3: complex, z4: complex) -> FtSolveResu
     config = WeightedConfiguration((z1, z2, z3, z4), (1.0, 1.0, 1.0, 1.0))
     zs = config.points
     if isinstance(shape, geom.NonConvex):
-        result = _point_result(
+        return _point_result(
             config, zs[shape.contained], FtCase.HULL_VERTEX, vertex=shape.contained
         )
-    else:
-        (i0, i2), (i1, i3) = shape.diagonals
-        w = geom.segment_intersection(zs[i0], zs[i2], zs[i1], zs[i3])
-        if w is None:
-            raise NotOrthogonal("convex quadrilateral with non-crossing diagonals")
-        result = _point_result(config, w, FtCase.DIAGONAL_INTERSECTION)
-    if not result.certificate.passed:
-        raise NotOrthogonal("four-point solution failed its certificate")
-    return result
+    (i0, i2), (i1, i3) = shape.diagonals
+    w = geom.segment_intersection(zs[i0], zs[i2], zs[i1], zs[i3])
+    if w is None:
+        raise NotOrthogonal("convex quadrilateral with non-crossing diagonals")
+    return _point_result(config, w, FtCase.DIAGONAL_INTERSECTION)
 
 
 # ---------------------------------------------------------------------------

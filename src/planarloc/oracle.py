@@ -4,7 +4,8 @@ Nothing here shares code with the analytic solvers.  Both oracles evaluate
 the raw objective on a square grid over the inflated bounding box and then
 repeatedly halve the window around the incumbent.  Ties on a grid go to the
 smallest linear index, and the incumbent only moves on a strict improvement,
-so runs are deterministic whether or not the evaluation is chunked.
+so runs are deterministic.  The value found is attained at a grid point, so
+it bounds the true minimum from above; compare a solver against it one way.
 """
 
 from __future__ import annotations
@@ -21,23 +22,12 @@ from .errors import EmptyInput
 class OracleSettings:
     resolution: int = 64
     rounds: int = 24
-    parallel: bool = False
 
     def __post_init__(self):
         if self.resolution < 8:
             raise ValueError("resolution must be at least 8")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
-
-
-def _evaluate(obj, xs: np.ndarray, ys: np.ndarray, parallel: bool) -> np.ndarray:
-    grid = xs[None, :] + 1j * ys[:, None]
-    if not parallel:
-        return obj(grid.ravel())
-    # chunked evaluation; the reduction order below never depends on it
-    flat = grid.ravel()
-    chunks = max(1, len(flat) // 4096)
-    return np.concatenate([obj(part) for part in np.array_split(flat, chunks)])
 
 
 def _refine(
@@ -58,7 +48,7 @@ def _refine(
     for _ in range(settings.rounds):
         xs = np.linspace(cx - half, cx + half, res)
         ys = np.linspace(cy - half, cy + half, res)
-        vals = _evaluate(obj, xs, ys, settings.parallel)
+        vals = obj((xs[None, :] + 1j * ys[:, None]).ravel())
         k = int(np.argmin(vals))
         val = float(vals[k])
         if val < best_val:

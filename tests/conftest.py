@@ -8,7 +8,9 @@ satisfying the triangle condition, convex quadrilaterals, parallelograms,
 configurations whose optimum sits strictly inside, configurations whose
 optimum is one of their own points, and parametric samplers for each
 orthogonality type.  ``run_planarloc`` starts the command line in a child
-process.
+process.  ``FAR_TRIANGLE`` with ``FAR_WEIGHTS`` is a frozen triangle far
+from the origin whose interior point the three-point solver cannot
+certify, so it must refuse it.
 """
 
 import cmath
@@ -146,6 +148,14 @@ def vertex_instance(gen, n=3):
             res = solve_ft_n(config)
         if res.case is FtCase.VERTEX and res.vertex == 0 and res.certificate.passed:
             return config, res
+
+
+FAR_TRIANGLE = (
+    991874.5069742983 - 9448817.19699532j,
+    991874.0831929061 - 9448816.946709929j,
+    991874.0566560188 - 9448817.281640742j,
+)
+FAR_WEIGHTS = (0.764, 0.5, 0.591)
 
 
 def unit(gen):

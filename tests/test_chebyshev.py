@@ -141,7 +141,17 @@ def test_constant_weights_reduce_to_plain_circles(rng):
         lam = float(rng.uniform(0.3, 4.0))
         scaled = solve_chebyshev_weighted(pts, [lam] * n)
         assert scaled.center == plain.center
+        assert scaled.support == plain.support
+        assert scaled.t == plain.t
         assert scaled.radius == lam * plain.radius
+    # cocircular sets tie many candidates, so the scan order matters there
+    for n in (5, 8, 12):
+        pts = [1j + 1.5 * cmath.exp(2j * math.pi * k / n) for k in range(n)]
+        plain = solve_chebyshev(pts)
+        for lam in (1.0, 2.5, 0.3):
+            scaled = solve_chebyshev_weighted(pts, [lam] * n)
+            assert (scaled.center, scaled.support) == (plain.center, plain.support)
+            assert scaled.radius == lam * plain.radius
 
 
 # --------------------------------------------------------------- structure

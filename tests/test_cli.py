@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_planarloc
+from conftest import FAR_TRIANGLE, FAR_WEIGHTS, run_planarloc
 from planarloc.cli import main
 from planarloc.documents import ResultDocument
 
@@ -292,6 +292,28 @@ def test_oracle_cross_check(tmp_path, capsys):
     path = _problem(tmp_path, "five.json", "chebyshev", FIVE)
     rc, _, _ = _run(capsys, ["solve", path, "--oracle"])
     assert rc == 0
+
+
+def test_oracle_check_is_one_sided(tmp_path, capsys):
+    # two points 2 apart make radius 1 optimal; the grid oracle, an upper
+    # bound, only gets within about 1e-4 of it
+    path = _problem(
+        tmp_path, "pair.json", "chebyshev", [-1, 1, -0.23 + 0.03j, -0.22 + 0.02j]
+    )
+    rc, out, err = _run(capsys, ["solve", path, "--oracle"])
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["radius"] == 1.0
+    assert doc["certificate"]["passed"] is True
+
+
+def test_refused_triangle_exits_2(tmp_path, capsys):
+    path = _problem(tmp_path, "far.json", "fermat", FAR_TRIANGLE, FAR_WEIGHTS)
+    rc, out, err = _run(capsys, ["solve", path])
+    assert rc == 2
+    assert out == ""
+    # the solver itself refuses; no uncertified result reaches the CLI
+    assert "certification failed: interior solution failed its certificate" in err
 
 
 def test_iteration_budget_surfaces_as_failure(tmp_path, capsys):

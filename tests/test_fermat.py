@@ -16,6 +16,7 @@ from planarloc import (
     LengthMismatch,
     MaxIterationsExceeded,
     MixedSigns,
+    NotOrthogonal,
     VertexPreconditionFailed,
     WeightedConfiguration,
     addition_preserves,
@@ -30,7 +31,7 @@ from planarloc import (
     solve_ft_n,
 )
 
-from conftest import distinct_points, triangle_weights, unit
+from conftest import FAR_TRIANGLE, FAR_WEIGHTS, distinct_points, triangle_weights, unit
 
 ROOTS3 = tuple(cmath.exp(2j * math.pi * k / 3) for k in range(3))
 EQUILATERAL = WeightedConfiguration(ROOTS3, (1.0, 1.0, 1.0))
@@ -97,6 +98,21 @@ def test_segment_is_flat_and_strictly_optimal(rng):
     assert ft_objective(config, 1.2) == pytest.approx(7.4, abs=1e-12)
     assert ft_objective(config, -0.1) == pytest.approx(7.6, abs=1e-12)
     assert ft_objective(config, 0.5 + 0.3j) > 7.0 + 1e-6
+
+
+def test_uncertified_triangle_is_refused():
+    with pytest.raises(NotOrthogonal):
+        solve_ft3_weighted(*FAR_TRIANGLE, FAR_WEIGHTS)
+
+
+def test_far_triangles_are_certified_or_refused(rng):
+    for _ in range(12):
+        z = [complex(*p) for p in rng.uniform(0.0, 1.0, (3, 2)) + 1e7]
+        try:
+            res = solve_ft3_weighted(*z, FAR_WEIGHTS)
+        except NotOrthogonal:
+            continue
+        assert res.certificate.passed
 
 
 # ------------------------------------------------------------- four points

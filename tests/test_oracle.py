@@ -26,7 +26,7 @@ FIVE_SQRT2 = (4 + 1j, 1 + 2j, 2 - 1j, 3 + (1 + math.sqrt(2)) * 1j, 2 - math.sqrt
 
 def test_settings_validation():
     s = OracleSettings()
-    assert s.resolution == 64 and s.rounds == 24 and s.parallel is False
+    assert s.resolution == 64 and s.rounds == 24
     with pytest.raises(ValueError, match="resolution must be at least 8"):
         OracleSettings(resolution=7)
     with pytest.raises(ValueError):
@@ -99,9 +99,7 @@ def test_runs_are_deterministic():
     a = oracle_ft(config)
     b = oracle_ft(config)
     assert a == b
-    serial = oracle_cheby(list(FIVE_SQRT3), settings=OracleSettings(parallel=False))
-    threaded = oracle_cheby(list(FIVE_SQRT3), settings=OracleSettings(parallel=True))
-    assert serial == threaded
+    assert oracle_cheby(list(FIVE_SQRT3)) == oracle_cheby(list(FIVE_SQRT3))
 
 
 def test_trace_improves_monotonically():

@@ -1,0 +1,107 @@
+"""One validation per instance: a WeightedConfiguration shared by everything.
+
+The configuration is the only code that checks a point set, so the
+quadratic duplicate check runs once per solve, whether the solve starts
+from the command line or from the library, and a configuration handed to
+the covering-circle functions answers exactly like the raw points.
+"""
+
+import cmath
+import json
+import math
+
+import pytest
+
+import planarloc.geom
+from planarloc import (
+    WeightedConfiguration,
+    cheby_certificate,
+    chebyshev_radius,
+    solve_chebyshev,
+    solve_chebyshev_weighted,
+)
+from planarloc.cli import main
+
+from conftest import distinct_points
+
+SIX = [0j, 2 + 0j, 3 + 1j, 1 + 2j, -1 + 1j, 0.5 + 0.7j]
+SIX_W = [1.0, 2.0, 1.0, 1.5, 1.2, 0.8]
+
+
+@pytest.fixture
+def distinct_calls(monkeypatch):
+    """Count the calls of geom.ensure_distinct, the quadratic duplicate check."""
+    calls = []
+    inner = planarloc.geom.ensure_distinct
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(planarloc.geom, "ensure_distinct", counted)
+    return calls
+
+
+def _problem(tmp_path, kind, points, weights=None):
+    payload = {"kind": kind, "points": [[z.real, z.imag] for z in points]}
+    if weights is not None:
+        payload["weights"] = weights
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kind, weights",
+    [("fermat", SIX_W), ("chebyshev", None), ("chebyshev", SIX_W)],
+    ids=["fermat", "chebyshev", "chebyshev-weighted"],
+)
+def test_cli_solve_validates_once(tmp_path, capsys, distinct_calls, kind, weights):
+    path = _problem(tmp_path, kind, SIX, weights)
+    assert main(["solve", path]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["passed"] is True
+    assert len(distinct_calls) == 1
+
+
+def test_cli_certify_validates_once(tmp_path, capsys, distinct_calls):
+    path = _problem(tmp_path, "fermat", SIX, SIX_W)
+    assert main(["certify", path, "--at", "1,1"]) == 2  # not the median
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert len(distinct_calls) == 1
+
+
+def test_cocircular_circle_validates_once(distinct_calls):
+    # twelve cocircular points tie many candidates; each tied candidate is
+    # certified against the one configuration, not re-validated
+    pts = [3 + 1j + 2 * cmath.exp(2j * math.pi * k / 12) for k in range(12)]
+    result = solve_chebyshev(pts)
+    assert len(distinct_calls) == 1
+    assert result.radius == pytest.approx(2.0)
+    assert result.certificate.passed
+
+
+def test_configuration_answers_like_raw_points(rng):
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        pts = distinct_points(rng, n, box=3.0)
+        wts = [float(a) for a in rng.uniform(0.5, 2.0, n)]
+        plain = WeightedConfiguration.of(pts)
+        weighted = WeightedConfiguration.of(pts, wts)
+        w = complex(*rng.uniform(-3.0, 3.0, 2))
+        assert solve_chebyshev(plain) == solve_chebyshev(pts)
+        assert solve_chebyshev_weighted(weighted, None) == solve_chebyshev_weighted(
+            pts, wts
+        )
+        assert cheby_certificate(plain, None, w) == cheby_certificate(pts, None, w)
+        assert cheby_certificate(weighted, None, w) == cheby_certificate(pts, wts, w)
+        assert chebyshev_radius(plain, None, w) == chebyshev_radius(pts, None, w)
+        assert chebyshev_radius(weighted, None, w) == chebyshev_radius(pts, wts, w)
+
+
+def test_configuration_passes_through_unchanged(distinct_calls):
+    config = WeightedConfiguration(SIX, SIX_W)
+    assert len(distinct_calls) == 1
+    assert WeightedConfiguration.of(config) is config
+    assert len(distinct_calls) == 1
+    with pytest.raises(ValueError, match="carries its own weights"):
+        WeightedConfiguration.of(config, SIX_W)
