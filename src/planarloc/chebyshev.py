@@ -3,12 +3,13 @@
 The center minimizing the largest weighted distance is certified through a
 max-norm orthogonality condition: zero must lie in the convex hull of the
 unit directions from the center toward the weighted-farthest points.  The
-solvers enumerate every location that can equalize two or three farthest
-distances (midpoints and circumcenters, or their weighted analogues built
-from Apollonius loci), sort the candidates by covering radius and return
-the first one the certificate accepts.  Since the covering radius at any
-point bounds the optimum from below by nothing and from above by itself,
-no candidate ordered earlier can beat the certified one.
+solvers run a farthest-point exchange (Elzinga and Hearn, 1972): a basis
+of at most three points and the point farthest from its circle are solved
+exactly, and the tight points of that subset become the next basis.  The
+radius grows every round (rounding can hide the growth, so a subset seen
+before ends the loop); once the circle covers every point, the
+certificate is asked once, over all points.  A center that passes it is
+optimal, so the search need not be exhaustive.
 
 Every public function here validates its input by building one
 ``fermat.WeightedConfiguration``.  A configuration may be passed in place
@@ -18,12 +19,11 @@ own weights, and not validated again.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
-
-import numpy as np
 
 from . import geom
 from .bjorth import SupportCertificate
@@ -77,36 +77,23 @@ def cheby_certificate(points, weights, w: complex) -> SupportCertificate:
     top = max(dist)
     support = tuple(j for j, dv in enumerate(dist) if dv >= (1.0 - EPS_CLASS) * top)
     units = [(pts[j] - w) / abs(pts[j] - w) for j in support]
-    d: list[complex] = [0j] * len(pts)
-    for i, z in enumerate(pts):
-        gap = abs(z - w)
-        if gap > 0.0:
-            d[i] = ((z - w) / gap).conjugate()
+    d = tuple(((z - w) / abs(z - w)).conjugate() if z != w else 0j for z in pts)
     t_sup = geom.convex_hull_membership(0j, units)
-    if t_sup is None:
-        return SupportCertificate(
-            space="linf",
-            d=tuple(d),
-            residual=math.inf,
-            passed=False,
-            forced=sum(units),
-            slack=0.0,
-            tol=EPS_CLASS,
-            support=support,
-        )
-    residual = abs(sum(tj * uj for tj, uj in zip(t_sup, units)))
-    tfull = [0.0] * len(pts)
-    for idx, tj in zip(support, t_sup):
-        tfull[idx] = tj
+    t, residual = None, math.inf
+    if t_sup is not None:
+        t = [0.0] * len(pts)
+        for j, tj in zip(support, t_sup):
+            t[j] = tj
+        t, residual = tuple(t), abs(sum(tj * uj for tj, uj in zip(t_sup, units)))
     return SupportCertificate(
         space="linf",
-        d=tuple(d),
+        d=d,
         residual=residual,
-        passed=True,
+        passed=t is not None,
         forced=sum(units),
         slack=0.0,
         tol=EPS_CLASS,
-        t=tuple(tfull),
+        t=t,
         support=support,
     )
 
@@ -137,75 +124,78 @@ def _result_from(wts, w: complex, radius: float, cert) -> ChebySolveResult:
     )
 
 
-def _scan_candidates(config: WeightedConfiguration, cands) -> ChebySolveResult:
-    """Pick the least-radius candidate that passes the certificate.
+def _equalizers(a, b, c, wa, wb, wc) -> list[complex]:
+    """The points p with wa|p - a| = wb|p - b| = wc|p - c|.
 
-    The covering radius at any plane point is at least the optimal radius,
-    so scanning in ascending radius order reaches the true center after at
-    most the ties; among ties within the relative window the result with
-    the lexicographically smallest support wins.
+    With r = |p - a|^2 the equations are linear in p, p = a + p0 - r*q
+    (p0 the circumcenter relative to a, q zero for equal weights), and r
+    solves a quadratic.  No Apollonius locus is built, so near-equal
+    weights stay well conditioned; a zero divisor (collinear points, say)
+    or an overflow means no such point.
     """
-    arr = np.asarray(cands, dtype=complex)
-    parr = np.asarray(config.points, dtype=complex)
-    warr = np.asarray(config.weights, dtype=float)
-    radii = (np.abs(arr[:, None] - parr[None, :]) * warr[None, :]).max(axis=1)
-    order = np.argsort(radii, kind="stable")
-    best = None
-    limit = None
-    for idx in order:
-        idx = int(idx)
-        if limit is not None and radii[idx] > limit:
-            break
-        cert = cheby_certificate(config, None, complex(arr[idx]))
-        if not cert.passed:
-            continue
-        cand = _result_from(config.weights, complex(arr[idx]), float(radii[idx]), cert)
-        if best is None:
-            best = cand
-            limit = float(radii[idx]) * (1.0 + EPS_REL)
-        elif cand.support < best.support:
-            best = cand
-    if best is None:
-        raise NotOrthogonal("no enumerated candidate passed the certificate")
-    return best
+    b, c = b - a, c - a
+    try:
+        cross = 2.0 * (b.conjugate() * c).imag
+        p0 = 1j * (abs(c) ** 2 * b - abs(b) ** 2 * c) / cross
+        ub = (wa - wb) * (wa + wb) / (wb * wb)
+        uc = (wa - wc) * (wa + wc) / (wc * wc)
+        q = 1j * (uc * b - ub * c) / cross
+        qa, qb, qc = abs(q) ** 2, -1.0 - 2.0 * (p0.conjugate() * q).real, abs(p0) ** 2
+        root = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
+        s = -0.5 * (qb + math.copysign(root, qb))
+        roots = [qc / s] + ([s / qa] if qa > 0.0 else [])
+    except ArithmeticError:
+        return []
+    return [a + p0 - r * q for r in roots]
+
+
+def _candidates(points, weights, idx) -> list[complex]:
+    """Every location that can center the covering circle of ``points[idx]``.
+
+    Pairs split their segment at the weight ratio; triples give their
+    equalizing points.  Each is built relative to one of its own points,
+    so it keeps its digits however far the points sit from the origin.
+    """
+    zs = [complex(points[i]) for i in idx]
+    ws = [float(weights[i]) for i in idx]
+    pairs = combinations(range(len(zs)), 2)
+    local = [zs[i] + ws[j] * (zs[j] - zs[i]) / (ws[i] + ws[j]) for i, j in pairs]
+    for i, j, k in combinations(range(len(zs)), 3):
+        local += _equalizers(zs[i], zs[j], zs[k], ws[i], ws[j], ws[k])
+    return [p for p in local if cmath.isfinite(p)]
 
 
 def _solve(config: WeightedConfiguration) -> ChebySolveResult:
-    """Enumerate the candidates the weights call for, then scan them.
+    """Farthest-point exchange, then one certificate over all points.
 
-    Equal weights: all pair midpoints and all circumcenters of
-    non-collinear triples, one of which is the center.  Unequal weights:
-    pair candidates split each segment at the weight ratio; triple
-    candidates intersect two Apollonius loci and are kept only inside the
-    triple's hull, where a three-point support can actually live.
+    The exchange runs relative to the first point, so its distances keep
+    their digits far from the origin.  Weights are divided by their
+    maximum, so equal weights become exactly 1.0: the unit-weight center.
     """
-    pts, wts = config.points, config.weights
     if config.n == 1:
-        return _single_point_result(pts[0])
-    pairs = combinations(range(config.n), 2)
-    triples = combinations(range(config.n), 3)
-    if all(a == wts[0] for a in wts):
-        cands = [0.5 * (pts[i] + pts[j]) for i, j in pairs]
-        for i, j, k in triples:
-            try:
-                cands.append(geom.circumcenter3(pts[i], pts[j], pts[k]))
-            except CollinearPoints:
-                continue
-        return _scan_candidates(config, cands)
-    cands = [(wts[i] * pts[i] + wts[j] * pts[j]) / (wts[i] + wts[j]) for i, j in pairs]
-    for i, j, k in triples:
-        l_ij = geom.apollonius_locus(pts[i], pts[j], wts[i], wts[j])
-        l_jk = geom.apollonius_locus(pts[j], pts[k], wts[j], wts[k])
-        l_ik = geom.apollonius_locus(pts[i], pts[k], wts[i], wts[k])
-        triple = (pts[i], pts[j], pts[k])
-        # all three pairings: near-equal weights blow one locus up into a
-        # badly conditioned giant circle, and the remaining pair still pins
-        # the equalizing point accurately
-        for locus_a, locus_b in ((l_ij, l_jk), (l_jk, l_ik), (l_ij, l_ik)):
-            for p in geom.intersect_loci(locus_a, locus_b, config.diameter):
-                if geom.convex_hull_membership(p, triple) is not None:
-                    cands.append(p)
-    return _scan_candidates(config, cands)
+        return _single_point_result(config.points[0])
+    origin, top = config.points[0], max(config.weights)
+    zs = [z - origin for z in config.points]
+    unit = [a / top for a in config.weights]
+    basis, center, radius, seen = [0], 0j, 0.0, set()
+    while True:
+        far = [a * abs(z - center) for z, a in zip(zs, unit)]
+        h = max(range(config.n), key=far.__getitem__)
+        sub = basis + [h]
+        if far[h] <= radius * (1.0 + EPS_REL) or frozenset(sub) in seen:
+            break
+        seen.add(frozenset(sub))
+        cands = _candidates(zs, unit, sub)
+        dist = {c: [unit[j] * abs(zs[j] - c) for j in sub] for c in cands}
+        center = min(dist, key=lambda c: max(dist[c]))
+        radius = max(dist[center])
+        basis = [j for j, d in zip(sub, dist[center]) if d >= (1.0 - EPS_REL) * radius]
+    center += origin
+    cert = cheby_certificate(config, None, center)
+    if not cert.passed:
+        raise NotOrthogonal("the covering circle's center failed its certificate")
+    radius = max(a * abs(z - center) for z, a in zip(config.points, config.weights))
+    return _result_from(config.weights, center, radius, cert)
 
 
 def solve_chebyshev(points) -> ChebySolveResult:
@@ -220,7 +210,8 @@ def solve_chebyshev_weighted(points, weights) -> ChebySolveResult:
     """Weighted Chebyshev center.
 
     Equal weights give the plain solver's center and support to the bit,
-    since both take the same candidates in the same order.
+    since the solver divides the weights by their maximum, which makes
+    equal weights exactly 1.0.
     """
     return _solve(WeightedConfiguration.of(points, weights))
 

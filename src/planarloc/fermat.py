@@ -352,9 +352,9 @@ def solve_ft4(z1: complex, z2: complex, z3: complex, z4: complex) -> FtSolveResu
     otherwise the points are in convex position and the solution is the
     crossing of the diagonals.
     """
-    shape = geom.quadrilateral_shape(z1, z2, z3, z4)
     config = WeightedConfiguration((z1, z2, z3, z4), (1.0, 1.0, 1.0, 1.0))
     zs = config.points
+    shape = geom._quadrilateral_shape(zs, config.diameter)
     if isinstance(shape, geom.NonConvex):
         return _point_result(
             config, zs[shape.contained], FtCase.HULL_VERTEX, vertex=shape.contained

@@ -439,6 +439,14 @@ def quadrilateral_shape(z1: complex, z2: complex, z3: complex, z4: complex):
     require_finite(*zs)
     scale = spread(zs)
     ensure_distinct(zs, scale)
+    return _quadrilateral_shape(zs, scale)
+
+
+def _quadrilateral_shape(zs: Sequence[complex], scale: float):
+    """``quadrilateral_shape`` of four points already checked distinct.
+
+    ``scale`` is their spread, the length the bands are relative to.
+    """
     hull = _hull_indices(zs, EPS_CLASS * scale * scale)
     if len(hull) == 4:
         i0, i1, i2, i3 = hull

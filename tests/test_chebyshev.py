@@ -2,14 +2,20 @@
 
 import cmath
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import planarloc.chebyshev
 from planarloc import (
     CollinearPoints,
     DuplicatePoints,
     EmptyInput,
     SinglePoint,
+    WeightedConfiguration,
     cheby_certificate,
     chebyshev_radius,
     ft_cheby_coincide3,
@@ -23,6 +29,8 @@ from planarloc import (
     spread,
     ConvexOrder,
 )
+from planarloc.chebyshev import _candidates
+from planarloc.tolerances import EPS_REL
 
 from conftest import convex_quad, distinct_points, parallelogram, unit
 
@@ -144,7 +152,8 @@ def test_constant_weights_reduce_to_plain_circles(rng):
         assert scaled.support == plain.support
         assert scaled.t == plain.t
         assert scaled.radius == lam * plain.radius
-    # cocircular sets tie many candidates, so the scan order matters there
+    # cocircular sets hold every point on the circle, so every point is a
+    # possible basis member there
     for n in (5, 8, 12):
         pts = [1j + 1.5 * cmath.exp(2j * math.pi * k / n) for k in range(n)]
         plain = solve_chebyshev(pts)
@@ -282,6 +291,161 @@ def test_nearly_tied_weights_stay_solvable(rng):
         _, oradius = oracle_cheby(pts, weights)
         diam = max(abs(a - b) for a in pts for b in pts)
         assert abs(res.radius - oradius) <= 1e-5 * max(diam, 1.0)
+
+
+def _solve(pts, wts):
+    return solve_chebyshev(pts) if wts is None else solve_chebyshev_weighted(pts, wts)
+
+
+def test_far_offset_circles_certify():
+    # far from the origin a circumcenter built in absolute coordinates
+    # loses its digits through |b|^2 - |a|^2; every set must still certify
+    gen = np.random.default_rng(0)
+    sweeps = [(6, 1e5, False, 200)]
+    sweeps += [(8, r, w, 100) for r in (1e6, 1e7, 1e8) for w in (False, True)]
+    for n, reach, weighted, count in sweeps:
+        for _ in range(count):
+            offset = complex(*gen.uniform(-reach, reach, 2))
+            xy = gen.uniform(-0.5, 0.5, (n, 2))
+            pts = [offset + complex(x, y) for x, y in xy]
+            wts = [float(a) for a in gen.uniform(0.5, 2.0, n)] if weighted else None
+            assert _solve(pts, wts).certificate.passed, (n, reach, weighted)
+
+
+@st.composite
+def _similarity_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    coord = st.floats(min_value=0.0, max_value=1.0)
+    pts = draw(st.lists(st.builds(complex, coord, coord), min_size=n, max_size=n))
+    weight = st.floats(min_value=0.5, max_value=2.0)
+    wts = draw(st.lists(weight, min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    return pts, wts, perm
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    case=_similarity_cases(),
+    shift=st.floats(min_value=0.0, max_value=8.0),
+    turn=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    zoom=st.floats(min_value=-8.0, max_value=8.0),
+    lift=st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_covering_circle_maps_with_the_instance(case, shift, turn, zoom, lift):
+    pts, wts, perm = case
+    size = spread(pts)
+    assume(size >= 1e-2)
+    assume(min(abs(p - q) for i, p in enumerate(pts) for q in pts[:i]) >= 1e-3 * size)
+    base = solve_chebyshev_weighted(pts, wts)
+    assert base.certificate.passed
+    top = max(wts)
+
+    def check(res, a, b, lam=1.0, support=base.support):
+        s = abs(a) * size
+        assert res.certificate.passed
+        assert res.support == support
+        assert abs(res.center - (a * base.center + b)) <= 1e-9 * s + 8 * math.ulp(
+            abs(b) + s
+        )
+        want = lam * abs(a) * base.radius
+        assert abs(res.radius - want) <= 1e-9 * want + lam * top * 8 * math.ulp(
+            abs(b) + s
+        )
+
+    b = 10.0**shift * size * cmath.exp(1j * turn)
+    check(solve_chebyshev_weighted([z + b for z in pts], wts), 1.0, b)
+    a = 10.0**zoom * cmath.exp(1j * turn)
+    check(solve_chebyshev_weighted([a * z for z in pts], wts), a, 0j)
+    moved = solve_chebyshev_weighted([pts[k] for k in perm], [wts[k] for k in perm])
+    inverse = {j: k for k, j in enumerate(perm)}
+    check(moved, 1.0, 0j, support=tuple(sorted(inverse[j] for j in base.support)))
+    lam = 10.0**lift
+    check(solve_chebyshev_weighted(pts, [lam * w for w in wts]), 1.0, 0j, lam=lam)
+
+
+def _degenerate_points(gen, family, n):
+    if family == "roots":
+        return [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    if family == "near-roots":
+        # a hair off one circle: the farthest point can sit just beyond
+        # the radius while the radius grows too little to show in doubles
+        return [
+            (1 + 1e-8 * gen.uniform(-1.0, 1.0)) * cmath.exp(2j * math.pi * k / n)
+            for k in gen.permutation(n)
+        ]
+    if family == "grid":
+        cells = gen.choice(16, n, replace=False)
+        return [complex(int(c) % 4, int(c) // 4) for c in cells]
+    if family == "line":
+        t = gen.uniform(0.0, 1.0, n)
+        off = gen.uniform(-1e-4, 1e-4, n)
+        return [complex(ti, 0.3 * ti) + oi * (-0.3 + 1j) for ti, oi in zip(t, off)]
+    hubs = [0j, 1 + 0.5j]
+    return [hubs[k % 2] + complex(*gen.uniform(0.0, 1e-3, 2)) for k in range(n)]
+
+
+def _degenerate_weights(gen, kind, n):
+    if kind == "unit":
+        return None
+    if kind == "equal":
+        return [2.5] * n
+    if kind == "random":
+        return [float(a) for a in gen.uniform(0.5, 2.0, n)]
+    return [float(a) for a in 1.0 + gen.uniform(-1e-4, 1e-4, n)]
+
+
+def test_degenerate_circles_reach_the_least_candidate_radius(rng, monkeypatch):
+    # the exchange solves at most four points at a time; the enumeration
+    # over all of them must find no candidate that covers with a smaller
+    # radius
+    sizes = []
+
+    def counted(points, weights, idx):
+        sizes.append(len(idx))
+        return _candidates(points, weights, idx)
+
+    monkeypatch.setattr(planarloc.chebyshev, "_candidates", counted)
+    for family in ("roots", "near-roots", "grid", "line", "clusters"):
+        for kind in ("unit", "equal", "random", "near-equal"):
+            for _ in range(6):
+                n = int(rng.integers(3, 11))
+                pts = _degenerate_points(rng, family, n)
+                wts = _degenerate_weights(rng, kind, n)
+                res = _solve(pts, wts)
+                assert res.certificate.passed, (family, kind, n)
+                arr = np.asarray(pts)
+                warr = np.ones(n) if wts is None else np.asarray(wts)
+                cands = np.asarray(_candidates(arr, warr, range(n)))
+                least = (warr * np.abs(arr - cands[:, None])).max(axis=1).min()
+                assert abs(res.radius - least) <= EPS_REL * least, (family, kind, n)
+    assert max(sizes) <= 4
+
+
+def test_all_but_collinear_triple_regression():
+    # the triple's equalizing points overflow to nan on the way and are
+    # dropped; the pair on the vertical line centers the circle
+    pts = [0.5j, 1.6317307479323442e-132 + 0j, 1j]
+    assert all(cmath.isfinite(c) for c in _candidates(pts, [1.0, 1.0, 2.0], range(3)))
+    res = solve_chebyshev_weighted(pts, [1.0, 1.0, 2.0])
+    assert res.certificate.passed
+    assert res.center == pytest.approx(2j / 3, abs=1e-12)
+    assert res.radius == pytest.approx(2 / 3, rel=1e-12)
+
+
+def test_two_thousand_weighted_points_in_little_memory(rng):
+    xy = rng.uniform(0.0, 1.0, (2000, 2))
+    config = WeightedConfiguration(
+        tuple(complex(x, y) for x, y in xy),
+        tuple(float(a) for a in rng.uniform(0.5, 2.0, 2000)),
+    )
+    tracemalloc.start()
+    try:
+        res = solve_chebyshev_weighted(config, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.certificate.passed
+    assert peak < 4 * 2**20
 
 
 # -------------------------------------------------------------- coincidence

@@ -12,13 +12,16 @@ import math
 
 import pytest
 
+import planarloc.chebyshev
 import planarloc.geom
 from planarloc import (
     WeightedConfiguration,
     cheby_certificate,
     chebyshev_radius,
+    ft_cheby_coincide4,
     solve_chebyshev,
     solve_chebyshev_weighted,
+    solve_ft4,
 )
 from planarloc.cli import main
 
@@ -70,14 +73,32 @@ def test_cli_certify_validates_once(tmp_path, capsys, distinct_calls):
     assert len(distinct_calls) == 1
 
 
-def test_cocircular_circle_validates_once(distinct_calls):
-    # twelve cocircular points tie many candidates; each tied candidate is
-    # certified against the one configuration, not re-validated
+def test_cocircular_circle_validates_once(distinct_calls, monkeypatch):
+    # twelve cocircular points are all tight; the exchange still ends in
+    # one certificate, against the one configuration
+    certified = []
+    inner = planarloc.chebyshev.cheby_certificate
+
+    def counted(*args, **kwargs):
+        certified.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(planarloc.chebyshev, "cheby_certificate", counted)
     pts = [3 + 1j + 2 * cmath.exp(2j * math.pi * k / 12) for k in range(12)]
     result = solve_chebyshev(pts)
     assert len(distinct_calls) == 1
+    assert len(certified) == 1
     assert result.radius == pytest.approx(2.0)
     assert result.certificate.passed
+
+
+def test_four_point_median_validates_once(distinct_calls):
+    # the shape classifier takes the configuration's checked points
+    result = solve_ft4(0, 2, 3 + 1j, 1 + 1j)
+    assert len(distinct_calls) == 1
+    assert result.certificate.passed
+    assert ft_cheby_coincide4(0, 2, 3 + 1j, 1 + 1j) is True
+    assert len(distinct_calls) == 3  # its own configuration and solve_ft4's
 
 
 def test_configuration_answers_like_raw_points(rng):
