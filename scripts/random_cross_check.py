@@ -1,9 +1,11 @@
-"""Random sweep of both solvers against the grid refinement oracle.
+"""Random sweep of the solvers against the grid refinement oracle.
 
 Draws instances with distinct points and moderate weights, solves each with
-the certified solver, and compares objective values with the oracle.  Exits
-nonzero on the first disagreement, printing the offending instance so it can
-be frozen into a regression test.
+the certified solver, and compares objective values with the oracle.  The
+median is checked twice: by the general solver on n points and by the
+three-point closed form on a triangle.  Exits nonzero on the first
+disagreement, printing the offending instance so it can be frozen into a
+regression test.
 
     python3 scripts/random_cross_check.py --count 200 --seed 7
 """
@@ -36,6 +38,18 @@ def check_median(gen, n):
     return gap <= tol, gap, (pts, weights)
 
 
+def check_triangle(gen, n):
+    # the closed form takes three points whatever n the trial drew
+    pts = draw_points(gen, 3)
+    weights = tuple(float(gen.uniform(0.5, 2.0)) for _ in range(3))
+    config = pl.WeightedConfiguration(tuple(pts), weights)
+    res = pl.solve_ft3_weighted(*pts, weights)
+    _, oval = pl.oracle_ft(config)
+    gap = res.objective - oval
+    tol = 1e-6 * config.diameter * config.total_weight
+    return gap <= tol, gap, (pts, weights)
+
+
 def check_circle(gen, n):
     pts = draw_points(gen, n)
     weights = [float(gen.uniform(0.5, 2.0)) for _ in range(n)]
@@ -59,6 +73,7 @@ def main():
     checks = []
     if args.kind in ("fermat", "both"):
         checks.append(("median", check_median))
+        checks.append(("triangle", check_triangle))
     if args.kind in ("chebyshev", "both"):
         checks.append(("circle", check_circle))
     worst = {name: 0.0 for name, _ in checks}

@@ -10,17 +10,18 @@ a location that fails it raises NotOrthogonal (MaxIterationsExceeded for
 the iterative solver) instead.
 
 Closed forms cover three points (case dispatch on the weights, then vertex
-angle tests, then an inscribed-arc construction) and four points with unit
-weights (a hull vertex, or the diagonal crossing).  The general solver is a
-reweighting iteration with a certified vertex-escape rule and a quadratic
-polish step.
+angle tests, then the interior point from its closed-form barycentric
+coordinates) and four points with unit weights (a hull vertex, or the
+diagonal crossing).  The general solver is a reweighting iteration with a
+certified vertex-escape rule and a quadratic polish step.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -196,21 +197,6 @@ def _angle_threshold(a_i: float, a_j: float, a_k: float) -> float:
     return (a_i * a_i - a_j * a_j - a_k * a_k) / (2.0 * a_j * a_k)
 
 
-def _subtend_circles(a: complex, b: complex, psi: float):
-    """Circles whose arcs see the chord [a, b] under the angle psi."""
-    chord = abs(b - a)
-    s = math.sin(psi)
-    if s <= 1e-9:
-        return ()
-    radius = chord / (2.0 * s)
-    mid = 0.5 * (a + b)
-    normal = 1j * (b - a) / chord
-    h = radius * math.cos(psi)
-    if abs(h) <= 1e-15 * radius:
-        return (geom.Circle(mid, radius),)
-    return (geom.Circle(mid + h * normal, radius), geom.Circle(mid - h * normal, radius))
-
-
 def solve_ft3_weighted(
     z1: complex, z2: complex, z3: complex, weights: Sequence[float]
 ) -> FtSolveResult:
@@ -220,8 +206,9 @@ def solve_ft3_weighted(
     boundary case (one weight equal to the sum of the others) gives either
     a whole segment of solutions or that point alone; under the triangle
     condition either some vertex passes the slack test or the solution is
-    interior, constructed by intersecting two inscribed-angle arcs.  Raises
-    NotOrthogonal when the location found fails its certificate.
+    interior, the weighted average of the three points given by its
+    closed-form barycentric coordinates.  Raises NotOrthogonal when the
+    location found fails its certificate.
     """
     config = WeightedConfiguration((z1, z2, z3), tuple(weights))
     zs = config.points
@@ -260,13 +247,15 @@ def solve_ft3_weighted(
             config, zs[i], FtCase.VERTEX, vertex=i, vertex_angle=theta
         )
 
+    # every vertex margin is positive, so each |_angle_threshold| < 1 here
     w = _interior_ft3(config)
-    if w is None:
-        # the certificate below, not the iteration's own flag, decides
-        w = _iterate(config, EPS_REL, 20000)[0]
-    theta = geom.directed_angle(w, zs[0], zs[1])
-    phi = geom.directed_angle(w, zs[0], zs[2])
-    return _point_result(config, w, FtCase.INTERIOR, angles=(theta, phi))
+    result = _point_result(config, w, FtCase.INTERIOR)
+    # w may sit inside a point's band, but the vertex tests refused every
+    # point, so w is none of them and both rays exist
+    angles = tuple(
+        geom.normalize_angle(cmath.phase((z - w) / (zs[0] - w))) for z in zs[1:]
+    )
+    return replace(result, angles=angles)
 
 
 def _unit(z: complex) -> complex:
@@ -307,38 +296,26 @@ def _boundary_ft3(
     )
 
 
-def _interior_ft3(config: WeightedConfiguration) -> Optional[complex]:
-    """Interior solution by intersecting two inscribed-angle loci.
+def _interior_ft3(config: WeightedConfiguration) -> complex:
+    """Interior solution from its barycentric coordinates.
 
-    Both loci pass through z1, so each circle pair meets in z1 plus at most
-    one further point; the certificate picks the root where the weighted
-    directions cancel.  Returns None when the arcs are too flat to trust.
+    The optimum sees the side opposite z_i under the angle phi_i with
+    cos(phi_i) = _angle_threshold(a_i, a_j, a_k), so its barycentric
+    coordinate at z_i is proportional to 1/(cot A_i - cot phi_i), where A_i
+    is the triangle's angle at z_i (Uteshev 2014).  Both cotangents are
+    scaled by twice the area, and the average is taken relative to z1 so a
+    triangle far from the origin keeps its digits.
     """
-    z1, z2, z3 = config.points
-    a1, a2, a3 = config.weights
-    t12 = _angle_threshold(a3, a1, a2)
-    t13 = _angle_threshold(a2, a1, a3)
-    if not (-1.0 < t12 < 1.0 and -1.0 < t13 < 1.0):
-        return None
-    circles_a = _subtend_circles(z1, z2, math.acos(t12))
-    circles_b = _subtend_circles(z1, z3, math.acos(t13))
-    if not circles_a or not circles_b:
-        return None
-    scale = config.diameter
-    best = None
-    for ca in circles_a:
-        for cb in circles_b:
-            for cand in geom.intersect_loci(ca, cb, scale):
-                cert = ft_certificate(config, cand)
-                score = abs(cert.forced) - cert.slack
-                if best is None or score < best[0]:
-                    best = (score, cand)
-    if best is None:
-        return None
-    score, w = best
-    if score > EPS_REL * config.total_weight:
-        return None
-    return w
+    z1 = config.points[0]
+    p = [z - z1 for z in config.points]
+    area2 = abs((p[1].conjugate() * p[2]).imag)
+    lam = []
+    for i in range(3):
+        j, k = [m for m in range(3) if m != i]
+        t = _angle_threshold(config.weights[i], config.weights[j], config.weights[k])
+        dot = ((p[j] - p[i]).conjugate() * (p[k] - p[i])).real
+        lam.append(1.0 / (dot - area2 * t / math.sqrt((1.0 - t) * (1.0 + t))))
+    return z1 + (lam[1] * p[1] + lam[2] * p[2]) / sum(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def convex_hull_membership(
 
 
 # ---------------------------------------------------------------------------
-# circles and loci
+# circles and Apollonius loci
 
 
 @dataclass(frozen=True)
@@ -218,16 +218,6 @@ class Line:
 
     point: complex
     direction: complex
-
-
-@dataclass(frozen=True)
-class Degenerate:
-    point: complex
-
-
-@dataclass(frozen=True)
-class Empty:
-    pass
 
 
 def circumcenter3(a: complex, b: complex, c: complex) -> complex:
@@ -264,98 +254,6 @@ def apollonius_locus(zi: complex, zj: complex, wi: float, wj: float):
     center = (wi * wi * zi - wj * wj * zj) / d
     rad2 = abs(center) ** 2 - (wi * wi * abs(zi) ** 2 - wj * wj * abs(zj) ** 2) / d
     return Circle(center, math.sqrt(max(rad2, 0.0)))
-
-
-def intersect_loci(a, b, scale: Optional[float] = None) -> tuple[complex, ...]:
-    """Intersection points of two loci (lines or circles).
-
-    Overlapping loci of the same carrier are reported as empty rather than
-    as a continuum; callers that care about that case handle it upstream.
-    """
-    if isinstance(a, Empty) or isinstance(b, Empty):
-        return ()
-    if isinstance(a, Degenerate):
-        return (a.point,) if _on_locus(b, a.point, scale) else ()
-    if isinstance(b, Degenerate):
-        return (b.point,) if _on_locus(a, b.point, scale) else ()
-    if isinstance(a, Line) and isinstance(b, Line):
-        return _line_line(a, b, scale)
-    if isinstance(a, Line) and isinstance(b, Circle):
-        return _line_circle(a, b, scale)
-    if isinstance(a, Circle) and isinstance(b, Line):
-        return _line_circle(b, a, scale)
-    return _circle_circle(a, b, scale)
-
-
-def _locus_scale(pts, scale):
-    if scale is not None and scale > 0.0:
-        return scale
-    s = spread(pts)
-    return s if s > 0.0 else 1.0
-
-
-def _on_locus(locus, p, scale=None) -> bool:
-    if isinstance(locus, Circle):
-        s = _locus_scale([locus.center, p], scale)
-        return abs(abs(p - locus.center) - locus.radius) <= EPS_CLASS * max(s, locus.radius)
-    if isinstance(locus, Line):
-        s = _locus_scale([locus.point, p], scale)
-        off = (p - locus.point) / locus.direction
-        return abs(off.imag) <= EPS_CLASS * s
-    if isinstance(locus, Degenerate):
-        return abs(p - locus.point) <= EPS_CLASS * _locus_scale([locus.point, p], scale)
-    return False
-
-
-def _line_line(a: Line, b: Line, scale) -> tuple[complex, ...]:
-    s = _locus_scale([a.point, b.point], scale)
-    denom = (a.direction * b.direction.conjugate()).imag
-    if abs(denom) <= EPS_CLASS:
-        return ()
-    diff = b.point - a.point
-    t = (diff * b.direction.conjugate()).imag / denom
-    return (a.point + t * a.direction,)
-
-
-# The discriminant band below only forgives a slightly NEGATIVE disc, so a
-# grazing pass still yields its touch point.  A positive disc is always taken
-# at face value: near-equal weights give Apollonius circles with radii far
-# beyond the working scale, and any band proportional to radius**2 would
-# swallow genuinely separated intersections there.
-
-
-def _line_circle(ln: Line, ci: Circle, scale) -> tuple[complex, ...]:
-    s = _locus_scale([ln.point, ci.center], scale)
-    rel = (ci.center - ln.point) / ln.direction
-    h = rel.imag  # signed distance from the line to the center
-    disc = ci.radius * ci.radius - h * h
-    band = EPS_CLASS * s * max(s, ci.radius)
-    foot = ln.point + rel.real * ln.direction
-    if disc <= -band:
-        return ()
-    if disc <= 0.0:
-        return (foot,)
-    half = math.sqrt(disc)
-    return (foot - half * ln.direction, foot + half * ln.direction)
-
-
-def _circle_circle(a: Circle, b: Circle, scale) -> tuple[complex, ...]:
-    s = _locus_scale([a.center, b.center], scale)
-    d = abs(b.center - a.center)
-    if d <= EPS_CLASS * max(s, a.radius, b.radius):
-        return ()
-    # distance from a.center to the radical line
-    x = (d * d + a.radius * a.radius - b.radius * b.radius) / (2.0 * d)
-    disc = a.radius * a.radius - x * x
-    band = EPS_CLASS * s * max(s, a.radius, b.radius)
-    u = (b.center - a.center) / d
-    foot = a.center + x * u
-    if disc <= -band:
-        return ()
-    if disc <= 0.0:
-        return (foot,)
-    half = math.sqrt(disc)
-    return (foot + half * 1j * u, foot - half * 1j * u)
 
 
 # ---------------------------------------------------------------------------

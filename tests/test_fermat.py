@@ -3,7 +3,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planarloc import (
     UNDETERMINED,
@@ -29,6 +32,7 @@ from planarloc import (
     solve_ft3_weighted,
     solve_ft4,
     solve_ft_n,
+    spread,
 )
 
 from conftest import FAR_TRIANGLE, FAR_WEIGHTS, distinct_points, triangle_weights, unit
@@ -115,6 +119,19 @@ def test_far_triangles_are_certified_or_refused(rng):
         assert res.certificate.passed
 
 
+@pytest.mark.parametrize("deficit", [5e-6, 2e-6, 1e-6])
+def test_interior_point_next_to_a_vertex(deficit):
+    # the angle at 0 falls short of 120 degrees by `deficit` degrees, so the
+    # optimum lies inside, 1e-8 to 5e-8 from 0: within the coincidence band,
+    # where the certificate spends the free weight at 0, yet not at 0 itself
+    z = cmath.exp(1j * math.radians(120.0 - deficit))
+    res = solve_ft3_weighted(0, 1, z, (1.0, 1.0, 1.0))
+    assert res.case is FtCase.INTERIOR
+    assert res.certificate.passed
+    assert 0.0 < abs(res.location) < 1e-7
+    assert res.angles == pytest.approx((2 * math.pi / 3, 4 * math.pi / 3), abs=1e-9)
+
+
 # ------------------------------------------------------------- four points
 
 
@@ -166,6 +183,24 @@ def test_general_solver_agrees_with_triangle_solver(rng):
         direct = solve_ft3_weighted(*pts, weights)
         iterated = solve_ft_n(config)
         assert iterated.objective == pytest.approx(direct.objective, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [5, 20, 200])
+def test_vertex_optimum_next_to_the_critical_weight(n):
+    # point 0 carries just more than the pull of all the others, so the
+    # optimum is point 0 itself; the iteration alone cannot settle the
+    # last digits this close to the critical weight, the vertex screen can
+    gen = np.random.default_rng(0)
+    for _ in range(4):
+        pts = tuple(complex(*p) for p in gen.uniform(0.0, 1.0, (n, 2)))
+        wts = [float(a) for a in gen.uniform(0.5, 2.0, n)]
+        z0 = pts[0]
+        pull = abs(sum(a * (z - z0) / abs(z - z0) for z, a in zip(pts[1:], wts[1:])))
+        for delta in (1e-9, 1e-6, 1e-3):
+            wts[0] = pull * (1.0 + delta)
+            res = solve_ft_n(WeightedConfiguration(pts, tuple(wts)))
+            assert res.solution.location == z0
+            assert res.certificate.passed
 
 
 def test_iteration_budget_is_enforced():
@@ -332,3 +367,45 @@ def test_weight_scaling_invariance(rng):
         assert scaled.objective == pytest.approx(lam * base.objective, rel=1e-9)
         if isinstance(base.solution, FtPoint):
             assert scaled.solution.location == pytest.approx(base.solution.location, abs=1e-8)
+
+
+@st.composite
+def _interior_triangles(draw):
+    coord = st.floats(min_value=0.0, max_value=1.0)
+    pts = draw(st.lists(st.builds(complex, coord, coord), min_size=3, max_size=3))
+    weight = st.floats(min_value=0.5, max_value=2.0)
+    wts = draw(st.lists(weight, min_size=3, max_size=3))
+    perm = draw(st.permutations(range(3)))
+    return pts, wts, perm
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    case=_interior_triangles(),
+    turn=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    zoom=st.floats(min_value=-8.0, max_value=8.0),
+    shift=st.floats(min_value=0.0, max_value=4.0),
+    heading=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    lift=st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_interior_triangle_maps_with_the_instance(
+    case, turn, zoom, shift, heading, lift
+):
+    pts, wts, perm = case
+    size = spread(pts)
+    assume(size >= 1e-2)
+    assume(min(abs(p - q) for i, p in enumerate(pts) for q in pts[:i]) >= 1e-2 * size)
+    base = solve_ft3_weighted(*pts, wts)
+    assume(base.case is FtCase.INTERIOR)
+    # one similarity, permutation and weight scaling, all at once
+    a = 10.0**zoom * cmath.exp(1j * turn)
+    s = abs(a) * size
+    c = 10.0**shift * s * cmath.exp(1j * heading)
+    lam = 10.0**lift
+    mapped = solve_ft3_weighted(
+        *(a * pts[k] + c for k in perm), tuple(lam * wts[k] for k in perm)
+    )
+    assert mapped.case is FtCase.INTERIOR
+    assert mapped.certificate.passed
+    want = a * base.location + c
+    assert abs(mapped.location - want) <= 1e-12 * s + 8 * math.ulp(abs(c) + s)

@@ -3,7 +3,8 @@
 The configuration is the only code that checks a point set, so the
 quadratic duplicate check runs once per solve, whether the solve starts
 from the command line or from the library, and a configuration handed to
-the covering-circle functions answers exactly like the raw points.
+the covering-circle functions answers exactly like the raw points.  A
+closed-form solve certifies its answer once and nothing else.
 """
 
 import cmath
@@ -13,14 +14,17 @@ import math
 import pytest
 
 import planarloc.chebyshev
+import planarloc.fermat
 import planarloc.geom
 from planarloc import (
+    FtCase,
     WeightedConfiguration,
     cheby_certificate,
     chebyshev_radius,
     ft_cheby_coincide4,
     solve_chebyshev,
     solve_chebyshev_weighted,
+    solve_ft3_weighted,
     solve_ft4,
 )
 from planarloc.cli import main
@@ -99,6 +103,30 @@ def test_four_point_median_validates_once(distinct_calls):
     assert result.certificate.passed
     assert ft_cheby_coincide4(0, 2, 3 + 1j, 1 + 1j) is True
     assert len(distinct_calls) == 3  # its own configuration and solve_ft4's
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        (tuple(cmath.exp(2j * math.pi * k / 3) for k in range(3)), (1.0, 1.0, 1.0)),
+        ((0, 2, 1 + 1.5j), (1.0, 1.3, 0.8)),
+    ],
+    ids=["equilateral", "weighted"],
+)
+def test_interior_triangle_certifies_once(monkeypatch, points, weights):
+    # the interior point is a closed form, so only the answer is certified
+    certified = []
+    inner = planarloc.fermat.ft_certificate
+
+    def counted(*args, **kwargs):
+        certified.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(planarloc.fermat, "ft_certificate", counted)
+    result = solve_ft3_weighted(*points, weights)
+    assert result.case is FtCase.INTERIOR
+    assert result.certificate.passed
+    assert len(certified) == 1
 
 
 def test_configuration_answers_like_raw_points(rng):
