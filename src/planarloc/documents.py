@@ -29,7 +29,8 @@ class ProblemFile:
     """A parsed problem and its validated configuration.
 
     ``config`` is built once, here, with unit weights when the file gives
-    none; building it raises DuplicatePoints for coinciding points.
+    none; building it raises DuplicatePoints for coinciding points and
+    ProblemFormatError for points whose spread overflows.
     """
 
     kind: Optional[str]
@@ -38,7 +39,10 @@ class ProblemFile:
     config: WeightedConfiguration = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        config = WeightedConfiguration.of(self.points, self.weights)
+        try:
+            config = WeightedConfiguration.of(self.points, self.weights)
+        except ValueError as e:
+            raise ProblemFormatError(f"points: {e}") from e
         object.__setattr__(self, "config", config)
 
 

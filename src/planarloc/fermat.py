@@ -13,7 +13,9 @@ Closed forms cover three points (case dispatch on the weights, then vertex
 angle tests, then the interior point from its closed-form barycentric
 coordinates) and four points with unit weights (a hull vertex, or the
 diagonal crossing).  The general solver is a reweighting iteration with a
-certified vertex-escape rule and a quadratic polish step.
+certified vertex-escape rule and a quadratic polish step; it alone uses
+numpy, imported inside its functions so that the closed forms, and the
+command line on them, run without loading it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from . import geom
 from .bjorth import SupportCertificate, build_l1_certificate
@@ -348,12 +348,16 @@ def solve_ft4(z1: complex, z2: complex, z3: complex, z4: complex) -> FtSolveResu
 
 
 def _vertex_margin(pts: np.ndarray, wts: np.ndarray, i: int) -> float:
+    import numpy as np
+
     diff = np.delete(pts, i) - pts[i]
     units = diff / np.abs(diff)
     return float(abs((np.delete(wts, i) * units).sum())) - float(wts[i])
 
 
 def _np_objective(pts: np.ndarray, wts: np.ndarray, w: complex) -> float:
+    import numpy as np
+
     return float(np.abs(pts - w) @ wts)
 
 
@@ -370,6 +374,8 @@ def solve_ft_n(
     relative tolerance; otherwise MaxIterationsExceeded carries the best
     iterate seen.
     """
+    import numpy as np
+
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     pts = np.asarray(config.points, dtype=complex)
@@ -403,6 +409,8 @@ def solve_ft_n(
 def _iterate(
     config: WeightedConfiguration, tol: float, max_iter: int
 ) -> tuple[complex, bool]:
+    import numpy as np
+
     pts = np.asarray(config.points, dtype=complex)
     wts = np.asarray(config.weights, dtype=float)
     wsum = float(wts.sum())
@@ -439,6 +447,8 @@ def _iterate(
 
 
 def _escape_vertex(pts: np.ndarray, wts: np.ndarray, k: int) -> complex:
+    import numpy as np
+
     zk = complex(pts[k])
     diff = np.delete(pts, k) - zk
     dist = np.abs(diff)
@@ -455,6 +465,8 @@ def _escape_vertex(pts: np.ndarray, wts: np.ndarray, k: int) -> complex:
 
 
 def _newton_step(pts, wts, w, d, units, pull, rn, near_band) -> Optional[complex]:
+    import numpy as np
+
     inv = wts / d
     ux = units.real
     uy = units.imag

@@ -69,17 +69,69 @@ def directed_angle(u: complex, v: complex, w: complex) -> float:
     return normalize_angle(cmath.phase((w - u) / (v - u)))
 
 
+# At or below this many points the plain pair loop is faster than the grid.
+PAIR_LOOP_MAX = 32
+
+
 def ensure_distinct(points: Sequence[complex], scale: Optional[float] = None) -> None:
-    """Raise DuplicatePoints when any two points sit closer than the band."""
+    """Raise DuplicatePoints when any two points sit closer than the band.
+
+    The band is ``EPS_CLASS * scale`` (``scale`` defaults to the points'
+    spread) and a pair coincides when ``abs(z_i - z_j) <= band``.  Up to
+    ``PAIR_LOOP_MAX`` points every pair is tested.  Above that each point
+    is hashed into square cells at least ``2 * band`` wide, indexed from
+    the lower-left corner of the bounding box, and compared only with the
+    earlier points in its 3x3 block of cells: a pair within the band never
+    lies farther apart than neighbouring cells, so the decision is the
+    pair loop's, in expected O(n).  Raises ValueError when the band is not
+    finite, which happens when the spread overflows.
+    """
     pts = [complex(z) for z in points]
     require_finite(*pts)
     if scale is None:
         scale = spread(pts)
     band = EPS_CLASS * scale
+    if not math.isfinite(band):
+        raise ValueError(f"coincidence band overflows: scale {scale!r} is not finite")
+    if len(pts) <= PAIR_LOOP_MAX:
+        pair = _pair_loop(pts, band)
+    else:
+        pair = _grid_pair(pts, band)
+    if pair is not None:
+        raise DuplicatePoints(f"points {pair[0]} and {pair[1]} coincide within tolerance")
+
+
+def _pair_loop(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]:
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if abs(pts[i] - pts[j]) <= band:
-                raise DuplicatePoints(f"points {i} and {j} coincide within tolerance")
+                return i, j
+    return None
+
+
+def _grid_pair(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]:
+    # Halved coordinates: no difference of two of them overflows, and a cell
+    # 2*band wide in the plane is band wide here.  A cell is never narrower
+    # than the extent times 2**-40, so no index exceeds 2**40 however small
+    # the band.  It comes out zero only when all points are one point, and
+    # any width then puts them in one cell.
+    xs = [0.5 * z.real for z in pts]
+    ys = [0.5 * z.imag for z in pts]
+    x0, y0 = min(xs), min(ys)
+    extent = max(max(xs) - x0, max(ys) - y0)
+    cell = max(band, extent * 2.0**-40) or 1.0
+    stride = int(extent / cell) + 3
+    block = [dx * stride + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    keys = [int((x - x0) / cell) * stride + int((y - y0) / cell) for x, y in zip(xs, ys)]
+    cells: dict[int, list[int]] = {}
+    for j, key in enumerate(keys):
+        for off in block:
+            if key + off in cells:
+                for i in cells[key + off]:
+                    if abs(pts[i] - pts[j]) <= band:
+                        return i, j
+        cells.setdefault(key, []).append(j)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ repeatedly halve the window around the incumbent.  Ties on a grid go to the
 smallest linear index, and the incumbent only moves on a strict improvement,
 so runs are deterministic.  The value found is attained at a grid point, so
 it bounds the true minimum from above; compare a solver against it one way.
+numpy is imported inside the functions, so importing this module (and the
+command line, which imports it) does not load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import EmptyInput
 
@@ -36,6 +36,8 @@ def _refine(
     settings: OracleSettings,
     trace: Optional[list] = None,
 ):
+    import numpy as np
+
     pts = np.asarray(points, dtype=complex)
     res = settings.resolution
     xlo, xhi = pts.real.min(), pts.real.max()
@@ -68,6 +70,8 @@ def oracle_ft(config, settings: Optional[OracleSettings] = None, trace=None):
     Accepts anything with ``points`` and ``weights`` attributes.  Returns
     (location, objective).
     """
+    import numpy as np
+
     if settings is None:
         settings = OracleSettings()
     pts = np.asarray(config.points, dtype=complex)
@@ -91,6 +95,8 @@ def oracle_cheby(
 
     Returns (location, radius).
     """
+    import numpy as np
+
     if settings is None:
         settings = OracleSettings()
     pts = np.asarray(points, dtype=complex)

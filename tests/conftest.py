@@ -8,9 +8,10 @@ satisfying the triangle condition, convex quadrilaterals, parallelograms,
 configurations whose optimum sits strictly inside, configurations whose
 optimum is one of their own points, and parametric samplers for each
 orthogonality type.  ``run_planarloc`` starts the command line in a child
-process.  ``FAR_TRIANGLE`` with ``FAR_WEIGHTS`` is a frozen triangle far
-from the origin whose interior point the three-point solver cannot
-certify, so it must refuse it.
+process, and ``run_python`` any other child interpreter.  ``FAR_TRIANGLE``
+with ``FAR_WEIGHTS`` is a frozen triangle far from the origin whose
+interior point the three-point solver cannot certify, so it must refuse
+it.
 """
 
 import cmath
@@ -37,13 +38,14 @@ def rng(request):
     return np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))
 
 
-def run_planarloc(args, cwd, timeout):
-    """Run ``python -m planarloc *args`` in a child process and capture it.
+def run_python(args, cwd, timeout):
+    """Run ``python *args`` in a child process and capture it.
 
     The child's PYTHONPATH starts with the directory that holds the
     ``planarloc`` imported here, so it runs the package under test whether
-    or not another copy is installed.  ``-m`` puts the working directory
-    ahead of PYTHONPATH, so pass a ``cwd`` that holds no ``planarloc``.
+    or not another copy is installed.  ``-m`` and ``-c`` put the working
+    directory ahead of PYTHONPATH, so pass a ``cwd`` that holds no
+    ``planarloc``.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(planarloc.__file__)))
     env = dict(os.environ)
@@ -51,13 +53,18 @@ def run_planarloc(args, cwd, timeout):
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "planarloc", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=timeout,
     )
+
+
+def run_planarloc(args, cwd, timeout):
+    """Run ``python -m planarloc *args`` in a child process, as run_python."""
+    return run_python(["-m", "planarloc", *args], cwd, timeout)
 
 
 def triangle_weights(gen, low=0.5, high=2.0):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FAR_TRIANGLE, FAR_WEIGHTS, run_planarloc
+from conftest import FAR_TRIANGLE, FAR_WEIGHTS, run_planarloc, run_python
 from planarloc.cli import main
 from planarloc.documents import ResultDocument
 
@@ -344,3 +344,40 @@ def test_console_script(tmp_path):
         name="planarloc", value=scripts["planarloc"], group="console_scripts"
     )
     assert entry.load() is main
+
+
+def test_overflowing_spread_is_a_format_error(tmp_path, capsys):
+    # the points are distinct; only their spread, 2e308, overflows
+    path = _problem(tmp_path, "huge.json", "fermat", [1e308, -1e308, 1j])
+    rc, out, err = _run(capsys, ["solve", path])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: points: coincidence band overflows")
+    assert "points 0 and 1" not in err
+
+
+# ------------------------------------------------------------------- numpy
+
+NUMPY_PROBE = """
+import json, sys
+from planarloc.cli import main
+loaded = []
+for path in sys.argv[1:]:
+    if main(["solve", path]) != 0:
+        raise SystemExit(f"solve failed on {path}")
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+def test_closed_forms_run_without_numpy(tmp_path):
+    files = [
+        _problem(tmp_path, "three.json", "fermat", [0, 2, 1 + 1.5j], (1.0, 1.3, 0.8)),
+        _problem(tmp_path, "four.json", "fermat", SQUARE),
+        _problem(tmp_path, "circle.json", "chebyshev", FIVE),
+        _problem(tmp_path, "five.json", "fermat", FIVE),
+    ]
+    proc = run_python(["-c", NUMPY_PROBE, *files], cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # only the n-point median, the last file, loads numpy
+    assert json.loads(proc.stderr.splitlines()[-1]) == [False, False, False, True]

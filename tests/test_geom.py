@@ -2,10 +2,13 @@
 
 import cmath
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 
+from planarloc import geom
 from planarloc import (
     Circle,
     CoincidentPoints,
@@ -16,7 +19,9 @@ from planarloc import (
     NonConvex,
     NotUnimodular,
     OverlappingSegments,
+    EPS_CLASS,
     TripleClass,
+    WeightedConfiguration,
     apollonius_locus,
     circumcenter3,
     convex_hull_membership,
@@ -399,3 +404,106 @@ def test_similarity_equivariance(rng):
         q = segment_intersection(f(a), f(b), f((a + b) / 2 + (b - a) * 1j), f((a + b) / 2 - (b - a) * 1j))
         assert p is not None and q is not None
         assert abs(q - f(p)) <= 1e-9 * diam
+
+
+# ---------------------------------------------------------------- duplicates
+
+
+def _pair_loop_decision(points, scale):
+    # the reference: every pair, the same exact test as ensure_distinct
+    band = EPS_CLASS * scale
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if abs(points[i] - points[j]) <= band:
+                return True
+    return False
+
+
+def _check_against_pair_loop(points, scale=None):
+    """ensure_distinct must decide like the pair loop and name a true pair."""
+    scale = spread(points) if scale is None else scale
+    expected = _pair_loop_decision(points, scale)
+    try:
+        geom.ensure_distinct(points, scale)
+    except DuplicatePoints as e:
+        named = re.fullmatch(r"points (\d+) and (\d+) coincide within tolerance", str(e))
+        i, j = (int(t) for t in named.groups())
+        assert i != j
+        assert abs(points[i] - points[j]) <= EPS_CLASS * scale
+        assert expected, "grid reports a pair the pair loop does not"
+        return True
+    assert not expected, "grid misses a pair the pair loop finds"
+    return False
+
+
+@pytest.mark.parametrize(
+    "n", [3, 8, geom.PAIR_LOOP_MAX, geom.PAIR_LOOP_MAX + 1, 60, 150]
+)
+def test_duplicate_decisions_match_the_pair_loop(rng, n):
+    found = 0
+    for k in range(60):
+        offset = complex(*rng.uniform(-1.0, 1.0, 2)) * 10.0 ** rng.uniform(0.0, 8.0)
+        s = 10.0 ** rng.uniform(-6.0, 6.0)
+        xy = rng.uniform(0.0, s, (n, 2))
+        if k % 4 == 0:
+            xy[:, 0] = 0.5 * s  # one vertical line
+        elif k % 4 == 1:
+            xy[:, 1] = 0.5 * s  # one horizontal line
+        points = [offset + complex(x, y) for x, y in xy]
+        if k % 3 != 2:
+            # plant a pair just inside or just outside the band
+            i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+            turn = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            direction = {0: 1j, 1: 1.0}.get(k % 4, turn)  # along a line, or anywhere
+            factor = 0.999 if k % 2 else 1.001
+            points[j] = points[i] + factor * EPS_CLASS * spread(points) * direction
+        found += _check_against_pair_loop(points)
+    assert 0 < found < 60
+
+
+@pytest.mark.parametrize("factor", [0.999, 1.001])
+@pytest.mark.parametrize("offset", [0.0, 1e8 + 1e8j])
+def test_duplicate_decisions_on_a_lattice_at_the_band(factor, offset):
+    # spacing 1 and a band of 1/factor: neighbours coincide only when the
+    # band reaches past the spacing
+    points = [offset + complex(x, y) for x in range(30) for y in range(30)]
+    scale = 1.0 / (factor * EPS_CLASS)
+    assert _check_against_pair_loop(points, scale) is (factor < 1.0)
+
+
+def test_tiny_scale_takes_the_pair_loop_answer(rng):
+    points = [complex(x, y) for x, y in rng.uniform(0.0, 1.0, (100, 2))]
+    geom.ensure_distinct(points, 1e-310)
+    with pytest.raises(DuplicatePoints):
+        geom.ensure_distinct(points + [points[40]], 1e-310)
+
+
+def test_overflowing_spread_is_not_a_duplicate():
+    points = [1e308, -1e308, 1j]
+    with pytest.raises(ValueError, match="overflows"):
+        geom.ensure_distinct(points)
+    with pytest.raises(ValueError, match="overflows"):
+        WeightedConfiguration.of(points)
+    # a finite band on the same coordinates sees three distinct points
+    geom.ensure_distinct(points, 1.0)
+    geom.ensure_distinct(points + [complex(k) for k in range(40)], 1.0)
+
+
+@pytest.mark.parametrize("shape", ["uniform", "vertical line", "horizontal line"])
+def test_hundred_thousand_points_validate_in_linear_time(rng, shape):
+    n = 100_000
+    if shape == "uniform":
+        points = [complex(x, y) for x, y in rng.uniform(0.0, 1.0, (n, 2))]
+    else:
+        line = [complex(0.5, (k + 0.5 * rng.random()) / n) for k in rng.permutation(n)]
+        points = line if shape == "vertical line" else [z.imag + 0.5j for z in line]
+    t0 = time.perf_counter()
+    config = WeightedConfiguration.of(points)
+    assert time.perf_counter() - t0 < 5.0
+    assert config.n == n
+
+
+def test_one_repeated_point_is_a_duplicate():
+    # zero spread: the band and the extent are both zero
+    with pytest.raises(DuplicatePoints, match="points 0 and 1 coincide"):
+        geom.ensure_distinct([1 + 2j] * (geom.PAIR_LOOP_MAX + 8))

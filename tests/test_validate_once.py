@@ -1,7 +1,7 @@
 """One validation per instance: a WeightedConfiguration shared by everything.
 
 The configuration is the only code that checks a point set, so the
-quadratic duplicate check runs once per solve, whether the solve starts
+duplicate check runs once per solve, whether the solve starts
 from the command line or from the library, and a configuration handed to
 the covering-circle functions answers exactly like the raw points.  A
 closed-form solve certifies its answer once and nothing else.
@@ -37,7 +37,7 @@ SIX_W = [1.0, 2.0, 1.0, 1.5, 1.2, 0.8]
 
 @pytest.fixture
 def distinct_calls(monkeypatch):
-    """Count the calls of geom.ensure_distinct, the quadratic duplicate check."""
+    """Count the calls of geom.ensure_distinct, the duplicate check."""
     calls = []
     inner = planarloc.geom.ensure_distinct
 
