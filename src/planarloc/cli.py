@@ -19,6 +19,7 @@ from typing import Optional
 from . import chebyshev as cheby
 from . import documents, fermat, oracle, svgplot
 from .errors import MaxIterationsExceeded, NotOrthogonal, PlanarLocError
+from .tolerances import EPS_REL
 
 
 def _parse_at(text: str) -> complex:
@@ -71,7 +72,11 @@ def cmd_solve(args) -> int:
         print(f"certification failed: {e}", file=sys.stderr)
         return 2
     if kind == "fermat":
-        cert = fermat.ft_certificate(config, _recertify_location(result))
+        # the result's certificate passed at tol or, for a closed form, at
+        # EPS_REL; the re-check allows the larger of the two
+        cert = fermat.ft_certificate(
+            config, _recertify_location(result), max(tol, EPS_REL)
+        )
         doc = documents.fermat_result_document(result, tol)
         value = result.objective
         if args.oracle:

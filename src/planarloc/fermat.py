@@ -12,10 +12,12 @@ the iterative solver) instead.
 Closed forms cover three points (case dispatch on the weights, then vertex
 angle tests, then the interior point from its closed-form barycentric
 coordinates) and four points with unit weights (a hull vertex, or the
-diagonal crossing).  The general solver is a reweighting iteration with a
-certified vertex-escape rule and a quadratic polish step; it alone uses
-numpy, imported inside its functions so that the closed forms, and the
-command line on them, run without loading it.
+diagonal crossing).  The general solver is a reweighting iteration, O(n)
+per step, with a quadratic polish step; it tests each point it comes
+nearest once as the optimum and steps out of a refused point by the
+modified Weiszfeld rule.  It alone uses numpy, imported inside its
+functions so that the closed forms, and the command line on them, run
+without loading it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class WeightedConfiguration:
             raise EmptyInput("a configuration needs at least one point")
         if len(pts) != len(wts):
             raise LengthMismatch("one weight per point")
-        geom.require_finite(*pts)
         for a in wts:
             if not (math.isfinite(a) and a > 0.0):
                 raise ValueError(f"weights must be positive and finite, got {a!r}")
@@ -165,8 +166,8 @@ class FtSolveResult:
         return self.solution.start
 
 
-def _point_result(config, w, case, **extra) -> FtSolveResult:
-    cert = ft_certificate(config, w)
+def _point_result(config, w, case, tol=None, **extra) -> FtSolveResult:
+    cert = ft_certificate(config, w, tol)
     if not cert.passed:
         raise NotOrthogonal(f"{case.value} solution failed its certificate")
     return FtSolveResult(
@@ -347,20 +348,6 @@ def solve_ft4(z1: complex, z2: complex, z3: complex, z4: complex) -> FtSolveResu
 # general n
 
 
-def _vertex_margin(pts: np.ndarray, wts: np.ndarray, i: int) -> float:
-    import numpy as np
-
-    diff = np.delete(pts, i) - pts[i]
-    units = diff / np.abs(diff)
-    return float(abs((np.delete(wts, i) * units).sum())) - float(wts[i])
-
-
-def _np_objective(pts: np.ndarray, wts: np.ndarray, w: complex) -> float:
-    import numpy as np
-
-    return float(np.abs(pts - w) @ wts)
-
-
 def solve_ft_n(
     config: WeightedConfiguration, tol: float = 1e-10, max_iter: int = 10000
 ) -> FtSolveResult:
@@ -368,9 +355,11 @@ def solve_ft_n(
 
     Runs the inverse-distance reweighting iteration from the weighted
     centroid, switching to a damped quadratic step once the residual is
-    small.  Whenever the iterate lands on a configuration point the slack
-    test decides between stopping there and stepping away along the descent
-    direction.  The returned location passes ft_certificate at the given
+    small; every iteration is O(n).  The first time a configuration point
+    is the one nearest the iterate it gets the slack test, once, and passes
+    it exactly when it is the optimum.  An iterate inside the band of a
+    point that failed steps out by the modified Weiszfeld rule of Vardi and
+    Zhang (2000).  The returned location passes ft_certificate at the given
     relative tolerance; otherwise MaxIterationsExceeded carries the best
     iterate seen.
     """
@@ -378,21 +367,60 @@ def solve_ft_n(
 
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
+    if config.n == 1:
+        return _point_result(config, config.points[0], FtCase.ITERATIVE, tol)
     pts = np.asarray(config.points, dtype=complex)
     wts = np.asarray(config.weights, dtype=float)
-    n = len(pts)
-    wsum = float(wts.sum())
-    if n == 1:
-        return _point_result(config, complex(pts[0]), FtCase.ITERATIVE)
-
-    margins = [_vertex_margin(pts, wts, i) for i in range(n)]
-    i_best = int(np.argmin(margins))
-    if margins[i_best] <= tol * wsum:
-        return _point_result(config, complex(pts[i_best]), FtCase.ITERATIVE)
-
-    w, ok = _iterate(config, tol, max_iter)
+    wsum = config.total_weight
+    near_band = EPS_CLASS * config.diameter
+    target = tol * wsum
+    tested = set()
+    w = complex((wts * pts).sum() / wsum)
+    best = (math.inf, w)
+    for _ in range(max_iter):
+        rel = pts - w
+        d = np.abs(rel)
+        k = int(np.argmin(d))
+        if k not in tested or d[k] <= near_band:
+            # the other points' pull at z_k, with z_k's own term dropped; it
+            # does not depend on w, so one test per point settles z_k
+            diff = pts - pts[k]
+            dk = np.abs(diff)
+            dk[k] = math.inf
+            inv = wts / dk
+            pull = complex((inv * diff).sum())
+            r = abs(pull)
+            if k not in tested:
+                tested.add(k)
+                if r - wts[k] <= target:
+                    return _point_result(
+                        config, config.points[k], FtCase.ITERATIVE, tol
+                    )
+            if d[k] <= near_band:
+                # modified Weiszfeld step z_k + (1 - a_k/r)(T - z_k), with T
+                # the other points' Weiszfeld average; r > a_k here
+                w = config.points[k] + complex((1.0 - wts[k] / r) * pull / inv.sum())
+                continue
+        units = rel / d
+        pull = complex((wts * units).sum())
+        rn = abs(pull)
+        if rn < best[0]:
+            best = (rn, w)
+        if rn <= target:
+            break
+        stepped = None
+        if rn <= 1e-2 * wsum:
+            stepped = _newton_step(pts, wts, w, d, units, pull, rn, near_band)
+        if stepped is None:
+            inv = wts / d
+            stepped = complex((inv * pts).sum() / inv.sum())
+            if stepped == w:
+                break
+        w = stepped
+    else:
+        w = best[1]
     cert = ft_certificate(config, w, tol)
-    if not (ok and cert.passed):
+    if not cert.passed:
         raise MaxIterationsExceeded(
             f"no certified point within {max_iter} iterations",
             location=w,
@@ -404,64 +432,6 @@ def solve_ft_n(
         case=FtCase.ITERATIVE,
         certificate=cert,
     )
-
-
-def _iterate(
-    config: WeightedConfiguration, tol: float, max_iter: int
-) -> tuple[complex, bool]:
-    import numpy as np
-
-    pts = np.asarray(config.points, dtype=complex)
-    wts = np.asarray(config.weights, dtype=float)
-    wsum = float(wts.sum())
-    near_band = EPS_CLASS * config.diameter
-    target = tol * wsum
-    w = complex((wts * pts).sum() / wsum)
-    best = (math.inf, w)
-    for _ in range(max_iter):
-        d = np.abs(pts - w)
-        k = int(np.argmin(d))
-        if d[k] <= near_band:
-            if _vertex_margin(pts, wts, k) <= target:
-                return complex(pts[k]), True
-            w = _escape_vertex(pts, wts, k)
-            continue
-        units = (pts - w) / d
-        pull = complex((wts * units).sum())
-        rn = abs(pull)
-        if rn < best[0]:
-            best = (rn, w)
-        if rn <= target:
-            return w, True
-        stepped = None
-        if rn <= 1e-2 * wsum:
-            stepped = _newton_step(pts, wts, w, d, units, pull, rn, near_band)
-        if stepped is None:
-            inv = wts / d
-            stepped = complex((inv * pts).sum() / inv.sum())
-            if stepped == w:
-                # stalled fixed point away from every vertex; accept as is
-                return w, rn <= target
-        w = stepped
-    return best[1], False
-
-
-def _escape_vertex(pts: np.ndarray, wts: np.ndarray, k: int) -> complex:
-    import numpy as np
-
-    zk = complex(pts[k])
-    diff = np.delete(pts, k) - zk
-    dist = np.abs(diff)
-    grad = complex((np.delete(wts, k) * (-diff / dist)).sum())  # ascent part
-    v = -grad / abs(grad)
-    base = _np_objective(pts, wts, zk)
-    t = 0.3 * float(dist.min())
-    for _ in range(60):
-        cand = zk + t * v
-        if _np_objective(pts, wts, cand) < base:
-            return cand
-        t *= 0.5
-    return zk + t * v
 
 
 def _newton_step(pts, wts, w, d, units, pull, rn, near_band) -> Optional[complex]:

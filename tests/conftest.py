@@ -11,7 +11,8 @@ orthogonality type.  ``run_planarloc`` starts the command line in a child
 process, and ``run_python`` any other child interpreter.  ``FAR_TRIANGLE``
 with ``FAR_WEIGHTS`` is a frozen triangle far from the origin whose
 interior point the three-point solver cannot certify, so it must refuse
-it.
+it; ``light_vertex_instance`` is a frozen median whose vertex optimum
+passes only a loose tolerance.
 """
 
 import cmath
@@ -163,6 +164,23 @@ FAR_TRIANGLE = (
     991874.0566560188 - 9448817.281640742j,
 )
 FAR_WEIGHTS = (0.764, 0.5, 0.591)
+
+
+def light_vertex_instance():
+    """Frozen 20 points whose point 0 weighs just under the others' pull.
+
+    Points uniform in the unit square and weights in [0.5, 2]
+    (``default_rng(2)``), then point 0's weight set to (1 - 1e-8) times the
+    modulus of the other points' weighted unit pull there.  Point 0 passes
+    the slack test at the relative tolerance 1e-6 but not at 1e-10.
+    """
+    gen = np.random.default_rng(2)
+    pts = tuple(complex(*p) for p in gen.uniform(0.0, 1.0, (20, 2)))
+    wts = [float(a) for a in gen.uniform(0.5, 2.0, 20)]
+    z0 = pts[0]
+    pull = abs(sum(a * (z - z0) / abs(z - z0) for z, a in zip(pts[1:], wts[1:])))
+    wts[0] = pull * (1.0 - 1e-8)
+    return pts, tuple(wts)
 
 
 def unit(gen):

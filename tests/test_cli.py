@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FAR_TRIANGLE, FAR_WEIGHTS, run_planarloc, run_python
+from conftest import (
+    FAR_TRIANGLE,
+    FAR_WEIGHTS,
+    light_vertex_instance,
+    run_planarloc,
+    run_python,
+)
 from planarloc.cli import main
 from planarloc.documents import ResultDocument
 
@@ -322,6 +328,26 @@ def test_iteration_budget_surfaces_as_failure(tmp_path, capsys):
     )
     rc, _, err = _run(capsys, ["solve", path, "--max-iter", "1"])
     assert rc == 2
+    assert "certification failed" in err
+
+
+def test_recheck_uses_the_stated_tolerance(tmp_path, capsys):
+    pts, wts = light_vertex_instance()
+    path = _problem(tmp_path, "light.json", "fermat", pts, wts)
+    rc, out, err = _run(capsys, ["solve", path, "--tol", "1e-6"])
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["solution"]["location"] == [pts[0].real, pts[0].imag]
+    assert doc["certificate"]["passed"] is True
+    assert doc["tolerances"]["tol"] == 1e-6
+
+
+def test_default_tolerance_still_refuses_a_light_vertex(tmp_path, capsys):
+    pts, wts = light_vertex_instance()
+    path = _problem(tmp_path, "light.json", "fermat", pts, wts)
+    rc, out, err = _run(capsys, ["solve", path])
+    assert rc == 2
+    assert out == ""
     assert "certification failed" in err
 
 

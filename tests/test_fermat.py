@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +36,14 @@ from planarloc import (
     spread,
 )
 
-from conftest import FAR_TRIANGLE, FAR_WEIGHTS, distinct_points, triangle_weights, unit
+from conftest import (
+    FAR_TRIANGLE,
+    FAR_WEIGHTS,
+    distinct_points,
+    light_vertex_instance,
+    triangle_weights,
+    unit,
+)
 
 ROOTS3 = tuple(cmath.exp(2j * math.pi * k / 3) for k in range(3))
 EQUILATERAL = WeightedConfiguration(ROOTS3, (1.0, 1.0, 1.0))
@@ -189,18 +197,40 @@ def test_general_solver_agrees_with_triangle_solver(rng):
 def test_vertex_optimum_next_to_the_critical_weight(n):
     # point 0 carries just more than the pull of all the others, so the
     # optimum is point 0 itself; the iteration alone cannot settle the
-    # last digits this close to the critical weight, the vertex screen can
+    # last digits this close to the critical weight, the slack test at the
+    # point nearest the iterate can
     gen = np.random.default_rng(0)
     for _ in range(4):
         pts = tuple(complex(*p) for p in gen.uniform(0.0, 1.0, (n, 2)))
         wts = [float(a) for a in gen.uniform(0.5, 2.0, n)]
         z0 = pts[0]
         pull = abs(sum(a * (z - z0) / abs(z - z0) for z, a in zip(pts[1:], wts[1:])))
-        for delta in (1e-9, 1e-6, 1e-3):
+        for delta in (1e-12, 1e-9, 1e-6, 1e-3):
             wts[0] = pull * (1.0 + delta)
             res = solve_ft_n(WeightedConfiguration(pts, tuple(wts)))
             assert res.solution.location == z0
             assert res.certificate.passed
+
+
+def test_vertex_result_is_certified_at_the_given_tolerance():
+    pts, wts = light_vertex_instance()
+    config = WeightedConfiguration(pts, wts)
+    res = solve_ft_n(config, tol=1e-6)
+    assert res.solution.location == pts[0]
+    assert res.certificate.passed
+    assert res.certificate.tol == 1e-6 * config.total_weight
+
+
+def test_median_iteration_is_linear_in_n():
+    # 5e4 points: one O(n^2) pass over them would take tens of seconds
+    gen = np.random.default_rng(0)
+    pts = tuple(complex(*p) for p in gen.uniform(0.0, 1.0, (50_000, 2)))
+    wts = tuple(float(a) for a in gen.uniform(0.5, 2.0, 50_000))
+    config = WeightedConfiguration(pts, wts)
+    t0 = time.perf_counter()
+    res = solve_ft_n(config)
+    assert time.perf_counter() - t0 < 5.0
+    assert res.certificate.passed
 
 
 def test_iteration_budget_is_enforced():
@@ -223,6 +253,12 @@ def test_configuration_validation():
         WeightedConfiguration((1, 2), (1.0,))
     with pytest.raises(ValueError, match="positive"):
         WeightedConfiguration((1, 2), (1.0, -1.0))
+
+
+def test_configuration_rejects_non_finite_points():
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            WeightedConfiguration((0, 1, bad), (1.0, 1.0, 1.0))
 
 
 def test_configuration_accessors():
@@ -409,3 +445,46 @@ def test_interior_triangle_maps_with_the_instance(
     assert mapped.certificate.passed
     want = a * base.location + c
     assert abs(mapped.location - want) <= 1e-12 * s + 8 * math.ulp(abs(c) + s)
+
+
+@st.composite
+def _median_instances(draw):
+    n = draw(st.integers(min_value=5, max_value=40))
+    coord = st.floats(min_value=0.0, max_value=1.0)
+    pts = draw(st.lists(st.builds(complex, coord, coord), min_size=n, max_size=n))
+    weight = st.floats(min_value=0.5, max_value=2.0)
+    wts = draw(st.lists(weight, min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    return pts, wts, perm
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    case=_median_instances(),
+    turn=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    zoom=st.floats(min_value=-8.0, max_value=8.0),
+    shift=st.floats(min_value=0.0, max_value=4.0),
+    heading=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    lift=st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_median_maps_with_the_instance(case, turn, zoom, shift, heading, lift):
+    pts, wts, perm = case
+    size = spread(pts)
+    assume(size >= 1e-2)
+    assume(min(abs(p - q) for i, p in enumerate(pts) for q in pts[:i]) >= 1e-2 * size)
+    # collinear points with tied weights can have a segment of optima
+    assume(any(((q - pts[0]).conjugate() * (pts[1] - pts[0])).imag for q in pts[2:]))
+    base = solve_ft_n(WeightedConfiguration(tuple(pts), tuple(wts)))
+    # one similarity, permutation and weight scaling, all at once
+    a = 10.0**zoom * cmath.exp(1j * turn)
+    s = abs(a) * size
+    c = 10.0**shift * s * cmath.exp(1j * heading)
+    lam = 10.0**lift
+    mapped = solve_ft_n(
+        WeightedConfiguration(
+            tuple(a * pts[k] + c for k in perm), tuple(lam * wts[k] for k in perm)
+        )
+    )
+    assert mapped.certificate.passed
+    want = a * base.location + c
+    assert abs(mapped.location - want) <= 1e-9 * s + 8 * math.ulp(abs(c) + s)
