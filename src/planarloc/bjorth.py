@@ -20,7 +20,9 @@ the origin in a planar convex hull.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from . import geom
@@ -83,30 +85,24 @@ def build_l1_certificate(
     problems).  Free coefficients are spent proportionally to cancel the
     forced part, clamped to the unit disc.
     """
-    xs = tuple(complex(v) for v in x)
-    ys = tuple(complex(v) for v in y)
-    forced = 0j
-    slack = 0.0
-    d: list[complex] = [0j] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if zero_mask[i]:
-            slack += abs(yi)
-        else:
-            d[i] = (xi / abs(xi)).conjugate()
-            forced += d[i] * yi
+    xs = tuple(map(complex, x))
+    ys = tuple(map(complex, y))
+    free = list(compress(range(len(xs)), zero_mask))
+    d = [0j if m else (xi / abs(xi)).conjugate() for xi, m in zip(xs, zero_mask)]
+    slack = sum((abs(ys[i]) for i in free), 0.0)
+    forced = sum(map(operator.mul, d, ys), 0j)
     need = abs(forced)
+    residual = need
     if need > 0.0 and slack > 0.0:
         ratio = min(1.0, need / slack)
         direction = -forced / need
-        for i, yi in enumerate(ys):
-            if zero_mask[i] and abs(yi) > 0.0:
+        for i in free:
+            yi = ys[i]
+            if abs(yi) > 0.0:
                 d[i] = direction * ratio * yi.conjugate() / abs(yi)
-    residual = abs(sum(di * yi for di, yi in zip(d, ys)))
+        residual = abs(sum(map(operator.mul, d, ys)))
     passed = need <= slack + tol
-    gamma = None
-    free = [i for i in range(len(xs)) if zero_mask[i]]
-    if len(free) == 1:
-        gamma = d[free[0]]
+    gamma = d[free[0]] if len(free) == 1 else None
     return SupportCertificate(
         space="l1",
         d=tuple(d),

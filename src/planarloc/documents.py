@@ -113,9 +113,13 @@ def _load_csv_problem(text: str, kind_flag: Optional[str]) -> ProblemFile:
     widths: set[int] = set()
     rows = csv.reader(text.splitlines())
     for lineno, row in enumerate(rows, start=1):
-        row = [c.strip() for c in row if c.strip() != ""]
+        row = [c.strip() for c in row]
+        while row and row[-1] == "":
+            row.pop()
         if not row or row[0].startswith("#"):
             continue
+        if "" in row:
+            raise ProblemFormatError(f"line {lineno}: empty field")
         if len(row) not in (2, 3):
             raise ProblemFormatError(f"line {lineno}: expected 2 or 3 fields")
         try:
@@ -150,11 +154,11 @@ def load_problem(path: str, kind_flag: Optional[str] = None) -> ProblemFile:
 
 
 def _fmt_float(v: float) -> str:
+    if math.isfinite(v):
+        return format(v, ".17g")
     if math.isinf(v):
         return "Infinity" if v > 0 else "-Infinity"
-    if math.isnan(v):
-        return "NaN"
-    return format(v, ".17g")
+    return "NaN"
 
 
 def emit_json(value, indent: int = 0) -> str:
@@ -173,10 +177,12 @@ def emit_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = ",\n".join(
-            "  " * (indent + 1) + emit_json(v, indent + 1) for v in value
-        )
-        return "[\n" + inner + "\n" + pad + "]"
+        step = "  " * (indent + 1)
+        if all(map(float.__instancecheck__, value)):
+            items = map(_fmt_float, value)
+        else:
+            items = (emit_json(v, indent + 1) for v in value)
+        return "[\n" + step + (",\n" + step).join(items) + "\n" + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"

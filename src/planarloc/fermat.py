@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -57,15 +59,16 @@ class WeightedConfiguration:
     total_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = tuple(complex(z) for z in self.points)
-        wts = tuple(float(a) for a in self.weights)
+        pts = tuple(map(complex, self.points))
+        wts = tuple(map(float, self.weights))
         if not pts:
             raise EmptyInput("a configuration needs at least one point")
         if len(pts) != len(wts):
             raise LengthMismatch("one weight per point")
-        for a in wts:
-            if not (math.isfinite(a) and a > 0.0):
-                raise ValueError(f"weights must be positive and finite, got {a!r}")
+        if not (all(map(math.isfinite, wts)) and min(wts) > 0.0):
+            for a in wts:
+                if not (math.isfinite(a) and a > 0.0):
+                    raise ValueError(f"weights must be positive and finite, got {a!r}")
         diameter = spread(pts)
         geom.ensure_distinct(pts, diameter)
         object.__setattr__(self, "points", pts)
@@ -94,8 +97,8 @@ class WeightedConfiguration:
 
 
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
-    w = complex(w)
-    return sum(a * abs(z - w) for z, a in zip(config.points, config.weights))
+    dist = map(abs, map(complex(w).__rsub__, config.points))
+    return sum(map(operator.mul, config.weights, dist))
 
 
 def ft_certificate(
@@ -117,9 +120,10 @@ def ft_certificate(
     geom.require_finite(w)
     if tol is None:
         tol = EPS_REL
-    band = EPS_CLASS * config.diameter
-    mask = [abs(z - w) <= band for z in config.points]
-    x = tuple(a * (z - w) for z, a in zip(config.points, config.weights))
+    rel = list(map(w.__rsub__, config.points))  # z_i - w, once
+    within = functools.partial(operator.ge, EPS_CLASS * config.diameter)
+    mask = list(map(within, map(abs, rel)))
+    x = tuple(map(operator.mul, config.weights, rel))
     return build_l1_certificate(x, config.weights, mask, tol * config.total_weight)
 
 

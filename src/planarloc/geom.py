@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Optional, Sequence
 
 from .errors import (
@@ -78,33 +81,78 @@ def ensure_distinct(points: Sequence[complex], scale: Optional[float] = None) ->
 
     The band is ``EPS_CLASS * scale`` (``scale`` defaults to the points'
     spread) and a pair coincides when ``abs(z_i - z_j) <= band``.  Up to
-    ``PAIR_LOOP_MAX`` points every pair is tested.  Above that each point
-    is hashed into square cells at least ``2 * band`` wide, indexed from
-    the lower-left corner of the bounding box, and compared only with the
-    earlier points in its 3x3 block of cells: a pair within the band never
-    lies farther apart than neighbouring cells, so the decision is the
-    pair loop's, in expected O(n).  Raises ValueError when the band is not
-    finite, which happens when the spread overflows.
+    ``PAIR_LOOP_MAX`` points every pair is tested.  Above that a screen
+    runs first: each axis is sorted, and a point survives only when, on
+    both axes, it sits next to a gap between consecutive coordinates no
+    wider than the band.  A pair within the band is within it along each
+    axis, so every gap between its two ends, the ones next to either end
+    included, is within the band too; the computed gaps keep this, because
+    rounding a difference is monotone.  The screen therefore drops no
+    point of a coinciding pair, and well-separated points, or all the
+    points of an axis-aligned line, leave it with nothing to compare.  An
+    axis on which more than half the gaps are within the band (shared or
+    gridded coordinates) is not used to narrow, so a lattice goes to the
+    grid whole instead of paying for sets that keep every point.  The
+    survivors are hashed into square cells at least ``2 * band`` wide,
+    indexed from the lower-left corner of their bounding box, and each is
+    compared only with the earlier ones in its 3x3 block of cells (the
+    pair loop again when few survive): a pair within the band never lies
+    farther apart than neighbouring cells.  So the decision is the pair
+    loop's, in O(n log n).  Raises ValueError when the band is not finite,
+    which happens when the spread overflows.
     """
-    pts = [complex(z) for z in points]
-    require_finite(*pts)
+    pts = list(map(complex, points))
+    if not all(map(cmath.isfinite, pts)):
+        require_finite(*pts)
     if scale is None:
         scale = spread(pts)
     band = EPS_CLASS * scale
     if not math.isfinite(band):
         raise ValueError(f"coincidence band overflows: scale {scale!r} is not finite")
-    if len(pts) <= PAIR_LOOP_MAX:
-        pair = _pair_loop(pts, band)
-    else:
-        pair = _grid_pair(pts, band)
+    idx = range(len(pts)) if len(pts) <= PAIR_LOOP_MAX else _screen(pts, band)
+    sub = pts if len(idx) == len(pts) else list(map(pts.__getitem__, idx))
+    pair = (_pair_loop if len(sub) <= PAIR_LOOP_MAX else _grid_pair)(sub, band)
     if pair is not None:
-        raise DuplicatePoints(f"points {pair[0]} and {pair[1]} coincide within tolerance")
+        raise DuplicatePoints(f"points {idx[pair[0]]} and {idx[pair[1]]} coincide within tolerance")
+
+
+def _screen(pts: Sequence[complex], band: float) -> Sequence[int]:
+    """Indices, ascending, of the points next to a gap within the band on both axes.
+
+    An axis on which most points sit next to such a gap (shared or gridded
+    coordinates) narrows nothing worth the set work and is left out; when
+    both are, every index is returned.
+    """
+    near_x = _near_on_axis([z.real for z in pts], band)
+    if near_x is not None and not near_x:
+        return ()
+    near_y = _near_on_axis([z.imag for z in pts], band)
+    if near_x is None:
+        return range(len(pts)) if near_y is None else sorted(near_y)
+    return sorted(near_x if near_y is None else near_x & near_y)
+
+
+def _near_on_axis(coords: list[float], band: float) -> Optional[set[int]]:
+    """Indices next to a gap of at most ``band`` in the sorted ``coords``.
+
+    None when more than half the gaps are that small.
+    """
+    order = sorted(range(len(coords)), key=coords.__getitem__)
+    vals = list(map(coords.__getitem__, order))
+    gaps = map(operator.sub, islice(vals, 1, None), vals)
+    close = list(map(functools.partial(operator.ge, band), gaps))
+    if 2 * close.count(True) > len(coords):
+        return None
+    near = set(compress(order, close))
+    near.update(compress(islice(order, 1, None), close))
+    return near
 
 
 def _pair_loop(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]:
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= band:
+            d = pts[i] - pts[j]
+            if abs(d.real) <= band and abs(d.imag) <= band and abs(d) <= band:
                 return i, j
     return None
 
@@ -128,7 +176,8 @@ def _grid_pair(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]
         for off in block:
             if key + off in cells:
                 for i in cells[key + off]:
-                    if abs(pts[i] - pts[j]) <= band:
+                    d = pts[i] - pts[j]
+                    if abs(d.real) <= band and abs(d.imag) <= band and abs(d) <= band:
                         return i, j
         cells.setdefault(key, []).append(j)
     return None

@@ -18,6 +18,7 @@ from planarloc import (
     is_bj_orthogonal_linf,
     smoothness_order_linf,
 )
+from planarloc.bjorth import build_l1_certificate
 
 from conftest import sample_type3, sample_type4, triangle_weights, unit
 
@@ -205,6 +206,66 @@ def test_l1_certificates_are_sound(rng):
         for s in _disc_grid(2.0 * nx / ny):
             val = sum(abs(xv + s * yv) for xv, yv in zip(x, y))
             assert val >= nx * (1.0 - 1e-9)
+
+
+def _textbook_l1(x, y, mask, tol):
+    # the sum-norm functional entry by entry, as the module docstring states it
+    d = [0j] * len(x)
+    forced, slack = 0j, 0.0
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        if mask[i]:
+            slack += abs(yi)
+        else:
+            d[i] = (xi / abs(xi)).conjugate()
+            forced += d[i] * yi
+    need = abs(forced)
+    if need > 0.0 and slack > 0.0:
+        for i, yi in enumerate(y):
+            if mask[i] and abs(yi) > 0.0:
+                d[i] = -forced / need * min(1.0, need / slack) * yi.conjugate() / abs(yi)
+    free = [i for i in range(len(x)) if mask[i]]
+    return {
+        "d": d,
+        "forced": forced,
+        "slack": slack,
+        "residual": abs(sum(di * yi for di, yi in zip(d, y))),
+        "passed": need <= slack + tol,
+        "gamma": d[free[0]] if len(free) == 1 else None,
+    }
+
+
+@pytest.mark.parametrize("masked", [0, 1, 3])
+def test_l1_certificate_matches_the_entrywise_loop(rng, masked):
+    for trial in range(200):
+        n = int(rng.integers(max(masked, 1), 12))
+        x = [complex(*rng.normal(0.0, 1.0, 2)) for _ in range(n)]
+        y = [complex(*rng.normal(0.0, 1.0, 2)) for _ in range(n)]
+        free = [int(i) for i in rng.choice(n, min(masked, n), replace=False)]
+        for k, i in enumerate(free):
+            if trial % 3 == 0:
+                x[i] = 0j
+            if (trial + k) % 4 == 0:
+                y[i] = 0j  # a free entry with nothing to cancel
+        if free and trial % 5 == 0:
+            y[free[0]] = complex(float(rng.uniform(4.0, 20.0)), 0.0)  # enough slack
+        mask = [i in free for i in range(n)]
+        tol = 1e-9 * sum(abs(v) for v in y)
+        cert = build_l1_certificate(x, y, mask, tol)
+        ref = _textbook_l1(x, y, mask, tol)
+        scale = sum(abs(v) for v in y)
+
+        def close(a, b, s=scale):
+            return cmath.isclose(a, b, rel_tol=1e-14, abs_tol=1e-14 * s)
+
+        assert cert.passed is ref["passed"]
+        assert (cert.gamma is None) is (ref["gamma"] is None)
+        if cert.gamma is not None:
+            assert close(cert.gamma, ref["gamma"], 1.0)
+        assert len(cert.d) == n
+        assert all(close(a, b, 1.0) for a, b in zip(cert.d, ref["d"]))
+        assert close(cert.forced, ref["forced"])
+        assert close(cert.slack, ref["slack"])
+        assert close(cert.residual, ref["residual"])
 
 
 def test_linf_certificates_are_sound(rng):

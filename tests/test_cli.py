@@ -17,8 +17,9 @@ from conftest import (
     run_planarloc,
     run_python,
 )
+from planarloc import WeightedConfiguration, solve_ft_n
 from planarloc.cli import main
-from planarloc.documents import ResultDocument
+from planarloc.documents import ResultDocument, emit_json, fermat_result_document
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -160,6 +161,20 @@ def test_csv_bad_row(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_csv_empty_field(tmp_path, capsys):
+    # an empty cell would shift the columns after it: 1,,2 is not (1, 2)
+    path = tmp_path / "gap.csv"
+    path.write_text("0,0\n1,,2\n3,1\n", encoding="utf-8")
+    rc, out, err = _run(capsys, ["solve", str(path), "--kind", "fermat"])
+    assert rc == 1
+    assert out == ""
+    assert "line 2: empty field" in err
+    # a trailing separator leaves no field after the gap, so it is no gap
+    path.write_text("0,0,\n1,0,\n0,1,\n", encoding="utf-8")
+    rc, _, _ = _run(capsys, ["solve", str(path), "--kind", "fermat"])
+    assert rc == 0
+
+
 def test_csv_inconsistent_weight_column(tmp_path, capsys):
     path = tmp_path / "mixed.csv"
     path.write_text("0,0,2\n1,0\n", encoding="utf-8")
@@ -224,6 +239,48 @@ def test_document_round_trip(tmp_path, capsys):
     again = ResultDocument.from_json(doc.to_json())
     assert again.payload == doc.payload
     assert again.payload == json.loads(out)
+
+
+def _recursive_emit(value, indent=0):
+    # the emitter one node per call, as the byte-for-byte reference
+    pad = "  " * indent
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return "NaN" if math.isnan(value) else format(value, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = ",\n".join(
+            "  " * (indent + 1) + _recursive_emit(v, indent + 1) for v in value
+        )
+        return "[\n" + inner + "\n" + pad + "]"
+    if not value:
+        return "{}"
+    inner = ",\n".join(
+        "  " * (indent + 1) + json.dumps(str(k)) + ": " + _recursive_emit(v, indent + 1)
+        for k, v in value.items()
+    )
+    return "{\n" + inner + "\n" + pad + "}"
+
+
+def test_emitter_matches_the_recursive_text(rng):
+    n = 2000
+    points = [complex(x, y) for x, y in rng.uniform(-1.0, 1.0, (n, 2))]
+    config = WeightedConfiguration.of(points, rng.uniform(0.5, 2.0, n))
+    doc = fermat_result_document(solve_ft_n(config), 1e-10)
+    assert len(doc.payload["certificate"]["d"]) == n
+    assert doc.to_json() == _recursive_emit(doc.payload) + "\n"
+    odd = {"a": [1.5, -0.0, math.inf, -math.inf, math.nan], "b": [1, 2.5, True, None]}
+    assert emit_json(odd) == _recursive_emit(odd)
 
 
 # --------------------------------------------------------------------- svg

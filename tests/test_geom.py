@@ -414,15 +414,18 @@ def _pair_loop_decision(points, scale):
     band = EPS_CLASS * scale
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if abs(points[i] - points[j]) <= band:
-                return True
+            try:
+                if abs(points[i] - points[j]) <= band:
+                    return True
+            except OverflowError:  # a modulus beyond every double: not within the band
+                pass
     return False
 
 
-def _check_against_pair_loop(points, scale=None):
+def _check_against_pair_loop(points, scale=None, reference=_pair_loop_decision):
     """ensure_distinct must decide like the pair loop and name a true pair."""
     scale = spread(points) if scale is None else scale
-    expected = _pair_loop_decision(points, scale)
+    expected = reference(points, scale)
     try:
         geom.ensure_distinct(points, scale)
     except DuplicatePoints as e:
@@ -461,14 +464,14 @@ def test_duplicate_decisions_match_the_pair_loop(rng, n):
     assert 0 < found < 60
 
 
-@pytest.mark.parametrize("factor", [0.999, 1.001])
+@pytest.mark.parametrize("factor", [0.999, 1.0, 1.001])
 @pytest.mark.parametrize("offset", [0.0, 1e8 + 1e8j])
 def test_duplicate_decisions_on_a_lattice_at_the_band(factor, offset):
     # spacing 1 and a band of 1/factor: neighbours coincide only when the
-    # band reaches past the spacing
+    # band reaches the spacing (at factor 1 the band is exactly 1.0)
     points = [offset + complex(x, y) for x in range(30) for y in range(30)]
     scale = 1.0 / (factor * EPS_CLASS)
-    assert _check_against_pair_loop(points, scale) is (factor < 1.0)
+    assert _check_against_pair_loop(points, scale) is (factor <= 1.0)
 
 
 def test_tiny_scale_takes_the_pair_loop_answer(rng):
@@ -507,3 +510,97 @@ def test_one_repeated_point_is_a_duplicate():
     # zero spread: the band and the extent are both zero
     with pytest.raises(DuplicatePoints, match="points 0 and 1 coincide"):
         geom.ensure_distinct([1 + 2j] * (geom.PAIR_LOOP_MAX + 8))
+
+
+def _block_pair_decision(points, scale):
+    # the pair loop's test, a block of rows at a time in numpy: the same
+    # differences and the same hypot, fast enough for 1e4 points
+    z = np.asarray(points, dtype=complex)
+    band = EPS_CLASS * scale
+    for i0 in range(0, len(z), 128):
+        rows = z[i0 : i0 + 128, None]
+        close = np.abs(rows - z[None, i0:]) <= band
+        close &= np.arange(i0, len(z))[None, :] > np.arange(i0, i0 + len(rows))[:, None]
+        if close.any():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [geom.PAIR_LOOP_MAX + 1, 2000, 10_000])
+@pytest.mark.parametrize("offset", [0.0, 1e8 - 3e7j])
+def test_screen_keeps_every_pair_within_the_band(rng, n, offset):
+    # planted on a diagonal both axis gaps are about 0.71 of the band, so
+    # the pair passes the screen whether or not it coincides; along x only
+    # the x gap alone decides
+    diagonal = cmath.exp(0.25j * math.pi * (1.0 + 2.0 * rng.integers(0, 4)))
+    for direction in (diagonal, 1.0):
+        for factor in (0.999, 1.001):
+            points = [offset + complex(x, y) for x, y in rng.uniform(0.0, 1.0, (n, 2))]
+            scale = spread(points)
+            i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+            points[j] = points[i] + factor * EPS_CLASS * scale * direction
+            found = _check_against_pair_loop(points, scale, _block_pair_decision)
+            if n <= 2000:
+                assert _pair_loop_decision(points, scale) is found
+            if offset == 0.0:
+                assert found is (factor < 1.0)
+
+
+@pytest.mark.parametrize("direction", [1.0, 1j])
+def test_screen_keeps_an_axis_gap_of_exactly_the_band(rng, direction):
+    # the band is exactly 1.0; no two coordinates are closer than 2 on
+    # either axis, except one pair exactly 1.0 apart along one axis
+    n = 200
+    xs, ys = 2.0 * rng.permutation(n), 2.0 * rng.permutation(n)
+    points = [complex(x, y) for x, y in zip(xs, ys)]
+    points.append(points[int(rng.integers(0, n))] + direction)
+    assert _check_against_pair_loop(points, 1.0 / EPS_CLASS)
+
+
+def test_screen_on_overflowing_gaps(rng):
+    # the gap from -1e308 to +1e308 overflows to inf: the screen must take
+    # it as wide and still keep exact repeats and pairs within the band
+    big = [1e308, -1e308, math.nextafter(1e308, 0.0), -math.nextafter(1e308, 0.0)]
+    small = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    for flip in (1.0, 1j):
+        lattice = [flip * complex(x, y) for x in big for y in small]
+        assert not _check_against_pair_loop(lattice, 1.0)
+        for factor in (0.999, 1.001):
+            near = lattice + [flip * complex(big[2], 1.0 + factor * 1e-7)]
+            assert _check_against_pair_loop(near, 1.0) is (factor < 1.0)
+        for _ in range(10):
+            points = [lattice[int(k)] for k in rng.integers(0, len(lattice), 40)]
+            _check_against_pair_loop(points, 1.0)
+    # a difference whose modulus overflows is wider than the band, both in
+    # the pair loop and after the screen, where only the far pair survives
+    far = [1e308 + 1e308j, -5e307 - 5e307j]
+    assert not _check_against_pair_loop(far + [0j], 1.0)
+    helpers = [complex(1e308, 5.0), complex(7.0, 1e308), complex(-5e307, 9.0), complex(11.0, -5e307)]
+    spaced = [complex(10.0 * k + 100.0, 10.0 * k + 300.5) for k in range(40)]
+    assert not _check_against_pair_loop(far + helpers + spaced, 1.0)
+    assert _check_against_pair_loop(far + helpers + spaced + [far[1]], 1.0)
+
+
+@pytest.mark.parametrize("shape", ["uniform", "vertical line"])
+def test_separated_points_never_reach_the_grid(rng, monkeypatch, shape):
+    def refuse(pts, band):
+        raise AssertionError(f"{len(pts)} points passed the screen")
+
+    monkeypatch.setattr(geom, "_grid_pair", refuse)
+    n = 10_000
+    if shape == "uniform":
+        points = [complex(x, y) for x, y in rng.uniform(0.0, 1.0, (n, 2))]
+    else:
+        points = [complex(0.5, (k + 0.5 * rng.random()) / n) for k in rng.permutation(n)]
+    geom.ensure_distinct(points)
+
+
+def test_shared_coordinates_go_to_the_grid_whole(rng):
+    # on a lattice every coordinate is shared, so neither axis narrows and
+    # the grid gets every point; columns of distinct heights still clear on y
+    lattice = [complex(x, y) for x in range(20) for y in range(20)]
+    assert geom._screen(lattice, EPS_CLASS * spread(lattice)) == range(len(lattice))
+    columns = [complex(k % 20, (k + 0.5 * rng.random()) / 400) for k in range(400)]
+    assert len(geom._screen(columns, EPS_CLASS * spread(columns))) == 0
+    _check_against_pair_loop(lattice)
+    assert _check_against_pair_loop(lattice + [lattice[137]])
