@@ -6,17 +6,27 @@ median is checked twice: by the general solver on n points and by the
 three-point closed form on a triangle.  ``--kind distinct`` instead checks
 the duplicate test ``geom.ensure_distinct`` against a numpy brute-force
 pair test on 33 to 3000 points: uniform, on an axis-aligned line, on a
-lattice at 0.999, 1 or 1.001 of the band, or with a planted pair.  Exits
-nonzero on the first disagreement, printing the offending instance so it
-can be frozen into a regression test.
+lattice at 0.999, 1 or 1.001 of the band, or with a planted pair.
+``--kind linf`` checks the max-norm test ``is_bj_orthogonal_linf`` on
+random x and y (generic, an exactly antipodal max pair, cocircular maxima,
+y zero on a maximal entry, moduli from 1e-300 to 1e300) against an
+all-singles, pairs and triples Caratheodory test of zero in the hull of
+the functional's values, skipping instances within ten times the band of
+the boundary, and checks that every certificate rebuilds zero within the
+band.  Exits nonzero on the first disagreement, printing the offending
+instance so it can be frozen into a regression test.
 
     python3 scripts/random_cross_check.py --count 200 --seed 7
     python3 scripts/random_cross_check.py --kind distinct --count 100
+    python3 scripts/random_cross_check.py --kind linf --count 2000
 """
 
 import argparse
+import cmath
+import math
 import re
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -132,17 +142,120 @@ def main_distinct(count, seed):
     return 0
 
 
+LINF_FAMILIES = ("generic", "antipodal", "cocircular", "zero-y", "wide")
+
+
+def draw_linf_instance(gen):
+    n = int(gen.integers(1, 8))
+    family = str(gen.choice(LINF_FAMILIES))
+    turns = [complex(np.exp(1j * v)) for v in gen.uniform(0.0, 2.0 * np.pi, n)]
+    x = [complex(*gen.normal(0.0, 1.0, 2)) for _ in range(n)]
+    y = [complex(*gen.normal(0.0, 1.0, 2)) for _ in range(n)]
+    if family != "generic":
+        # the first m entries of x share the largest modulus, the rest below
+        m = int(gen.integers(1, n + 1))
+        x = [(1.0 if i < m else float(gen.uniform(0.1, 0.9))) * u for i, u in enumerate(turns)]
+        if family == "antipodal" and n >= 2:
+            x[1], y[1] = -x[0], y[0]
+        elif family == "zero-y":
+            y[int(gen.integers(0, m))] = 0j
+        elif family == "wide":
+            # one scale for x, one for y, and now and then one per entry of y
+            sx, sy = (10.0 ** float(e) for e in gen.uniform(-300.0, 300.0, 2))
+            x = [sx * v for v in x]
+            if gen.uniform() < 0.5:
+                y = [sy * v for v in y]
+            else:
+                y = [10.0 ** float(gen.uniform(-300.0, 300.0)) * v for v in y]
+    return family, x, y
+
+
+def caratheodory_zero_in_hull(vals, band):
+    """True or False for zero in the hull of vals, None near the boundary.
+
+    Zero is in a planar hull exactly when it is in the hull of one, two or
+    three of the points.  An exact zero value or an exactly antipodal pair
+    decides at once; otherwise the values are scaled to unit length (which
+    keeps the cone) and the decision must hold with the boundary moved by
+    ten times the band either way.
+    """
+    mods = [abs(v) for v in vals]
+    if min(mods) <= 0.1 * band:
+        return True
+    if min(mods) < 10.0 * band:
+        return None
+    units = [v / m for v, m in zip(vals, mods)]
+    if any(a == -b for a, b in combinations(units, 2)):
+        return True
+    margin = 10.0 * band / max(mods)
+    near = False
+    for a, b in combinations(units, 2):
+        # distance from zero to the segment [a, b]
+        s = min(1.0, max(0.0, (-(a.conjugate() * (b - a)).real) / abs(b - a) ** 2))
+        near = near or abs(a + s * (b - a)) <= margin
+    for a, b, c in combinations(units, 3):
+        sides = [(p.conjugate() * q).imag for p, q in ((a, b), (b, c), (c, a))]
+        if min(sides) > 0.0 or max(sides) < 0.0:
+            edges = [abs(s) / abs(q - p) for s, (p, q) in zip(sides, ((a, b), (b, c), (c, a)))]
+            if min(edges) >= margin:
+                return True
+            near = True
+    return None if near else False
+
+
+def check_linf(gen):
+    family, x, y = draw_linf_instance(gen)
+    top = max(abs(v) for v in x)
+    ratios = [abs(v) / top for v in x]
+    if any(1.0 - 10.0 * pl.EPS_CLASS < r < 1.0 - 0.1 * pl.EPS_CLASS for r in ratios):
+        return True, family, None, "skipped", x, y
+    support = [i for i, r in enumerate(ratios) if r >= 1.0 - pl.EPS_CLASS]
+    vals = [(x[i] / abs(x[i])).conjugate() * y[i] for i in support]
+    band = pl.EPS_CLASS * max(abs(v) for v in vals)
+    expected = caratheodory_zero_in_hull(vals, band)
+    cert = pl.is_bj_orthogonal_linf(x, y)
+    if expected is None:
+        return True, family, cert is not None, "skipped", x, y
+    ok = (cert is not None) == expected
+    if cert is not None:
+        rebuilt = sum(cert.t[i] * cert.d[i] * y[i] for i in support)
+        ok = ok and tuple(support) == cert.support and abs(rebuilt) <= band
+        ok = ok and all(t >= 0.0 for t in cert.t) and abs(sum(cert.t) - 1.0) <= 1e-12
+    return ok, family, cert is not None, expected, x, y
+
+
+def main_linf(count, seed):
+    gen = np.random.default_rng(seed)
+    tally = {}
+    for trial in range(count):
+        ok, family, got, expected, x, y = check_linf(gen)
+        if not ok:
+            print(f"linf disagrees on trial {trial} ({family})")
+            print(f"  is_bj_orthogonal_linf passes: {got}, Caratheodory: {expected}")
+            print(f"  x = {x!r}")
+            print(f"  y = {y!r}")
+            return 1
+        tally[expected] = tally.get(expected, 0) + 1
+    print(
+        f"linf: {count} trials, {tally.get(True, 0)} orthogonal, {tally.get(False, 0)} not, "
+        f"{tally.get('skipped', 0)} near the boundary skipped, all agree"
+    )
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--n-max", type=int, default=12)
     ap.add_argument(
-        "--kind", choices=("fermat", "chebyshev", "both", "distinct"), default="both"
+        "--kind", choices=("fermat", "chebyshev", "both", "distinct", "linf"), default="both"
     )
     args = ap.parse_args()
     if args.kind == "distinct":
         return main_distinct(args.count, args.seed)
+    if args.kind == "linf":
+        return main_linf(args.count, args.seed)
     gen = np.random.default_rng(args.seed)
     checks = []
     if args.kind in ("fermat", "both"):

@@ -13,8 +13,12 @@ zero entries, so orthogonality reduces to the slack inequality
     entries of |y_i|.
 
 In the max norm the functional is a convex combination of the coordinate
-functionals on the maximal-modulus entries, and the test is feasibility of
-the origin in a planar convex hull.
+functionals conj(x_i)/|x_i| on the maximal-modulus entries, so orthogonality
+is zero in the convex hull of their values on y, decided by the angular-gap
+rule of ``geom.convex_hull_membership``.  ``build_l1_certificate`` and
+``build_linf_certificate`` assemble the two functionals; with
+x = (a_i (z_i - w)) and y = (a_i) the first certifies the weighted median
+and the second the weighted Chebyshev center.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Optional, Sequence
 
 from . import geom
@@ -136,6 +140,48 @@ def is_bj_orthogonal_l1(
     return cert if cert.passed else None
 
 
+def linf_support(moduli: Sequence[float]) -> list[int]:
+    """Indices of the moduli within the band of the largest; ZeroVector if that is 0."""
+    top = max(moduli)
+    if top == 0.0:
+        raise ZeroVector("x must be nonzero")
+    return list(compress(range(len(moduli)), map(((1.0 - EPS_CLASS) * top).__le__, moduli)))
+
+
+def build_linf_certificate(
+    x: Sequence[complex],
+    y: Sequence[complex],
+    support: Sequence[int],
+    tol: float,
+) -> SupportCertificate:
+    """Assemble the max-norm functional for x against y.
+
+    ``support`` lists the entries of x that count as maximal.  The
+    functional weighs the coefficients d_i = conj(x_i)/|x_i| there by t, and
+    annihilates y when zero is in the convex hull of the values d_i * y_i.
+    On success t is full length with zeros off the support; otherwise it
+    is None and the residual infinite.  ``tol`` is recorded as given.
+    """
+    xs = list(map(x.__getitem__, support))
+    ds = list(map(complex.conjugate, map(operator.truediv, xs, map(abs, xs))))
+    vals = list(map(operator.mul, ds, map(y.__getitem__, support)))
+    t_sup = geom.convex_hull_membership(0j, vals)
+    d, t = [0j] * len(x), [0.0] * len(x)
+    for i, di, ti in zip(support, ds, t_sup or repeat(0.0)):
+        d[i], t[i] = di, ti
+    return SupportCertificate(
+        space="linf",
+        d=tuple(d),
+        residual=math.inf if t_sup is None else abs(sum(map(operator.mul, t_sup, vals))),
+        passed=t_sup is not None,
+        forced=sum(vals),
+        slack=0.0,
+        tol=tol,
+        t=None if t_sup is None else tuple(t),
+        support=tuple(support),
+    )
+
+
 def is_bj_orthogonal_linf(
     x: Sequence[complex], y: Sequence[complex]
 ) -> Optional[SupportCertificate]:
@@ -144,33 +190,9 @@ def is_bj_orthogonal_linf(
     ys = _entries(y, "y")
     if len(xs) != len(ys):
         raise LengthMismatch("vectors must have equal length")
-    top = max(abs(v) for v in xs)
-    if top == 0.0:
-        raise ZeroVector("x must be nonzero")
-    support = [i for i, v in enumerate(xs) if abs(v) >= (1.0 - EPS_CLASS) * top]
-    d: list[complex] = [0j] * len(xs)
-    vals: list[complex] = []
-    for i in support:
-        d[i] = (xs[i] / abs(xs[i])).conjugate()
-        vals.append(d[i] * ys[i])
-    t = geom.convex_hull_membership(0j, vals)
-    if t is None:
-        return None
-    residual = abs(sum(tj * vj for tj, vj in zip(t, vals)))
-    tfull = [0.0] * len(xs)
-    for idx, tj in zip(support, t):
-        tfull[idx] = tj
-    return SupportCertificate(
-        space="linf",
-        d=tuple(d),
-        residual=residual,
-        passed=True,
-        forced=sum(vals),
-        slack=0.0,
-        tol=EPS_REL * sum(abs(v) for v in ys),
-        t=tuple(tfull),
-        support=tuple(support),
-    )
+    support = linf_support(list(map(abs, xs)))
+    cert = build_linf_certificate(xs, ys, support, EPS_REL * sum(map(abs, ys)))
+    return cert if cert.passed else None
 
 
 def smoothness_order_linf(x: Sequence[complex]) -> int:
@@ -179,11 +201,7 @@ def smoothness_order_linf(x: Sequence[complex]) -> int:
     Order 1 means the norm is smooth at x and the supporting functional is
     unique; order k > 1 means a (k-1)-dimensional face of functionals.
     """
-    xs = _entries(x, "x")
-    top = max(abs(v) for v in xs)
-    if top == 0.0:
-        raise ZeroVector("x must be nonzero")
-    return sum(1 for v in xs if abs(v) >= (1.0 - EPS_CLASS) * top)
+    return len(linf_support(list(map(abs, _entries(x, "x")))))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +245,9 @@ def _slot_split(c: Sequence[complex]) -> tuple[list[int], list[int]]:
     return nonzero, zero
 
 
-def _angle_threshold(weights: Sequence[float], i: int, j: int, k: int) -> float:
-    return (weights[k] ** 2 - weights[i] ** 2 - weights[j] ** 2) / (
-        2.0 * weights[i] * weights[j]
-    )
+def _angle_threshold(a_i: float, a_j: float, a_k: float) -> float:
+    """Cosine of the angle between u_j and u_k when a_i*u_i + a_j*u_j + a_k*u_k = 0."""
+    return (a_i * a_i - a_j * a_j - a_k * a_k) / (2.0 * a_j * a_k)
 
 
 def classify_l1_orthogonal_3(
@@ -268,13 +285,13 @@ def classify_l1_orthogonal_3(
         i, j = nonzero
         k = [m for m in range(3) if m not in nonzero][0]
         cos_angle = (units[0] * units[1].conjugate()).real
-        if cos_angle > _angle_threshold(ws, i, j, k) + EPS_CLASS:
+        if cos_angle > _angle_threshold(ws[k], ws[i], ws[j]) + EPS_CLASS:
             raise NotOrthogonal("two-slot vector fails its angle bound")
         return OrthogonalityType("II", tuple(nonzero), units, mixing, scale, 3)
     cos_12 = (units[0] * units[1].conjugate()).real
     cos_13 = (units[0] * units[2].conjugate()).real
-    if abs(cos_12 - _angle_threshold(ws, 0, 1, 2)) > EPS_CLASS or abs(
-        cos_13 - _angle_threshold(ws, 0, 2, 1)
+    if abs(cos_12 - _angle_threshold(ws[2], ws[0], ws[1])) > EPS_CLASS or abs(
+        cos_13 - _angle_threshold(ws[1], ws[0], ws[2])
     ) > EPS_CLASS:
         raise NotOrthogonal("three-slot vector fails its angle equalities")
     return OrthogonalityType("III", tuple(nonzero), units, mixing, scale, 3)

@@ -1,8 +1,10 @@
 """Chebyshev centers of finite planar point sets, weighted and plain.
 
-The center minimizing the largest weighted distance is certified through a
-max-norm orthogonality condition: zero must lie in the convex hull of the
-unit directions from the center toward the weighted-farthest points.  The
+The center w minimizing the largest weighted distance is certified through
+a max-norm orthogonality condition, x = (a_i/max a)(z_i - w) orthogonal to
+y = (a_i/max a), built by ``bjorth.build_linf_certificate`` as for any two
+vectors: zero must lie in the convex hull of the unit directions from the
+center toward the weighted-farthest points, scaled by their y_i.  The
 solvers run a farthest-point exchange (Elzinga and Hearn, 1972): a basis
 of at most three points and the point farthest from its circle are solved
 exactly, and the tight points of that subset become the next basis.  The
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from . import geom
-from .bjorth import SupportCertificate
+from .bjorth import SupportCertificate, build_linf_certificate, linf_support
 from .errors import CollinearPoints, NotOrthogonal, SinglePoint
 from .fermat import WeightedConfiguration, solve_ft3_weighted, solve_ft4
 from .tolerances import EPS_CLASS, EPS_REL
@@ -62,40 +65,22 @@ def chebyshev_radius(points, weights, w: complex) -> float:
 def cheby_certificate(points, weights, w: complex) -> SupportCertificate:
     """Optimality certificate for w as weighted Chebyshev center.
 
-    The weighted-farthest points (within the classification band of the
-    radius) form the support; the test asks for zero in the convex hull of
-    the unit directions toward them.  On success ``t`` carries the convex
-    coefficients, full length with zeros off the support.
+    The max-norm orthogonality of x = y * (z - w) to y = a / max(a), the
+    certificate ``is_bj_orthogonal_linf(x, y)`` builds: the support is the
+    weighted-farthest points, and ``t`` weighs the values
+    y_j * conj(z_j - w)/|z_j - w| there, full length with zeros elsewhere.
+    Uniformly scaled weights become exactly 1.0, as unit weights are.
     """
     config = WeightedConfiguration.of(points, weights)
-    pts, wts = config.points, config.weights
-    if len(pts) == 1:
+    if config.n == 1:
         raise SinglePoint("a single point centers at itself")
     w = complex(w)
     geom.require_finite(w)
-    dist = [a * abs(z - w) for z, a in zip(pts, wts)]
-    top = max(dist)
-    support = tuple(j for j, dv in enumerate(dist) if dv >= (1.0 - EPS_CLASS) * top)
-    units = [(pts[j] - w) / abs(pts[j] - w) for j in support]
-    d = tuple(((z - w) / abs(z - w)).conjugate() if z != w else 0j for z in pts)
-    t_sup = geom.convex_hull_membership(0j, units)
-    t, residual = None, math.inf
-    if t_sup is not None:
-        t = [0.0] * len(pts)
-        for j, tj in zip(support, t_sup):
-            t[j] = tj
-        t, residual = tuple(t), abs(sum(tj * uj for tj, uj in zip(t_sup, units)))
-    return SupportCertificate(
-        space="linf",
-        d=d,
-        residual=residual,
-        passed=t is not None,
-        forced=sum(units),
-        slack=0.0,
-        tol=EPS_CLASS,
-        t=t,
-        support=support,
-    )
+    top = max(config.weights)
+    y = [a / top for a in config.weights]
+    x = list(map(operator.mul, y, map(w.__rsub__, config.points)))
+    support = linf_support(list(map(abs, x)))
+    return build_linf_certificate(x, y, support, EPS_REL * sum(y))
 
 
 def _single_point_result(z: complex) -> ChebySolveResult:
@@ -109,17 +94,22 @@ def _single_point_result(z: complex) -> ChebySolveResult:
     )
 
 
-def _result_from(wts, w: complex, radius: float, cert) -> ChebySolveResult:
-    t_sup = tuple(cert.t[j] for j in cert.support)
-    raw = [tj * wts[j] for tj, j in zip(t_sup, cert.support)]
-    total = sum(raw)
-    hull = tuple(v / total for v in raw)
+def _result_from(unit, w: complex, radius: float, cert) -> ChebySolveResult:
+    """The result at a certified center, in O(|support|).
+
+    With ``unit`` the certificate's y, its t_j * unit_j weigh the unit
+    directions u_j, and t_j * unit_j**2 the points, as z_j - w is
+    proportional to u_j / unit_j on the support.
+    """
+    on_dirs = [cert.t[j] * unit[j] for j in cert.support]
+    on_pts = [tj * unit[j] for tj, j in zip(on_dirs, cert.support)]
+    total_dirs, total_pts = sum(on_dirs), sum(on_pts)
     return ChebySolveResult(
         center=w,
         radius=radius,
         support=cert.support,
-        t=t_sup,
-        hull_coefficients=hull,
+        t=tuple(v / total_dirs for v in on_dirs),
+        hull_coefficients=tuple(v / total_pts for v in on_pts),
         certificate=cert,
     )
 
@@ -195,7 +185,7 @@ def _solve(config: WeightedConfiguration) -> ChebySolveResult:
     if not cert.passed:
         raise NotOrthogonal("the covering circle's center failed its certificate")
     radius = max(a * abs(z - center) for z, a in zip(config.points, config.weights))
-    return _result_from(config.weights, center, radius, cert)
+    return _result_from(unit, center, radius, cert)
 
 
 def solve_chebyshev(points) -> ChebySolveResult:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 from . import geom
-from .bjorth import SupportCertificate, build_l1_certificate
+from .bjorth import SupportCertificate, _angle_threshold, build_l1_certificate
 from .errors import (
     CertificatePreconditionFailed,
     EmptyInput,
@@ -195,11 +195,6 @@ def _on_segment(p: complex, a: complex, b: complex, tol: float) -> bool:
     t = ((p - a) / d).real
     t = min(1.0, max(0.0, t))
     return abs(p - (a + t * d)) <= tol
-
-
-def _angle_threshold(a_i: float, a_j: float, a_k: float) -> float:
-    # cosine bound at the vertex carrying weight a_i
-    return (a_i * a_i - a_j * a_j - a_k * a_k) / (2.0 * a_j * a_k)
 
 
 def solve_ft3_weighted(

@@ -5,17 +5,21 @@ Angles are in radians, normalized to [0, 2*pi), positive orientation
 counterclockwise.  Every predicate is banded by the shared tolerance model
 in :mod:`planarloc.tolerances`, scaled by the bounding-box diagonal of the
 points involved, so all operations are similarity-invariant in practice.
+Hull membership is the exception: it compares the phases of the offsets
+from the query point, banded in angle, and scales its zero band by the
+largest offset.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, filterfalse, islice
 from typing import Optional, Sequence
 
 from .errors import (
@@ -32,10 +36,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def require_finite(*zs: complex) -> None:
-    for z in zs:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"non-finite coordinate {z!r}")
+    for z in filterfalse(cmath.isfinite, map(complex, zs)):
+        raise ValueError(f"non-finite coordinate {z!r}")
 
 
 def normalize_angle(theta: float) -> float:
@@ -51,10 +53,6 @@ def normalize_angle(theta: float) -> float:
 
 def _cross(o: complex, a: complex, b: complex) -> float:
     return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-
-def _dot(o: complex, a: complex, b: complex) -> float:
-    return (a.real - o.real) * (b.real - o.real) + (a.imag - o.imag) * (b.imag - o.imag)
 
 
 def directed_angle(u: complex, v: complex, w: complex) -> float:
@@ -188,20 +186,12 @@ def _grid_pair(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]
 
 
 def _hull_indices(pts: Sequence[complex], eps_area: float) -> list[int]:
-    """Monotone-chain hull, counterclockwise, as indices into pts.
+    """Monotone-chain hull of distinct points, counterclockwise, as indices.
 
     Points within eps_area of an edge (in cross-product units) are treated
     as collinear and dropped, so the returned polygon is strictly convex.
     """
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag, i))
-    # drop exact coordinate duplicates, keep the first occurrence
-    uniq: list[int] = []
-    for i in order:
-        if uniq and pts[uniq[-1]] == pts[i]:
-            continue
-        uniq.append(i)
-    if len(uniq) <= 2:
-        return uniq
+    order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
 
     def build(seq):
         out: list[int] = []
@@ -211,12 +201,7 @@ def _hull_indices(pts: Sequence[complex], eps_area: float) -> list[int]:
             out.append(i)
         return out
 
-    lower = build(uniq)
-    upper = build(reversed(uniq))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        hull = uniq[:1] + uniq[-1:]
-    return hull
+    return build(order)[:-1] + build(reversed(order))[:-1]
 
 
 def convex_hull_membership(
@@ -224,83 +209,52 @@ def convex_hull_membership(
 ) -> Optional[tuple[float, ...]]:
     """Convex coefficients expressing p over pts, or None when p is outside.
 
-    The hull is taken boundary inclusive with the classification band.  On
-    success the tuple t has one entry per input point, t_i >= 0 (up to the
-    band, clamped), sum(t) = 1 and sum(t_i * pts_i) = p within the band.
+    Decided by the angular-gap rule on v_i = pts_i - p: p is in the hull
+    when some v_i lies within the band of zero (EPS_CLASS * max|v_i|), or
+    when no gap between consecutive sorted phases exceeds pi + EPS_CLASS.
+    At most three t_i are nonzero: on the v_i nearest zero, on the two ends
+    of a widest gap of pi (within the band), or on the v_b opening the
+    widest gap and the two phases around its antipode.  t_i >= 0,
+    sum(t) = 1 and sum(t_i * v_i) lies within the band.
     """
-    zs = [complex(z) for z in pts]
+    zs = list(map(complex, pts))
     if not zs:
         raise EmptyInput("membership in the hull of no points")
     p = complex(p)
     require_finite(p, *zs)
-    scale = spread(zs + [p])
-    if scale == 0.0:
-        # every input point equals p
-        t = [0.0] * len(zs)
-        t[0] = 1.0
+    # a quarter of each offset, so that no difference or modulus overflows
+    n, vs = len(zs), [0.25 * z - 0.25 * p for z in zs]
+    mods = list(map(abs, vs))
+    t = [0.0] * n
+    near = min(range(n), key=mods.__getitem__)
+    if mods[near] <= EPS_CLASS * max(mods):
+        t[near] = 1.0
         return tuple(t)
-    tol = EPS_CLASS * scale
-    hull = _hull_indices(zs, EPS_CLASS * scale * scale)
-
-    if len(hull) == 1:
-        if abs(p - zs[hull[0]]) <= tol:
-            t = [0.0] * len(zs)
-            t[hull[0]] = 1.0
-            return tuple(t)
+    phases = list(map(cmath.phase, vs))
+    order = sorted(range(n), key=phases.__getitem__)
+    ph = list(map(phases.__getitem__, order))
+    gaps = list(map(operator.sub, islice(ph, 1, None), ph)) + [ph[0] + TWO_PI - ph[-1]]
+    widest = max(gaps)
+    if widest > math.pi + EPS_CLASS:
         return None
-
-    if len(hull) == 2:
-        a, b = zs[hull[0]], zs[hull[1]]
-        d = b - a
-        L = abs(d)
-        if L == 0.0:
-            return None
-        # distance from the supporting line, then the segment parameter
-        if abs(_cross(a, b, p)) / L > tol:
-            return None
-        s = _dot(a, b, p) / (L * L)
-        if s < -tol / L or s > 1.0 + tol / L:
-            return None
-        s = min(1.0, max(0.0, s))
-        t = [0.0] * len(zs)
-        t[hull[0]] = 1.0 - s
-        t[hull[1]] = s
-        return tuple(t)
-
-    # proper polygon, counterclockwise
-    m = len(hull)
-    for k in range(m):
-        a = zs[hull[k]]
-        b = zs[hull[(k + 1) % m]]
-        if _cross(a, b, p) < -tol * abs(b - a):
-            return None
-
-    # triangle fan from hull[0]; pick the fan triangle holding p
-    best = None
-    a = zs[hull[0]]
-    for k in range(1, m - 1):
-        b = zs[hull[k]]
-        c = zs[hull[k + 1]]
-        det = _cross(a, b, c)
-        if abs(det) <= EPS_CLASS * scale * scale:
-            continue
-        l1 = _cross(a, p, c) / det
-        l2 = _cross(a, b, p) / det
-        l0 = 1.0 - l1 - l2
-        low = min(l0, l1, l2)
-        if best is None or low > best[0]:
-            best = (low, k, l0, l1, l2)
-    if best is None:
-        return None
-    low, k, l0, l1, l2 = best
-    if low < -EPS_CLASS:
-        return None
-    t = [0.0] * len(zs)
-    t[hull[0]] += max(l0, 0.0)
-    t[hull[k]] += max(l1, 0.0)
-    t[hull[k + 1]] += max(l2, 0.0)
-    total = sum(t)
-    return tuple(ti / total for ti in t)
+    k = gaps.index(widest)
+    idx = (order[k], order[(k + 1) % n])
+    if widest < math.pi - EPS_CLASS:
+        # the gap's ends are not antipodal: add the two phases around the
+        # antipode of its start, which then lies strictly between them
+        anti = ph[k] + math.pi if ph[k] <= 0.0 else ph[k] - math.pi
+        j = bisect.bisect_right(ph, anti) - 1  # -1 wraps to the last phase
+        idx = (order[k], order[j], order[(j + 1) % n])
+    # over their largest modulus, no product below overflows or underflows
+    top = max(map(mods.__getitem__, idx))
+    u = [vs[i] / top for i in idx]
+    if len(idx) == 2:
+        c = [abs(u[1]), abs(u[0])]
+    else:  # counterclockwise, each weight the cross product of the other two
+        c = [max(0.0, (u[m - 2].conjugate() * u[m - 1]).imag) for m in range(3)]
+    for i, ci in zip(idx, c):
+        t[i] = ci / sum(c)
+    return tuple(t)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from planarloc import (
     WeightedConfiguration,
     cheby_certificate,
     chebyshev_radius,
+    is_bj_orthogonal_linf,
     ft_cheby_coincide3,
     ft_cheby_coincide4,
     oracle_cheby,
@@ -132,6 +133,30 @@ def test_certificate_five_points():
 def test_certificate_single_point_rejected():
     with pytest.raises(SinglePoint):
         cheby_certificate([1 + 1j], None, 1 + 1j)
+
+
+def test_center_is_the_linf_orthogonality(rng):
+    # the paper's duality: c is the weighted Chebyshev center exactly when
+    # (a_i (z_i - c)) is Birkhoff-James orthogonal to (a_i) in the max norm
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        pts = distinct_points(rng, n, box=3.0)
+        weights = [float(rng.uniform(0.5, 2.0)) for _ in pts]
+        config = WeightedConfiguration.of(pts, weights)
+        res = solve_chebyshev_weighted(config, None)
+        top = max(weights)
+        y = [a / top for a in weights]
+        for step in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1):
+            w = res.center + step * res.radius * unit(rng)
+            cert = cheby_certificate(config, None, w)
+            raw = is_bj_orthogonal_linf([a * (z - w) for z, a in zip(pts, weights)], weights)
+            assert (raw is not None) == cert.passed
+            if step <= 1e-9:
+                assert cert.passed
+            # with the certificate's own normalization the two are one
+            # computation, field for field
+            same = is_bj_orthogonal_linf([b * (z - w) for z, b in zip(config.points, y)], y)
+            assert same == (cert if cert.passed else None)
 
 
 # ------------------------------------------------------------- delegation

@@ -33,7 +33,7 @@ from planarloc import (
     unimodular_triple_class,
 )
 
-from conftest import convex_quad, distinct_points
+from conftest import convex_quad, distinct_points, unit
 
 
 def _wrap_gap(a, b):
@@ -121,8 +121,35 @@ def test_hull_membership_random_combinations(rng):
         assert all(ti >= -1e-9 for ti in t)
         rebuilt = sum(ti * z for ti, z in zip(t, pts))
         assert abs(rebuilt - p) <= 1e-9 * spread(pts)
-        far = max(z.real for z in pts) + spread(pts) + 1.0
-        assert convex_hull_membership(complex(far, p.imag), pts) is None
+        far = complex(max(z.real for z in pts) + spread(pts) + 1.0, p.imag)
+        assert convex_hull_membership(far, pts) is None
+        # each offset rescaled by its own positive factor, all turned by one
+        # angle: the decision stands, and a witness has at most three
+        # nonzero weights and rebuilds zero within the band
+        turn = unit(rng)
+        for q in (p, far):
+            offsets = [z - q for z in pts]
+            moved = [float(rng.uniform(0.1, 10.0)) * turn * v for v in offsets]
+            for vs in (offsets, moved):
+                t = convex_hull_membership(0j, vs)
+                assert (t is None) == (q == far)
+                if t is not None:
+                    assert sum(ti != 0.0 for ti in t) <= 3
+                    residual = abs(sum(ti * v for ti, v in zip(t, vs)))
+                    assert residual <= EPS_CLASS * max(map(abs, vs))
+
+
+def test_hull_membership_at_the_ends_of_the_double_range():
+    # the spread of this pair overflows, so a band taken from it would be
+    # infinite; the witness must still rebuild zero
+    assert convex_hull_membership(0j, [1e308 + 1e308j, -1e308 - 1e308j]) == (0.5, 0.5)
+    big = [1.7e308 * z for z in (1, 1j, -1 - 1j)]
+    t = convex_hull_membership(0j, big)
+    assert t is not None and abs(sum(ti * z for ti, z in zip(t, big))) <= 1e-7 * 1.7e308
+    assert convex_hull_membership(-1.7e308, big[:2]) is None
+    # products of these moduli underflow to zero
+    tiny = [1e-300 * cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+    assert convex_hull_membership(0j, tiny) == pytest.approx((1 / 3,) * 3, rel=1e-12)
 
 
 # ----------------------------------------------------------- circumcenter
