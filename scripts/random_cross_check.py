@@ -13,12 +13,19 @@ y zero on a maximal entry, moduli from 1e-300 to 1e300) against an
 all-singles, pairs and triples Caratheodory test of zero in the hull of
 the functional's values, skipping instances within ten times the band of
 the boundary, and checks that every certificate rebuilds zero within the
-band.  Exits nonzero on the first disagreement, printing the offending
+band.  ``--kind closed`` runs the three- and four-point closed forms on
+the instances next to their case boundaries: a fourth point 1e-10 to 1e-5
+of an edge's length inside or outside a triangle, near-collinear
+triangles whose heavy weight is (1 +- 1e-12 ... 1e-6) times the sum of the
+others, and four collinear points; each must be certified, and its
+objective must not exceed the oracle's by more than the command line's
+gap.  Exits nonzero on the first disagreement, printing the offending
 instance so it can be frozen into a regression test.
 
     python3 scripts/random_cross_check.py --count 200 --seed 7
     python3 scripts/random_cross_check.py --kind distinct --count 100
     python3 scripts/random_cross_check.py --kind linf --count 2000
+    python3 scripts/random_cross_check.py --kind closed --count 3000
 """
 
 import argparse
@@ -243,19 +250,94 @@ def main_linf(count, seed):
     return 0
 
 
+CLOSED_FAMILIES = ("near-edge", "boundary", "collinear")
+
+
+def _on_a_line(gen, m):
+    """m points on a random line through the square [-1, 1]^2, and its direction."""
+    turn = complex(np.exp(1j * gen.uniform(0.0, 2.0 * np.pi)))
+    base = complex(*gen.uniform(-1.0, 1.0, 2))
+    return [base + float(t) * turn for t in gen.uniform(-1.0, 1.0, m)], turn
+
+
+def draw_closed_instance(gen):
+    """A family name, points and weights next to a closed-form case boundary."""
+    family = CLOSED_FAMILIES[int(gen.integers(0, len(CLOSED_FAMILIES)))]
+    if family == "near-edge":
+        while True:
+            tri = draw_points(gen, 3)
+            if abs(pl.geom._cross(*tri)) >= 0.05 * pl.spread(tri) ** 2:
+                break
+        e = int(gen.integers(0, 3))
+        a, b = tri[e], tri[(e + 1) % 3]
+        side = float(gen.choice([-1.0, 1.0])) * 10.0 ** gen.uniform(-10.0, -5.0)
+        p = a + float(gen.uniform(0.1, 0.9)) * (b - a) + side * 1j * (b - a)
+        pts = tri[: int(gen.integers(0, 4))]
+        pts = pts + [p] + tri[len(pts) :]
+        return family, pts, (1.0,) * 4
+    if family == "boundary":
+        pts, turn = _on_a_line(gen, 3)
+        pts[2] += 10.0 ** gen.uniform(-12.0, -6.0) * 1j * turn
+        a1, a2 = (float(v) for v in gen.uniform(0.5, 2.0, 2))
+        sign = float(gen.choice([-1.0, 1.0]))
+        heavy = (a1 + a2) * (1.0 + sign * 10.0 ** gen.uniform(-12.0, -6.0))
+        weights = [heavy, a1, a2]
+        order = gen.permutation(3)
+        pts = [pts[int(i)] for i in order]
+        return family, pts, tuple(weights[int(i)] for i in order)
+    pts, _ = _on_a_line(gen, 4)
+    return family, pts, (1.0,) * 4
+
+
+def check_closed(gen):
+    family, pts, weights = draw_closed_instance(gen)
+    config = pl.WeightedConfiguration(tuple(pts), weights)
+    try:
+        if len(pts) == 3:
+            res = pl.solve_ft3_weighted(*pts, weights)
+        else:
+            res = pl.solve_ft4(*pts)
+    except pl.NotOrthogonal as e:
+        return False, family, f"NotOrthogonal: {e}", pts, weights
+    _, oval = pl.oracle_ft(config)
+    gap = 1e-6 * max(1.0, config.diameter * config.total_weight)
+    got = f"{res.case.value}, objective {res.objective!r}, oracle {oval!r}"
+    return res.objective <= oval + gap, family, got, pts, weights
+
+
+def main_closed(count, seed):
+    gen = np.random.default_rng(seed)
+    tally = {}
+    for trial in range(count):
+        ok, family, got, pts, weights = check_closed(gen)
+        if not ok:
+            print(f"closed form fails on trial {trial} ({family}): {got}")
+            print(f"  points  = {pts!r}")
+            print(f"  weights = {weights!r}")
+            return 1
+        tally[family] = tally.get(family, 0) + 1
+    counts = ", ".join(f"{tally.get(f, 0)} {f}" for f in CLOSED_FAMILIES)
+    print(f"closed: {count} trials ({counts}), all certified within the oracle gap")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--n-max", type=int, default=12)
     ap.add_argument(
-        "--kind", choices=("fermat", "chebyshev", "both", "distinct", "linf"), default="both"
+        "--kind",
+        choices=("fermat", "chebyshev", "both", "distinct", "linf", "closed"),
+        default="both",
     )
     args = ap.parse_args()
     if args.kind == "distinct":
         return main_distinct(args.count, args.seed)
     if args.kind == "linf":
         return main_linf(args.count, args.seed)
+    if args.kind == "closed":
+        return main_closed(args.count, args.seed)
     gen = np.random.default_rng(args.seed)
     checks = []
     if args.kind in ("fermat", "both"):

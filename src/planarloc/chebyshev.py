@@ -59,7 +59,8 @@ def chebyshev_radius(points, weights, w: complex) -> float:
     config = WeightedConfiguration.of(points, weights)
     w = complex(w)
     geom.require_finite(w)
-    return max(a * abs(z - w) for z, a in zip(config.points, config.weights))
+    dist = geom._moduli(map(w.__rsub__, config.points))
+    return max(map(operator.mul, config.weights, dist))
 
 
 def cheby_certificate(points, weights, w: complex) -> SupportCertificate:
@@ -70,6 +71,7 @@ def cheby_certificate(points, weights, w: complex) -> SupportCertificate:
     weighted-farthest points, and ``t`` weighs the values
     y_j * conj(z_j - w)/|z_j - w| there, full length with zeros elsewhere.
     Uniformly scaled weights become exactly 1.0, as unit weights are.
+    Raises ValueError when w is not finite or an offset's modulus overflows.
     """
     config = WeightedConfiguration.of(points, weights)
     if config.n == 1:
@@ -79,7 +81,7 @@ def cheby_certificate(points, weights, w: complex) -> SupportCertificate:
     top = max(config.weights)
     y = [a / top for a in config.weights]
     x = list(map(operator.mul, y, map(w.__rsub__, config.points)))
-    support = linf_support(list(map(abs, x)))
+    support = linf_support(geom._moduli(x))
     return build_linf_certificate(x, y, support, EPS_REL * sum(y))
 
 
@@ -219,11 +221,7 @@ def ft_cheby_coincide3(z1: complex, z2: complex, z3: complex) -> bool:
     config = WeightedConfiguration.of((z1, z2, z3))
     pts = config.points
     scale = config.diameter
-    area2 = abs(
-        (pts[1] - pts[0]).real * (pts[2] - pts[0]).imag
-        - (pts[1] - pts[0]).imag * (pts[2] - pts[0]).real
-    )
-    if area2 <= EPS_CLASS * scale * scale:
+    if abs(geom._cross(*pts)) <= EPS_CLASS * scale * scale:
         raise CollinearPoints("coincidence test needs a genuine triangle")
     ft = solve_ft3_weighted(pts[0], pts[1], pts[2], config.weights)
     ch = _solve(config)

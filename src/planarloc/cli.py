@@ -41,9 +41,13 @@ def _solve_fermat(config, tol, max_iter) -> fermat.FtSolveResult:
 
 
 def _certify(problem, kind: str, w: complex, tol: Optional[float]):
-    if kind == "fermat":
-        return fermat.ft_certificate(problem.config, w, tol)
-    return cheby.cheby_certificate(problem.config, None, w)
+    # a candidate that is not finite, or whose offsets overflow, is at fault
+    try:
+        if kind == "fermat":
+            return fermat.ft_certificate(problem.config, w, tol)
+        return cheby.cheby_certificate(problem.config, None, w)
+    except ValueError as e:
+        raise documents.ProblemFormatError(f"--at: {e}") from e
 
 
 def _recertify_location(result) -> complex:

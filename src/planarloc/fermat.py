@@ -9,15 +9,17 @@ returns a location only together with that test's passing certificate;
 a location that fails it raises NotOrthogonal (MaxIterationsExceeded for
 the iterative solver) instead.
 
-Closed forms cover three points (case dispatch on the weights, then vertex
-angle tests, then the interior point from its closed-form barycentric
-coordinates) and four points with unit weights (a hull vertex, or the
-diagonal crossing).  The general solver is a reweighting iteration, O(n)
-per step, with a quadratic polish step; it tests each point it comes
-nearest once as the optimum and steps out of a refused point by the
-modified Weiszfeld rule.  It alone uses numpy, imported inside its
-functions so that the closed forms, and the command line on them, run
-without loading it.
+Closed forms cover three points and four points with unit weights.  One
+slack test, that condition at each configuration point, decides every
+vertex case of both: a passing point is the solution (two passing points
+bound a segment of solutions); otherwise three points meet at the
+interior point given by its closed-form barycentric coordinates, and four
+at the crossing of the diagonals.  The general solver is a reweighting
+iteration, O(n) per step, with a quadratic polish step; it tests each
+point it comes nearest once as the optimum and steps out of a refused
+point by the modified Weiszfeld rule.  It alone uses numpy, imported
+inside its functions so that the closed forms, and the command line on
+them, run without loading it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import geom
@@ -114,7 +117,8 @@ def ft_certificate(
     with coincidence decided by the configuration's classification band.
     ``tol`` is relative and defaults to EPS_REL.  When w coincides with
     exactly one configuration point the certificate's ``gamma`` is the free
-    coefficient spent there.
+    coefficient spent there.  Raises ValueError when w is not finite or an
+    offset's modulus overflows.
     """
     w = complex(w)
     geom.require_finite(w)
@@ -122,7 +126,7 @@ def ft_certificate(
         tol = EPS_REL
     rel = list(map(w.__rsub__, config.points))  # z_i - w, once
     within = functools.partial(operator.ge, EPS_CLASS * config.diameter)
-    mask = list(map(within, map(abs, rel)))
+    mask = list(map(within, geom._moduli(rel)))
     x = tuple(map(operator.mul, config.weights, rel))
     return build_l1_certificate(x, config.weights, mask, tol * config.total_weight)
 
@@ -184,17 +188,26 @@ def _point_result(config, w, case, tol=None, **extra) -> FtSolveResult:
 
 
 # ---------------------------------------------------------------------------
-# three points
+# three points, and the vertex test both closed forms share
 
 
-def _on_segment(p: complex, a: complex, b: complex, tol: float) -> bool:
-    d = b - a
-    L = abs(d)
-    if L == 0.0:
-        return abs(p - a) <= tol
-    t = ((p - a) / d).real
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * d)) <= tol
+def _vertex_margins(config: WeightedConfiguration) -> list[float]:
+    """Slack margin of every point as the candidate median, in O(n^2).
+
+    z_i is the median exactly when the others' pull
+    |sum over j != i of a_j * conj(z_j - z_i)/|z_j - z_i|| is at most a_i,
+    the free coefficient spent at z_i; the margin is the pull minus a_i.
+    Each pair's unit vector is computed once, and the conjugates are left
+    out: they change no modulus.
+    """
+    zs, ws = config.points, config.weights
+    pulls = [0j] * len(zs)
+    for i, j in combinations(range(len(zs)), 2):
+        d = zs[j] - zs[i]
+        u = d / abs(d)
+        pulls[i] += ws[j] * u
+        pulls[j] -= ws[i] * u
+    return list(map(operator.sub, map(abs, pulls), ws))
 
 
 def solve_ft3_weighted(
@@ -202,50 +215,35 @@ def solve_ft3_weighted(
 ) -> FtSolveResult:
     """Weighted Fermat-Torricelli point of three distinct points.
 
-    Dispatch: a dominant weight pins the solution to its point; the
-    boundary case (one weight equal to the sum of the others) gives either
-    a whole segment of solutions or that point alone; under the triangle
-    condition either some vertex passes the slack test or the solution is
+    One slack test, ``_vertex_margins``, decides every vertex case.  Two
+    passing points bound a segment of solutions (the heavier point first),
+    kept when the certificate at its midpoint passes.  Otherwise the point
+    of least margin, if it passes, is the solution: a dominant weight when
+    its weight reaches the sum of the others within the classification
+    band, a vertex otherwise.  When no point passes the solution is
     interior, the weighted average of the three points given by its
     closed-form barycentric coordinates.  Raises NotOrthogonal when the
     location found fails its certificate.
     """
     config = WeightedConfiguration((z1, z2, z3), tuple(weights))
-    zs = config.points
-    ws = config.weights
-    wsum = config.total_weight
-    band_w = EPS_CLASS * wsum
-    band_len = EPS_CLASS * config.diameter
+    zs, ws, wsum = config.points, config.weights, config.total_weight
+    margins = _vertex_margins(config)
+    passing = [i for i in range(3) if margins[i] <= EPS_REL * wsum]
+    if len(passing) == 2:
+        i, j = sorted(passing, key=ws.__getitem__, reverse=True)
+        seg = FtSegment(zs[i], zs[j])
+        cert = ft_certificate(config, 0.5 * (seg.start + seg.end))
+        if cert.passed:
+            obj = ft_objective(config, seg.start)
+            return FtSolveResult(seg, obj, FtCase.SEGMENT_OF_SOLUTIONS, cert, vertex=i)
 
-    for i in range(3):
+    i = min(range(3), key=margins.__getitem__)
+    if margins[i] <= EPS_REL * wsum:
         j, k = [m for m in range(3) if m != i]
-        excess = ws[i] - ws[j] - ws[k]
-        if excess > band_w:
+        if ws[i] - ws[j] - ws[k] >= -EPS_CLASS * wsum:
             return _point_result(config, zs[i], FtCase.DOMINANT_WEIGHT, vertex=i)
-        if abs(excess) <= band_w:
-            special = _boundary_ft3(config, i, j, k, band_len)
-            if special is not None:
-                return special
-            # certificate refused the band classification; the vertex and
-            # interior machinery below settles the instance instead
-            break
-
-    # vertex slack tests first
-    best = None
-    for i in range(3):
-        j, k = [m for m in range(3) if m != i]
-        forced = ws[j] * _unit(zs[j] - zs[i]).conjugate() + ws[k] * _unit(
-            zs[k] - zs[i]
-        ).conjugate()
-        margin = abs(forced) - ws[i]
-        if best is None or margin < best[0]:
-            best = (margin, i, j, k)
-    margin, i, j, k = best
-    if margin <= EPS_REL * wsum:
         theta = geom.directed_angle(zs[i], zs[j], zs[k])
-        return _point_result(
-            config, zs[i], FtCase.VERTEX, vertex=i, vertex_angle=theta
-        )
+        return _point_result(config, zs[i], FtCase.VERTEX, vertex=i, vertex_angle=theta)
 
     # every vertex margin is positive, so each |_angle_threshold| < 1 here
     w = _interior_ft3(config)
@@ -256,44 +254,6 @@ def solve_ft3_weighted(
         geom.normalize_angle(cmath.phase((z - w) / (zs[0] - w))) for z in zs[1:]
     )
     return replace(result, angles=angles)
-
-
-def _unit(z: complex) -> complex:
-    return z / abs(z)
-
-
-def _boundary_ft3(
-    config: WeightedConfiguration, i: int, j: int, k: int, band_len: float
-) -> Optional[FtSolveResult]:
-    """Classify the boundary-weight case alpha_i = alpha_j + alpha_k.
-
-    A whole segment of solutions appears only when the lighter points line
-    up behind the heavy one; otherwise the heavy point wins alone.  Returns
-    None when the certificate rejects the classification, which happens
-    only for weights just inside the band but beyond the certificate
-    tolerance.
-    """
-    zs = config.points
-    seg = None
-    if _on_segment(zs[j], zs[i], zs[k], band_len):
-        seg = FtSegment(zs[i], zs[j])
-    elif _on_segment(zs[k], zs[i], zs[j], band_len):
-        seg = FtSegment(zs[i], zs[k])
-    if seg is None:
-        try:
-            return _point_result(config, zs[i], FtCase.DOMINANT_WEIGHT, vertex=i)
-        except NotOrthogonal:
-            return None
-    cert = ft_certificate(config, 0.5 * (seg.start + seg.end))
-    if not cert.passed:
-        return None
-    return FtSolveResult(
-        solution=seg,
-        objective=ft_objective(config, seg.start),
-        case=FtCase.SEGMENT_OF_SOLUTIONS,
-        certificate=cert,
-        vertex=i,
-    )
 
 
 def _interior_ft3(config: WeightedConfiguration) -> complex:
@@ -325,18 +285,21 @@ def _interior_ft3(config: WeightedConfiguration) -> complex:
 def solve_ft4(z1: complex, z2: complex, z3: complex, z4: complex) -> FtSolveResult:
     """Fermat-Torricelli point of four distinct points with unit weights.
 
-    A point inside the hull of the others is itself the solution;
-    otherwise the points are in convex position and the solution is the
-    crossing of the diagonals.
+    The slack test of ``_vertex_margins`` decides the vertex case: a passing
+    point, one in the hull of the others, is the solution (of four collinear
+    points, the middle one nearer the lowest point in (x, y) order).
+    Otherwise the points are in convex position and the diagonals of their
+    counterclockwise order cross at the solution.
     """
     config = WeightedConfiguration((z1, z2, z3, z4), (1.0, 1.0, 1.0, 1.0))
     zs = config.points
-    shape = geom._quadrilateral_shape(zs, config.diameter)
-    if isinstance(shape, geom.NonConvex):
-        return _point_result(
-            config, zs[shape.contained], FtCase.HULL_VERTEX, vertex=shape.contained
-        )
-    (i0, i2), (i1, i3) = shape.diagonals
+    band = EPS_REL * config.total_weight
+    passing = [i for i, m in enumerate(_vertex_margins(config)) if m <= band]
+    order = geom._convex_order(zs)
+    if passing:
+        i = min(passing, key=lambda k: abs(zs[k] - zs[order[0]]))
+        return _point_result(config, zs[i], FtCase.HULL_VERTEX, vertex=i)
+    i0, i1, i2, i3 = order
     w = geom.segment_intersection(zs[i0], zs[i2], zs[i1], zs[i3])
     if w is None:
         raise NotOrthogonal("convex quadrilateral with non-crossing diagonals")

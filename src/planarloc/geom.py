@@ -7,7 +7,9 @@ in :mod:`planarloc.tolerances`, scaled by the bounding-box diagonal of the
 points involved, so all operations are similarity-invariant in practice.
 Hull membership is the exception: it compares the phases of the offsets
 from the query point, banded in angle, and scales its zero band by the
-largest offset.
+largest offset.  It decides which of four points is contained in the hull
+of the others, the case the median's closed form decides by its slack
+test; both take a convex quadrilateral in phase order about its centroid.
 """
 
 from __future__ import annotations
@@ -38,6 +40,17 @@ TWO_PI = 2.0 * math.pi
 def require_finite(*zs: complex) -> None:
     for z in filterfalse(cmath.isfinite, map(complex, zs)):
         raise ValueError(f"non-finite coordinate {z!r}")
+
+
+def _moduli(offsets) -> list[float]:
+    """The modulus of each offset; ValueError when one overflows the double range."""
+    try:
+        mods = list(map(abs, offsets))
+    except OverflowError:
+        mods = [math.inf]
+    if math.inf in mods:
+        raise ValueError("offset modulus overflows: the query point is too far out")
+    return mods
 
 
 def normalize_angle(theta: float) -> float:
@@ -182,26 +195,7 @@ def _grid_pair(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
-# convex hulls and membership
-
-
-def _hull_indices(pts: Sequence[complex], eps_area: float) -> list[int]:
-    """Monotone-chain hull of distinct points, counterclockwise, as indices.
-
-    Points within eps_area of an edge (in cross-product units) are treated
-    as collinear and dropped, so the returned polygon is strictly convex.
-    """
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
-
-    def build(seq):
-        out: list[int] = []
-        for i in seq:
-            while len(out) >= 2 and _cross(pts[out[-2]], pts[out[-1]], pts[i]) <= eps_area:
-                out.pop()
-            out.append(i)
-        return out
-
-    return build(order)[:-1] + build(reversed(order))[:-1]
+# hull membership
 
 
 def convex_hull_membership(
@@ -384,33 +378,33 @@ class NonConvex:
 def quadrilateral_shape(z1: complex, z2: complex, z3: complex, z4: complex):
     """Classify four distinct points as ConvexOrder or NonConvex.
 
-    A collinear triple counts as NonConvex with its middle point contained,
-    so the convex branch always has a proper quadrilateral with crossing
-    diagonals.
+    A point is contained when ``convex_hull_membership`` places it in the
+    hull of the other three (``fermat.solve_ft4`` decides by its slack test;
+    the two differ only within their bands).  A collinear triple counts as
+    NonConvex with its middle point contained, so the convex branch always
+    has a proper quadrilateral with crossing diagonals.  Of four collinear
+    points, the middle one nearer the lowest point in (x, y) order is taken.
     """
     zs = [complex(z1), complex(z2), complex(z3), complex(z4)]
-    require_finite(*zs)
-    scale = spread(zs)
-    ensure_distinct(zs, scale)
-    return _quadrilateral_shape(zs, scale)
+    ensure_distinct(zs, spread(zs))
+    order = _convex_order(zs)
+    inside = [k for k in range(4) if convex_hull_membership(zs[k], zs[:k] + zs[k + 1 :])]
+    if inside:
+        return NonConvex(contained=min(inside, key=lambda k: abs(zs[k] - zs[order[0]])))
+    return ConvexOrder(order=order, diagonals=(order[0::2], order[1::2]))
 
 
-def _quadrilateral_shape(zs: Sequence[complex], scale: float):
-    """``quadrilateral_shape`` of four points already checked distinct.
+def _convex_order(zs: Sequence[complex]) -> tuple[int, ...]:
+    """Indices by phase about the centroid, from the lowest point in (x, y) order.
 
-    ``scale`` is their spread, the length the bands are relative to.
+    Counterclockwise, and for points in convex position their hull cycle.
+    Offsets are taken from the first point, so no sum overflows.
     """
-    hull = _hull_indices(zs, EPS_CLASS * scale * scale)
-    if len(hull) == 4:
-        i0, i1, i2, i3 = hull
-        return ConvexOrder(order=(i0, i1, i2, i3), diagonals=((i0, i2), (i1, i3)))
-    inside = [i for i in range(4) if i not in hull]
-    if len(hull) == 3:
-        return NonConvex(contained=inside[0])
-    # all four collinear: report a point between the extremes, by position
-    u = (zs[hull[-1]] - zs[hull[0]]) / abs(zs[hull[-1]] - zs[hull[0]])
-    inside.sort(key=lambda i: ((zs[i] - zs[hull[0]]) / u).real)
-    return NonConvex(contained=inside[0])
+    rel = [z - zs[0] for z in zs]
+    c = sum(rel) / len(rel)
+    order = sorted(range(len(zs)), key=lambda i: cmath.phase(rel[i] - c))
+    k = order.index(min(order, key=lambda i: (zs[i].real, zs[i].imag)))
+    return tuple(order[k:] + order[:k])
 
 
 # ---------------------------------------------------------------------------

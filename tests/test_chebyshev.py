@@ -135,6 +135,18 @@ def test_certificate_single_point_rejected():
         cheby_certificate([1 + 1j], None, 1 + 1j)
 
 
+# finite candidates whose offsets overflow: in modulus, then outright
+OVERFLOWING = [([0, 1], 1.7e308 + 1.7e308j), ([1e308, 1e308 + 1j], -1.7e308)]
+
+
+@pytest.mark.parametrize("pts, w", OVERFLOWING)
+def test_overflowing_offsets_are_value_errors(pts, w):
+    with pytest.raises(ValueError, match="offset modulus overflows"):
+        cheby_certificate(pts, None, w)
+    with pytest.raises(ValueError, match="offset modulus overflows"):
+        chebyshev_radius(pts, None, w)
+
+
 def test_center_is_the_linf_orthogonality(rng):
     # the paper's duality: c is the weighted Chebyshev center exactly when
     # (a_i (z_i - c)) is Birkhoff-James orthogonal to (a_i) in the max norm

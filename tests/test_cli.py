@@ -96,6 +96,15 @@ def test_solve_segment_document(tmp_path, capsys):
     assert doc["objective"] == pytest.approx(7.0, abs=1e-12)
 
 
+def test_solve_point_just_outside_an_edge(tmp_path, capsys):
+    path = _problem(tmp_path, "edge.json", "fermat", [0, 1, 0.5 + 1j, 0.5 - 1e-8j])
+    rc, out, err = _run(capsys, ["solve", path])
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["case"] == "diagonal-intersection"
+    assert doc["solution"]["location"] == pytest.approx([0.5, 0.0], abs=1e-12)
+
+
 def test_stdout_is_pure_json(tmp_path, capsys):
     path = _problem(tmp_path, "five.json", "chebyshev", FIVE)
     rc, out, _ = _run(capsys, ["solve", path])
@@ -225,6 +234,17 @@ def test_certificate_only_skips_solving(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["certificate"]["space"] == "l1"
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("kind", ["fermat", "chebyshev"])
+@pytest.mark.parametrize("at", ["1.7e308,1.7e308", "inf,0"])
+def test_certify_rejects_an_unusable_candidate(tmp_path, capsys, kind, at):
+    # the first candidate is finite, but its offsets' moduli overflow
+    path = _problem(tmp_path, "eq.json", kind, ROOTS3)
+    rc, out, err = _run(capsys, ["certify", path, "--at", at])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: --at: ")
 
 
 # -------------------------------------------------------------- round trip

@@ -1,6 +1,7 @@
 """Weighted median solvers: case dispatch, certificates, perturbation rules."""
 
 import cmath
+import itertools
 import math
 import time
 
@@ -27,6 +28,7 @@ from planarloc import (
     decomposition_equivalence,
     extend_at_vertex,
     ft_certificate,
+    ft_cheby_coincide4,
     ft_objective,
     replacement_preserves,
     scaled_configuration,
@@ -167,6 +169,36 @@ def test_skew_quadrilateral():
     assert abs(d * (w - 2).conjugate() - d.conjugate() * (w - 2)) <= 1e-9
 
 
+# a fourth point 1e-8 below the edge [0, 1]: in convex position, though an
+# area band of 1e-7 of the squared spread would count it as contained
+NEAR_EDGE = (0, 1, 0.5 + 1j, 0.5 - 1e-8j)
+
+
+def test_point_just_outside_an_edge_gives_the_diagonal_crossing():
+    res = solve_ft4(*NEAR_EDGE)
+    assert res.case is FtCase.DIAGONAL_INTERSECTION
+    assert res.location == pytest.approx(0.5, abs=1e-12)
+    assert res.certificate.passed
+    assert isinstance(ft_cheby_coincide4(*NEAR_EDGE), bool)
+
+
+# (direction of the line, parameter of the expected vertex): both middle
+# points are optimal, and the one nearer the lowest point in (x, y) order
+# is reported
+COLLINEAR_FOUR = [(1.0, 1.0), (1j, 1.0), (-1.0, 2.5), (cmath.exp(2j), 2.5)]
+
+
+@pytest.mark.parametrize("turn, expected", COLLINEAR_FOUR)
+def test_four_collinear_points_in_any_order(turn, expected):
+    ts = (0.0, 1.0, 2.5, 4.0)
+    for perm in itertools.permutations(ts):
+        pts = [0.3 - 0.2j + t * turn for t in perm]
+        res = solve_ft4(*pts)
+        assert res.case is FtCase.HULL_VERTEX
+        assert perm[res.vertex] == expected
+        assert res.certificate.passed
+
+
 # ------------------------------------------------------------ n points
 
 
@@ -239,6 +271,14 @@ def test_iteration_budget_is_enforced():
         solve_ft_n(config, max_iter=1)
     assert isinstance(info.value.location, complex)
     assert info.value.certificate is not None
+
+
+def test_certificate_rejects_an_overflowing_candidate():
+    # finite candidates whose offsets overflow: in modulus, then outright
+    cases = [((0, 1, 1j), 1.7e308 + 1.7e308j), ((1e308, 1e308 + 1j), -1.7e308)]
+    for pts, w in cases:
+        with pytest.raises(ValueError, match="offset modulus overflows"):
+            ft_certificate(WeightedConfiguration.of(pts), w)
 
 
 # -------------------------------------------------------------- validation

@@ -1,6 +1,7 @@
 """Planar primitive checks: frozen instances plus randomized properties."""
 
 import cmath
+import itertools
 import math
 import re
 import time
@@ -299,6 +300,21 @@ def test_quadrilateral_random_contained_point(rng):
         shape = quadrilateral_shape(*arranged)
         assert isinstance(shape, NonConvex)
         assert arranged[shape.contained] == inner
+
+
+# (direction of the line, parameter of the expected contained point)
+COLLINEAR_FOUR = [(1.0, 1.0), (1j, 1.0), (-1.0, 2.5), (cmath.exp(2j), 2.5)]
+
+
+@pytest.mark.parametrize("turn, expected", COLLINEAR_FOUR)
+def test_quadrilateral_four_collinear_points_in_any_order(turn, expected):
+    # both middle points are contained; the one nearer the lowest point in
+    # (x, y) order is reported, whatever the order of the input
+    ts = (0.0, 1.0, 2.5, 4.0)
+    for perm in itertools.permutations(ts):
+        shape = quadrilateral_shape(*[0.3 - 0.2j + t * turn for t in perm])
+        assert isinstance(shape, NonConvex)
+        assert perm[shape.contained] == expected
 
 
 # --------------------------------------------------------------- apollonius
