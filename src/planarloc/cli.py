@@ -13,6 +13,7 @@ its ``config``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -30,6 +31,13 @@ def _parse_at(text: str) -> complex:
         return complex(float(parts[0]), float(parts[1]))
     except ValueError as e:
         raise documents.ProblemFormatError(f"--at: {e}") from e
+
+
+def _check_tol(tol: Optional[float]) -> None:
+    # an infinite tol passes every certificate; zero, a negative or NaN tol
+    # is refused by the iterative median but not by the closed forms
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise documents.ProblemFormatError(f"--tol: must be positive and finite, got {tol!r}")
 
 
 def _solve_fermat(config, tol, max_iter) -> fermat.FtSolveResult:
@@ -57,6 +65,7 @@ def _recertify_location(result) -> complex:
 
 
 def cmd_solve(args) -> int:
+    _check_tol(args.tol)
     problem = documents.load_problem(args.input, args.kind)
     kind = problem.kind
     if kind is None:
@@ -134,6 +143,7 @@ def _run_certify(problem, kind: str, w: complex, tol: Optional[float]) -> int:
 
 
 def cmd_certify(args) -> int:
+    _check_tol(args.tol)
     problem = documents.load_problem(args.input, args.kind)
     kind = problem.kind
     if kind is None:

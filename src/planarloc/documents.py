@@ -5,8 +5,10 @@ Problems arrive as JSON ({"kind": ..., "points": [[x, y], ...],
 malformed fields as ProblemFormatError; the point set itself is validated
 once, by the ``fermat.WeightedConfiguration`` that every ProblemFile
 carries as ``config`` and that the solvers and certificates then share.
-Results leave as JSON with every float printed at 17 significant digits,
-which round-trips IEEE doubles exactly; parse(serialize(doc)) equals doc.
+Results leave as JSON through ``json.dumps``, whose floats are the
+shortest text that reads back as the same double; parse(serialize(doc))
+equals doc.  A result document holds only what a verifier cannot
+recompute from the problem and the location.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .fermat import FtPoint, WeightedConfiguration
 from .tolerances import EPS_CLASS, EPS_REL
 
 KINDS = ("fermat", "chebyshev")
+# result documents without the certificate's functional d; format 1 carried it
+FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -153,47 +157,6 @@ def load_problem(path: str, kind_flag: Optional[str] = None) -> ProblemFile:
 # result documents
 
 
-def _fmt_float(v: float) -> str:
-    if math.isfinite(v):
-        return format(v, ".17g")
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    return "NaN"
-
-
-def emit_json(value, indent: int = 0) -> str:
-    """Serialize a JSON tree with 17-significant-digit floats."""
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        step = "  " * (indent + 1)
-        if all(map(float.__instancecheck__, value)):
-            items = map(_fmt_float, value)
-        else:
-            items = (emit_json(v, indent + 1) for v in value)
-        return "[\n" + step + (",\n" + step).join(items) + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            "  " * (indent + 1) + json.dumps(str(k)) + ": " + emit_json(v, indent + 1)
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 @dataclass
 class ResultDocument:
     """JSON-shaped result payload with lossless round-tripping."""
@@ -201,7 +164,7 @@ class ResultDocument:
     payload: dict
 
     def to_json(self) -> str:
-        return emit_json(self.payload) + "\n"
+        return json.dumps(self.payload, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ResultDocument":
@@ -221,19 +184,23 @@ def _c(z: complex) -> list:
 
 
 def certificate_payload(cert) -> dict:
-    out = {
+    """The part of a certificate a verifier cannot recompute, O(|support|).
+
+    The functional ``d`` is left out: a verifier rebuilds it from the
+    problem and the location (see the README).  ``t`` is given over
+    ``support`` only.
+    """
+    return {
         "space": cert.space,
         "passed": bool(cert.passed),
-        "d": [_c(v) for v in cert.d],
         "residual": float(cert.residual),
         "forced": _c(cert.forced),
         "slack": float(cert.slack),
         "tol": float(cert.tol),
-        "t": None if cert.t is None else [float(v) for v in cert.t],
+        "t": None if cert.t is None else [float(cert.t[i]) for i in cert.support],
         "support": None if cert.support is None else [int(i) for i in cert.support],
         "gamma": None if cert.gamma is None else _c(cert.gamma),
     }
-    return out
 
 
 def fermat_result_document(result, tol_used: float) -> ResultDocument:
@@ -250,6 +217,7 @@ def fermat_result_document(result, tol_used: float) -> ResultDocument:
     payload = {
         "solver": "planarloc",
         "version": __version__,
+        "format": FORMAT,
         "kind": "fermat",
         "case": result.case.value,
         "solution": solution,
@@ -270,6 +238,7 @@ def cheby_result_document(result) -> ResultDocument:
     payload = {
         "solver": "planarloc",
         "version": __version__,
+        "format": FORMAT,
         "kind": "chebyshev",
         "case": None,
         "solution": {"type": "point", "location": _c(result.center)},
@@ -291,6 +260,7 @@ def certify_document(kind: str, w: complex, cert) -> ResultDocument:
     payload = {
         "solver": "planarloc",
         "version": __version__,
+        "format": FORMAT,
         "kind": kind,
         "candidate": _c(w),
         "passed": bool(cert.passed),

@@ -30,7 +30,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import geom
@@ -117,13 +116,15 @@ def ft_certificate(
     with coincidence decided by the configuration's classification band.
     ``tol`` is relative and defaults to EPS_REL.  When w coincides with
     exactly one configuration point the certificate's ``gamma`` is the free
-    coefficient spent there.  Raises ValueError when w is not finite or an
-    offset's modulus overflows.
+    coefficient spent there.  Raises ValueError when w is not finite, an
+    offset's modulus overflows, or tol is negative or not finite.
     """
     w = complex(w)
     geom.require_finite(w)
     if tol is None:
         tol = EPS_REL
+    elif not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     rel = list(map(w.__rsub__, config.points))  # z_i - w, once
     within = functools.partial(operator.ge, EPS_CLASS * config.diameter)
     mask = list(map(within, geom._moduli(rel)))
@@ -191,31 +192,12 @@ def _point_result(config, w, case, tol=None, **extra) -> FtSolveResult:
 # three points, and the vertex test both closed forms share
 
 
-def _vertex_margins(config: WeightedConfiguration) -> list[float]:
-    """Slack margin of every point as the candidate median, in O(n^2).
-
-    z_i is the median exactly when the others' pull
-    |sum over j != i of a_j * conj(z_j - z_i)/|z_j - z_i|| is at most a_i,
-    the free coefficient spent at z_i; the margin is the pull minus a_i.
-    Each pair's unit vector is computed once, and the conjugates are left
-    out: they change no modulus.
-    """
-    zs, ws = config.points, config.weights
-    pulls = [0j] * len(zs)
-    for i, j in combinations(range(len(zs)), 2):
-        d = zs[j] - zs[i]
-        u = d / abs(d)
-        pulls[i] += ws[j] * u
-        pulls[j] -= ws[i] * u
-    return list(map(operator.sub, map(abs, pulls), ws))
-
-
 def solve_ft3_weighted(
     z1: complex, z2: complex, z3: complex, weights: Sequence[float]
 ) -> FtSolveResult:
     """Weighted Fermat-Torricelli point of three distinct points.
 
-    One slack test, ``_vertex_margins``, decides every vertex case.  Two
+    One slack test, ``geom._vertex_margins``, decides every vertex case.  Two
     passing points bound a segment of solutions (the heavier point first),
     kept when the certificate at its midpoint passes.  Otherwise the point
     of least margin, if it passes, is the solution: a dominant weight when
@@ -227,7 +209,7 @@ def solve_ft3_weighted(
     """
     config = WeightedConfiguration((z1, z2, z3), tuple(weights))
     zs, ws, wsum = config.points, config.weights, config.total_weight
-    margins = _vertex_margins(config)
+    margins = geom._vertex_margins(zs, ws)
     passing = [i for i in range(3) if margins[i] <= EPS_REL * wsum]
     if len(passing) == 2:
         i, j = sorted(passing, key=ws.__getitem__, reverse=True)
@@ -285,21 +267,17 @@ def _interior_ft3(config: WeightedConfiguration) -> complex:
 def solve_ft4(z1: complex, z2: complex, z3: complex, z4: complex) -> FtSolveResult:
     """Fermat-Torricelli point of four distinct points with unit weights.
 
-    The slack test of ``_vertex_margins`` decides the vertex case: a passing
-    point, one in the hull of the others, is the solution (of four collinear
-    points, the middle one nearer the lowest point in (x, y) order).
-    Otherwise the points are in convex position and the diagonals of their
-    counterclockwise order cross at the solution.
+    ``geom.quadrilateral_shape`` decides, by the slack test: a contained
+    point is the solution.  Otherwise the points are in convex position
+    and the diagonals of their counterclockwise order cross at the solution.
     """
     config = WeightedConfiguration((z1, z2, z3, z4), (1.0, 1.0, 1.0, 1.0))
     zs = config.points
-    band = EPS_REL * config.total_weight
-    passing = [i for i, m in enumerate(_vertex_margins(config)) if m <= band]
-    order = geom._convex_order(zs)
-    if passing:
-        i = min(passing, key=lambda k: abs(zs[k] - zs[order[0]]))
+    shape = geom._shape4(zs)
+    if isinstance(shape, geom.NonConvex):
+        i = shape.contained
         return _point_result(config, zs[i], FtCase.HULL_VERTEX, vertex=i)
-    i0, i1, i2, i3 = order
+    (i0, i2), (i1, i3) = shape.diagonals
     w = geom.segment_intersection(zs[i0], zs[i2], zs[i1], zs[i3])
     if w is None:
         raise NotOrthogonal("convex quadrilateral with non-crossing diagonals")
@@ -323,12 +301,12 @@ def solve_ft_n(
     point that failed steps out by the modified Weiszfeld rule of Vardi and
     Zhang (2000).  The returned location passes ft_certificate at the given
     relative tolerance; otherwise MaxIterationsExceeded carries the best
-    iterate seen.
+    iterate seen.  Raises ValueError unless tol is positive and finite.
     """
     import numpy as np
 
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if config.n == 1:
         return _point_result(config, config.points[0], FtCase.ITERATIVE, tol)
     pts = np.asarray(config.points, dtype=complex)

@@ -7,9 +7,9 @@ in :mod:`planarloc.tolerances`, scaled by the bounding-box diagonal of the
 points involved, so all operations are similarity-invariant in practice.
 Hull membership is the exception: it compares the phases of the offsets
 from the query point, banded in angle, and scales its zero band by the
-largest offset.  It decides which of four points is contained in the hull
-of the others, the case the median's closed form decides by its slack
-test; both take a convex quadrilateral in phase order about its centroid.
+largest offset.  Which of four points is contained in the hull of the
+others is decided instead by the median's slack test, so the four-point
+shape and the four-point median agree on every input.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, filterfalse, islice
+from itertools import combinations, compress, filterfalse, islice
 from typing import Optional, Sequence
 
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     NotUnimodular,
     OverlappingSegments,
 )
-from .tolerances import EPS_CLASS, spread
+from .tolerances import EPS_CLASS, EPS_REL, spread
 
 TWO_PI = 2.0 * math.pi
 
@@ -378,20 +378,44 @@ class NonConvex:
 def quadrilateral_shape(z1: complex, z2: complex, z3: complex, z4: complex):
     """Classify four distinct points as ConvexOrder or NonConvex.
 
-    A point is contained when ``convex_hull_membership`` places it in the
-    hull of the other three (``fermat.solve_ft4`` decides by its slack test;
-    the two differ only within their bands).  A collinear triple counts as
-    NonConvex with its middle point contained, so the convex branch always
-    has a proper quadrilateral with crossing diagonals.  Of four collinear
-    points, the middle one nearer the lowest point in (x, y) order is taken.
+    A point is contained when it passes the unit-weight slack test of
+    ``_vertex_margins``, the rule by which ``fermat.solve_ft4`` returns it
+    as the median.  A collinear triple counts as NonConvex with its middle
+    point contained, so the convex branch always has a proper quadrilateral
+    with crossing diagonals.  Of four collinear points, the middle one
+    nearer the lowest point in (x, y) order is taken.
     """
     zs = [complex(z1), complex(z2), complex(z3), complex(z4)]
     ensure_distinct(zs, spread(zs))
+    return _shape4(zs)
+
+
+def _shape4(zs: Sequence[complex]):
+    """``quadrilateral_shape`` of four points already known to be distinct."""
     order = _convex_order(zs)
-    inside = [k for k in range(4) if convex_hull_membership(zs[k], zs[:k] + zs[k + 1 :])]
+    margins = _vertex_margins(zs, (1.0, 1.0, 1.0, 1.0))
+    inside = [k for k in range(4) if margins[k] <= 4.0 * EPS_REL]
     if inside:
         return NonConvex(contained=min(inside, key=lambda k: abs(zs[k] - zs[order[0]])))
     return ConvexOrder(order=order, diagonals=(order[0::2], order[1::2]))
+
+
+def _vertex_margins(zs: Sequence[complex], ws: Sequence[float]) -> list[float]:
+    """Slack margin of every point as the candidate weighted median, in O(n^2).
+
+    z_i is the median exactly when the others' pull
+    |sum over j != i of a_j * conj(z_j - z_i)/|z_j - z_i|| is at most a_i,
+    the free coefficient spent at z_i; the margin is the pull minus a_i.
+    Each pair's unit vector is computed once, and the conjugates are left
+    out: they change no modulus.
+    """
+    pulls = [0j] * len(zs)
+    for i, j in combinations(range(len(zs)), 2):
+        d = zs[j] - zs[i]
+        u = d / abs(d)
+        pulls[i] += ws[j] * u
+        pulls[j] -= ws[i] * u
+    return list(map(operator.sub, map(abs, pulls), ws))
 
 
 def _convex_order(zs: Sequence[complex]) -> tuple[int, ...]:

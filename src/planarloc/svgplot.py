@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .documents import ProblemFile, _fmt_float
+from .documents import ProblemFile
 from .errors import ProblemFormatError
 
 
 def _f(v: float) -> str:
-    return _fmt_float(float(v))
+    return repr(float(v))
 
 
 def solution_points(payload: dict) -> list[complex]:

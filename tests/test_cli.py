@@ -17,9 +17,13 @@ from conftest import (
     run_planarloc,
     run_python,
 )
-from planarloc import WeightedConfiguration, solve_ft_n
+from planarloc import WeightedConfiguration, solve_chebyshev, solve_ft_n
 from planarloc.cli import main
-from planarloc.documents import ResultDocument, emit_json, fermat_result_document
+from planarloc.documents import (
+    ResultDocument,
+    cheby_result_document,
+    fermat_result_document,
+)
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -261,46 +265,35 @@ def test_document_round_trip(tmp_path, capsys):
     assert again.payload == json.loads(out)
 
 
-def _recursive_emit(value, indent=0):
-    # the emitter one node per call, as the byte-for-byte reference
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return "NaN" if math.isnan(value) else format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(
-            "  " * (indent + 1) + _recursive_emit(v, indent + 1) for v in value
-        )
-        return "[\n" + inner + "\n" + pad + "]"
-    if not value:
-        return "{}"
-    inner = ",\n".join(
-        "  " * (indent + 1) + json.dumps(str(k)) + ": " + _recursive_emit(v, indent + 1)
-        for k, v in value.items()
-    )
-    return "{\n" + inner + "\n" + pad + "}"
-
-
-def test_emitter_matches_the_recursive_text(rng):
+def test_documents_stay_small_at_2000_points(rng):
     n = 2000
     points = [complex(x, y) for x, y in rng.uniform(-1.0, 1.0, (n, 2))]
     config = WeightedConfiguration.of(points, rng.uniform(0.5, 2.0, n))
-    doc = fermat_result_document(solve_ft_n(config), 1e-10)
-    assert len(doc.payload["certificate"]["d"]) == n
-    assert doc.to_json() == _recursive_emit(doc.payload) + "\n"
-    odd = {"a": [1.5, -0.0, math.inf, -math.inf, math.nan], "b": [1, 2.5, True, None]}
-    assert emit_json(odd) == _recursive_emit(odd)
+    median = fermat_result_document(solve_ft_n(config), 1e-10)
+    circle = cheby_result_document(solve_chebyshev(points))
+    for doc in (median, circle):
+        text = doc.to_json()
+        assert len(text.encode()) < 4096
+        assert json.loads(text) == doc.payload
+        cert = doc.payload["certificate"]
+        assert doc.payload["format"] == 2
+        assert "d" not in cert
+        if cert["t"] is not None:
+            assert len(cert["t"]) == len(cert["support"])
+
+
+def test_to_json_round_trips_every_double():
+    payload = {
+        "a": [1.5, -0.0, math.inf, -math.inf, math.nan, 0.1, 5e-324, 1.7976931348623157e308],
+        "b": [1, 2.5, True, None, "x"],
+        "c": {"d": -1e-300, "e": []},
+    }
+    back = json.loads(ResultDocument(payload).to_json())
+    # NaN equals nothing, itself included; the repr compares it, the sign
+    # of zero and every type as well
+    assert repr(back) == repr(payload)
+    del payload["a"][4], back["a"][4]
+    assert back == payload
 
 
 # --------------------------------------------------------------------- svg
@@ -417,6 +410,21 @@ def test_recheck_uses_the_stated_tolerance(tmp_path, capsys):
     assert doc["solution"]["location"] == [pts[0].real, pts[0].imag]
     assert doc["certificate"]["passed"] is True
     assert doc["tolerances"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
+def test_unusable_tolerance_is_a_format_error(tmp_path, capsys, command, tol):
+    # --tol inf used to pass the vertex (2, 0), whose certificate leaves
+    # 1.21 of the pull uncancelled; the others ended in a traceback
+    path = _problem(
+        tmp_path, "five.json", "fermat", [0, 2, 3 + 1j, 1 + 2j, -1 + 1j],
+        (1.0, 2.0, 1.0, 1.5, 1.2),
+    )
+    rc, out, err = _run(capsys, [command, path, "--at", "2,0", f"--tol={tol}"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: --tol: ")
 
 
 def test_default_tolerance_still_refuses_a_light_vertex(tmp_path, capsys):

@@ -281,6 +281,21 @@ def test_certificate_rejects_an_overflowing_candidate():
             ft_certificate(WeightedConfiguration.of(pts), w)
 
 
+@pytest.mark.parametrize("tol", [math.inf, 0.0, -1.0, math.nan])
+def test_unusable_tolerance_is_refused(tol):
+    # an infinite tol passed the vertex z_1, 1.21 short of cancelling its pull
+    config = WeightedConfiguration.of(
+        (0, 2, 3 + 1j, 1 + 2j, -1 + 1j), (1.0, 2.0, 1.0, 1.5, 1.2)
+    )
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_ft_n(config, tol=tol)
+    if tol == 0.0:
+        assert not ft_certificate(config, 2, tol).passed
+    else:
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            ft_certificate(config, 2, tol)
+
+
 # -------------------------------------------------------------- validation
 
 

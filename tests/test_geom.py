@@ -21,6 +21,7 @@ from planarloc import (
     NotUnimodular,
     OverlappingSegments,
     EPS_CLASS,
+    FtCase,
     TripleClass,
     WeightedConfiguration,
     apollonius_locus,
@@ -30,6 +31,7 @@ from planarloc import (
     normalize_angle,
     quadrilateral_shape,
     segment_intersection,
+    solve_ft4,
     spread,
     unimodular_triple_class,
 )
@@ -300,6 +302,39 @@ def test_quadrilateral_random_contained_point(rng):
         shape = quadrilateral_shape(*arranged)
         assert isinstance(shape, NonConvex)
         assert arranged[shape.contained] == inner
+
+
+def test_quadrilateral_point_just_outside_an_edge():
+    # the median's slack test refuses 0.5-1e-8j, so it is not contained
+    pts = (0, 1, 0.5 + 1j, 0.5 - 1e-8j)
+    shape = quadrilateral_shape(*pts)
+    assert isinstance(shape, ConvexOrder)
+    assert solve_ft4(*pts).case is FtCase.DIAGONAL_INTERSECTION
+
+
+def test_quadrilateral_shape_agrees_with_the_four_point_median(rng):
+    # a fourth point 1e-10 to 1e-5 of an edge's length off a triangle's
+    # edge, on either side: the shape names what solve_ft4 returns
+    done = 0
+    while done < 200:
+        tri = distinct_points(rng, 3, box=2.0, min_gap=0.3)
+        if abs(geom._cross(*tri)) < 0.05 * spread(tri) ** 2:
+            continue
+        done += 1
+        e = int(rng.integers(0, 3))
+        a, b = tri[e], tri[(e + 1) % 3]
+        side = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-10.0, -5.0)
+        p = a + float(rng.uniform(0.1, 0.9)) * (b - a) + side * 1j * (b - a)
+        k = int(rng.integers(0, 4))
+        pts = tri[:k] + [p] + tri[k:]
+        shape = quadrilateral_shape(*pts)
+        res = solve_ft4(*pts)
+        if isinstance(shape, NonConvex):
+            assert (res.case, res.vertex) == (FtCase.HULL_VERTEX, shape.contained)
+        else:
+            (i0, i2), (i1, i3) = shape.diagonals
+            assert res.case is FtCase.DIAGONAL_INTERSECTION
+            assert res.location == segment_intersection(pts[i0], pts[i2], pts[i1], pts[i3])
 
 
 # (direction of the line, parameter of the expected contained point)
