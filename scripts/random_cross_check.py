@@ -1,12 +1,13 @@
 """Random sweep of the solvers against the grid refinement oracle.
 
-Draws instances with distinct points and moderate weights, solves each with
-the certified solver, and compares objective values with the oracle.  The
-median is checked twice: by the general solver on n points and by the
-three-point closed form on a triangle.  ``--kind distinct`` instead checks
-the duplicate test ``geom.ensure_distinct`` against a numpy brute-force
-pair test on 33 to 3000 points: uniform, on an axis-aligned line, on a
-lattice at 0.999, 1 or 1.001 of the band, or with a planted pair.
+Draws instances of 1 to ``--n-max`` distinct points with moderate weights,
+solves each with the certified solver, and compares objective values with
+the oracle.  The median is checked twice: by the general solver on n
+points and by the three-point closed form on a triangle.  ``--kind
+distinct`` instead checks the duplicate test ``geom.ensure_distinct``
+against a numpy brute-force pair test on 33 to 3000 points: uniform, on
+an axis-aligned line, on a lattice at 0.999, 1 or 1.001 of the band, or
+with a planted pair.
 ``--kind linf`` checks the max-norm test ``is_bj_orthogonal_linf`` on
 random x and y (generic, an exactly antipodal max pair, cocircular maxima,
 y zero on a maximal entry, moduli from 1e-300 to 1e300) against an
@@ -347,7 +348,7 @@ def main():
         checks.append(("circle", check_circle))
     worst = {name: 0.0 for name, _ in checks}
     for trial in range(args.count):
-        n = int(gen.integers(3, args.n_max + 1))
+        n = int(gen.integers(1, args.n_max + 1))
         for name, check in checks:
             ok, gap, instance = check(gen, n)
             if not ok:

@@ -152,18 +152,19 @@ def build_linf_certificate(
     x: Sequence[complex],
     y: Sequence[complex],
     support: Sequence[int],
-    tol: float,
 ) -> SupportCertificate:
     """Assemble the max-norm functional for x against y.
 
     ``support`` lists the entries of x that count as maximal.  The
     functional weighs the coefficients d_i = conj(x_i)/|x_i| there by t, and
     annihilates y when zero is in the convex hull of the values d_i * y_i.
+    A zero entry, orthogonal to everything, gets d_i = 0, so x = 0 passes.
     On success t is full length with zeros off the support; otherwise it
-    is None and the residual infinite.  ``tol`` is recorded as given.
+    is None and the residual infinite.  The decision takes no tolerance
+    beyond the EPS_CLASS bands, so ``tol`` is recorded as 0.
     """
     xs = list(map(x.__getitem__, support))
-    ds = list(map(complex.conjugate, map(operator.truediv, xs, map(abs, xs))))
+    ds = [(v / abs(v)).conjugate() if v else 0j for v in xs]
     vals = list(map(operator.mul, ds, map(y.__getitem__, support)))
     t_sup = geom.convex_hull_membership(0j, vals)
     d, t = [0j] * len(x), [0.0] * len(x)
@@ -176,7 +177,7 @@ def build_linf_certificate(
         passed=t_sup is not None,
         forced=sum(vals),
         slack=0.0,
-        tol=tol,
+        tol=0.0,
         t=None if t_sup is None else tuple(t),
         support=tuple(support),
     )
@@ -191,7 +192,7 @@ def is_bj_orthogonal_linf(
     if len(xs) != len(ys):
         raise LengthMismatch("vectors must have equal length")
     support = linf_support(list(map(abs, xs)))
-    cert = build_linf_certificate(xs, ys, support, EPS_REL * sum(map(abs, ys)))
+    cert = build_linf_certificate(xs, ys, support)
     return cert if cert.passed else None
 
 

@@ -11,7 +11,8 @@ exactly, and the tight points of that subset become the next basis.  The
 radius grows every round (rounding can hide the growth, so a subset seen
 before ends the loop); once the circle covers every point, the
 certificate is asked once, over all points.  A center that passes it is
-optimal, so the search need not be exhaustive.
+optimal, so the search need not be exhaustive.  A single point is no
+special case: the exchange stops at once on it, and x = 0 passes.
 
 Every public function here validates its input by building one
 ``fermat.WeightedConfiguration``.  A configuration may be passed in place
@@ -26,11 +27,10 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 from . import geom
 from .bjorth import SupportCertificate, build_linf_certificate, linf_support
-from .errors import CollinearPoints, NotOrthogonal, SinglePoint
+from .errors import CollinearPoints, NotOrthogonal
 from .fermat import WeightedConfiguration, solve_ft3_weighted, solve_ft4
 from .tolerances import EPS_CLASS, EPS_REL
 
@@ -42,8 +42,8 @@ class ChebySolveResult:
     ``support`` indexes the points attaining the radius, ``t`` the convex
     coefficients on their unit directions summing to zero, and
     ``hull_coefficients`` the derived convex combination expressing the
-    center over the support points.  The certificate is None only in the
-    single-point case.
+    center over the support points.  ``certificate`` is the one that
+    passed at ``center``, a single point's included.
     """
 
     center: complex
@@ -51,7 +51,7 @@ class ChebySolveResult:
     support: tuple[int, ...]
     t: tuple[float, ...]
     hull_coefficients: tuple[float, ...]
-    certificate: Optional[SupportCertificate]
+    certificate: SupportCertificate
 
 
 def chebyshev_radius(points, weights, w: complex) -> float:
@@ -70,30 +70,18 @@ def cheby_certificate(points, weights, w: complex) -> SupportCertificate:
     certificate ``is_bj_orthogonal_linf(x, y)`` builds: the support is the
     weighted-farthest points, and ``t`` weighs the values
     y_j * conj(z_j - w)/|z_j - w| there, full length with zeros elsewhere.
+    A single point is its own support; x = 0 there, which passes.
     Uniformly scaled weights become exactly 1.0, as unit weights are.
     Raises ValueError when w is not finite or an offset's modulus overflows.
     """
     config = WeightedConfiguration.of(points, weights)
-    if config.n == 1:
-        raise SinglePoint("a single point centers at itself")
     w = complex(w)
     geom.require_finite(w)
     top = max(config.weights)
     y = [a / top for a in config.weights]
     x = list(map(operator.mul, y, map(w.__rsub__, config.points)))
-    support = linf_support(geom._moduli(x))
-    return build_linf_certificate(x, y, support, EPS_REL * sum(y))
-
-
-def _single_point_result(z: complex) -> ChebySolveResult:
-    return ChebySolveResult(
-        center=z,
-        radius=0.0,
-        support=(0,),
-        t=(1.0,),
-        hull_coefficients=(1.0,),
-        certificate=None,
-    )
+    support = (0,) if config.n == 1 else linf_support(geom._moduli(x))
+    return build_linf_certificate(x, y, support)
 
 
 def _result_from(unit, w: complex, radius: float, cert) -> ChebySolveResult:
@@ -164,8 +152,6 @@ def _solve(config: WeightedConfiguration) -> ChebySolveResult:
     their digits far from the origin.  Weights are divided by their
     maximum, so equal weights become exactly 1.0: the unit-weight center.
     """
-    if config.n == 1:
-        return _single_point_result(config.points[0])
     origin, top = config.points[0], max(config.weights)
     zs = [z - origin for z in config.points]
     unit = [a / top for a in config.weights]

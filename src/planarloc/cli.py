@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Three commands: ``solve`` runs a solver and prints a certified result
-document, ``certify`` checks a candidate location and prints its residual
-and slack, ``plot`` renders a problem plus an existing result to SVG.
-Exit codes: 0 success, 1 parse or validation trouble, 2 a certificate
-refused to pass (a solver that found no certified point included).  Nothing
-is ever printed as a solution without its certificate re-run first.  A
-problem is validated once, when it is loaded; every step after that uses
-its ``config``.
+document, ``certify --at X,Y`` checks a candidate location and prints its
+certificate, ``plot`` renders a problem plus an existing result to SVG.
+All three check a location through the one ``_certify``, for any number
+of points.  ``--tol`` is the median's; the covering circle's certificate
+takes none, and refuses one.  Exit codes: 0 success, 1 parse or
+validation trouble, 2 a certificate refused to pass (a solver that found
+no certified point included).  Nothing is ever printed as a solution
+without its certificate re-run first.  A problem is validated once, when
+it is loaded; every step after that uses its ``config``.
 """
 
 from __future__ import annotations
@@ -64,18 +66,22 @@ def _recertify_location(result) -> complex:
     return result.solution.location
 
 
-def cmd_solve(args) -> int:
+def _load(args):
     _check_tol(args.tol)
     problem = documents.load_problem(args.input, args.kind)
-    kind = problem.kind
-    if kind is None:
+    if problem.kind is None:
         raise documents.ProblemFormatError("kind: give it in the file or via --kind")
-    if args.certificate_only:
-        if args.at is None:
-            raise documents.ProblemFormatError("--certificate-only needs --at X,Y")
-        return _run_certify(problem, kind, _parse_at(args.at), args.tol)
+    if problem.kind == "chebyshev" and args.tol is not None:
+        raise documents.ProblemFormatError(
+            "--tol: the covering circle's certificate takes no tolerance"
+        )
+    return problem
+
+
+def cmd_solve(args) -> int:
+    problem = _load(args)
+    kind, config = problem.kind, problem.config
     tol = args.tol if args.tol is not None else 1e-10
-    config = problem.config
     try:
         if kind == "fermat":
             result = _solve_fermat(config, tol, args.max_iter)
@@ -85,13 +91,8 @@ def cmd_solve(args) -> int:
         print(f"certification failed: {e}", file=sys.stderr)
         return 2
     if kind == "fermat":
-        # the result's certificate passed at tol or, for a closed form, at
-        # EPS_REL; the re-check allows the larger of the two
-        cert = fermat.ft_certificate(
-            config, _recertify_location(result), max(tol, EPS_REL)
-        )
         doc = documents.fermat_result_document(result, tol)
-        value = result.objective
+        w, value = _recertify_location(result), result.objective
         if args.oracle:
             _, oval = oracle.oracle_ft(config)
             gap = 1e-6 * max(1.0, config.diameter * config.total_weight)
@@ -102,10 +103,8 @@ def cmd_solve(args) -> int:
                 )
                 return 2
     else:
-        cert = None
-        if config.n >= 2:
-            cert = cheby.cheby_certificate(config, None, result.center)
         doc = documents.cheby_result_document(result)
+        w = result.center
         if args.oracle:
             _, oval = oracle.oracle_cheby(config.points, config.weights)
             gap = 1e-5 * max(1.0, config.diameter * max(config.weights))
@@ -116,7 +115,9 @@ def cmd_solve(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-    if cert is not None and not cert.passed:
+    # a median's certificate passed at tol or, for a closed form, at
+    # EPS_REL; the re-check allows the larger of the two
+    if not _certify(problem, kind, w, max(tol, EPS_REL)).passed:
         print("certification failed: result withheld", file=sys.stderr)
         return 2
     sys.stdout.write(doc.to_json())
@@ -130,25 +131,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _run_certify(problem, kind: str, w: complex, tol: Optional[float]) -> int:
-    cert = _certify(problem, kind, w, tol)
-    doc = documents.certify_document(kind, w, cert)
-    sys.stdout.write(doc.to_json())
+def cmd_certify(args) -> int:
+    problem = _load(args)
+    w = _parse_at(args.at)
+    cert = _certify(problem, problem.kind, w, args.tol)
+    sys.stdout.write(documents.certify_document(problem.kind, w, cert).to_json())
     print(
         f"residual={cert.residual!r} slack={cert.slack!r} "
         f"passed={cert.passed}",
         file=sys.stderr,
     )
     return 0 if cert.passed else 2
-
-
-def cmd_certify(args) -> int:
-    _check_tol(args.tol)
-    problem = documents.load_problem(args.input, args.kind)
-    kind = problem.kind
-    if kind is None:
-        raise documents.ProblemFormatError("kind: give it in the file or via --kind")
-    return _run_certify(problem, kind, _parse_at(args.at), args.tol)
 
 
 def cmd_plot(args) -> int:
@@ -160,11 +153,9 @@ def cmd_plot(args) -> int:
         raise documents.ProblemFormatError("result document: missing kind")
     sol = svgplot.solution_points(doc.payload)
     w = sol[0] if len(sol) == 1 else 0.5 * (sol[0] + sol[1])
-    if len(problem.points) >= 2 or kind == "fermat":
-        cert = _certify(problem, kind, w, None)
-        if not cert.passed:
-            print("certification failed: refusing to plot", file=sys.stderr)
-            return 2
+    if not _certify(problem, kind, w, None).passed:
+        print("certification failed: refusing to plot", file=sys.stderr)
+        return 2
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svgplot.render_svg(problem, doc.payload))
@@ -186,11 +177,8 @@ def main(argv=None) -> int:
     p_solve.add_argument("input", help="problem file (JSON or CSV)")
     p_solve.add_argument("--kind", choices=documents.KINDS)
     p_solve.add_argument("--tol", type=float, default=None,
-                         help="relative residual tolerance")
+                         help="relative residual tolerance (median only)")
     p_solve.add_argument("--max-iter", type=int, default=10000)
-    p_solve.add_argument("--certificate-only", action="store_true",
-                         help="only certify the --at point, do not solve")
-    p_solve.add_argument("--at", default=None, help="candidate X,Y")
     p_solve.add_argument("--svg", default=None, help="also render an SVG here")
     p_solve.add_argument("--oracle", action="store_true",
                          help="cross-check against the grid oracle before emitting")
@@ -199,7 +187,8 @@ def main(argv=None) -> int:
     p_cert.add_argument("input")
     p_cert.add_argument("--kind", choices=documents.KINDS)
     p_cert.add_argument("--at", required=True, help="candidate X,Y")
-    p_cert.add_argument("--tol", type=float, default=None)
+    p_cert.add_argument("--tol", type=float, default=None,
+                        help="relative residual tolerance (median only)")
 
     p_plot = sub.add_parser("plot", help="render a solved result to SVG")
     p_plot.add_argument("input")

@@ -8,7 +8,8 @@ carries as ``config`` and that the solvers and certificates then share.
 Results leave as JSON through ``json.dumps``, whose floats are the
 shortest text that reads back as the same double; parse(serialize(doc))
 equals doc.  A result document holds only what a verifier cannot
-recompute from the problem and the location.
+recompute from the problem and the location, and each fact once: the
+verdict, the support and its weights live in the certificate alone.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .fermat import FtPoint, WeightedConfiguration
 from .tolerances import EPS_CLASS, EPS_REL
 
 KINDS = ("fermat", "chebyshev")
-# result documents without the certificate's functional d; format 1 carried it
-FORMAT = 2
+# format 1 carried the functional d; format 2 repeated certificate fields
+# at the top level
+FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,6 @@ def fermat_result_document(result, tol_used: float) -> ResultDocument:
         "case": result.case.value,
         "solution": solution,
         "objective": float(result.objective),
-        "support": None,
         "vertex": None if result.vertex is None else int(result.vertex),
         "vertex_angle": None if result.vertex_angle is None else float(result.vertex_angle),
         "angles": None if result.angles is None else [float(a) for a in result.angles],
@@ -243,12 +244,7 @@ def cheby_result_document(result) -> ResultDocument:
         "case": None,
         "solution": {"type": "point", "location": _c(result.center)},
         "radius": float(result.radius),
-        "support": [int(i) for i in result.support],
-        "t": [float(v) for v in result.t],
-        "hull_coefficients": [float(v) for v in result.hull_coefficients],
-        "certificate": None
-        if result.certificate is None
-        else certificate_payload(result.certificate),
+        "certificate": certificate_payload(result.certificate),
         "tolerances": {"eps_rel": EPS_REL, "eps_class": EPS_CLASS},
     }
     return ResultDocument(payload)
@@ -263,9 +259,6 @@ def certify_document(kind: str, w: complex, cert) -> ResultDocument:
         "format": FORMAT,
         "kind": kind,
         "candidate": _c(w),
-        "passed": bool(cert.passed),
-        "residual": float(cert.residual),
-        "slack": float(cert.slack),
         "certificate": certificate_payload(cert),
         "tolerances": {"eps_rel": EPS_REL, "eps_class": EPS_CLASS},
     }

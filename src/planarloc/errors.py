@@ -9,10 +9,6 @@ class EmptyInput(PlanarLocError):
     pass
 
 
-class SinglePoint(PlanarLocError):
-    pass
-
-
 class CoincidentPoints(PlanarLocError):
     pass
 

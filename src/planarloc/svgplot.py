@@ -72,7 +72,7 @@ def render_svg(problem: ProblemFile, payload: dict) -> str:
             f'r="{_f(radius)}" fill="none" stroke="#7a7ad0" '
             f'stroke-width="{_f(stroke)}"/>'
         )
-        support = payload.get("support") or []
+        support = (payload.get("certificate") or {}).get("support") or []
         for j in support:
             z = pts[int(j)]
             parts.append(

@@ -47,3 +47,11 @@ def test_warm_up_solves_pass_the_benchmark_checks(op, tmp_path):
 def test_cli_documents_pass_the_benchmark_checks(op, tmp_path):
     (tmp_path / op.file).write_text(workloads.problem_text(op), encoding="utf-8")
     assert _judge(op, tmp_path) == (False, None)
+
+
+@pytest.mark.parametrize("kind", ["fermat", "chebyshev"])
+def test_one_point_documents_pass_the_benchmark_checks(kind, tmp_path):
+    # no workload has one point; its document must pass all the same
+    op = workloads.Op("one.json", "cli", kind, (50 - 7j,), None, file="one.json")
+    (tmp_path / op.file).write_text(workloads.problem_text(op), encoding="utf-8")
+    assert _judge(op, tmp_path) == (False, None)

@@ -72,6 +72,8 @@ def test_zero_vector_rejected():
     with pytest.raises(ZeroVector):
         is_bj_orthogonal_linf((0, 0), (1, 1))
     with pytest.raises(ZeroVector):
+        is_bj_orthogonal_linf([0j], [1])
+    with pytest.raises(ZeroVector):
         smoothness_order_linf((0, 0, 0))
 
 

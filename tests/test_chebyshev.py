@@ -14,7 +14,6 @@ from planarloc import (
     CollinearPoints,
     DuplicatePoints,
     EmptyInput,
-    SinglePoint,
     WeightedConfiguration,
     cheby_certificate,
     chebyshev_radius,
@@ -73,7 +72,8 @@ def test_single_point():
     res = solve_chebyshev([2j])
     assert res.center == 2j and res.radius == 0.0
     assert res.support == (0,)
-    assert res.certificate is None
+    assert res.t == (1.0,) and res.hull_coefficients == (1.0,)
+    assert res.certificate.passed and res.certificate.t == (1.0,)
 
 
 def test_empty_input():
@@ -130,9 +130,14 @@ def test_certificate_five_points():
     assert cheby_certificate(list(FIVE), None, 2 + 1j).passed
 
 
-def test_certificate_single_point_rejected():
-    with pytest.raises(SinglePoint):
-        cheby_certificate([1 + 1j], None, 1 + 1j)
+def test_certificate_at_a_single_point():
+    # x = 0 at the point itself, and the zero vector is orthogonal to y
+    cert = cheby_certificate([1 + 1j], None, 1 + 1j)
+    assert cert.passed and cert.support == (0,) and cert.t == (1.0,)
+    assert cert.residual == 0.0
+    for w in (1 + 1.5j, 1e-300j, -4.0):
+        cert = cheby_certificate([1 + 1j], (2.5,), w)
+        assert not cert.passed and cert.residual == math.inf
 
 
 # finite candidates whose offsets overflow: in modulus, then outright

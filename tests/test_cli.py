@@ -72,10 +72,14 @@ def test_solve_circle_document(tmp_path, capsys):
     x, y = doc["solution"]["location"]
     assert (x, y) == pytest.approx((2.0, 1.0), abs=1e-9)
     assert doc["radius"] == pytest.approx(2.0, abs=1e-9)
-    assert doc["support"] == [0, 2, 3, 4]
-    assert len(doc["t"]) == 4
-    assert doc["certificate"]["space"] == "linf"
-    assert doc["certificate"]["passed"] is True
+    assert doc["format"] == 3
+    assert not {"support", "t", "hull_coefficients"} & set(doc)
+    cert = doc["certificate"]
+    assert cert["space"] == "linf"
+    assert cert["passed"] is True
+    assert cert["support"] == [0, 2, 3, 4]
+    assert len(cert["t"]) == 4
+    assert cert["tol"] == 0.0
 
 
 def test_solve_median_square(tmp_path, capsys):
@@ -206,7 +210,9 @@ def test_certify_at_the_optimum(tmp_path, capsys):
     assert "passed=True" in err
     doc = json.loads(out)
     assert doc["kind"] == "fermat"
-    assert doc["passed"] is True
+    assert not {"passed", "residual", "slack"} & set(doc)
+    assert doc["certificate"]["passed"] is True
+    assert doc["certificate"]["space"] == "l1"
     assert doc["candidate"] == pytest.approx([0.0, 0.0])
 
 
@@ -224,20 +230,34 @@ def test_certify_circle_center(tmp_path, capsys):
     assert "passed=True" in err
 
 
-def test_certificate_only_requires_a_candidate(tmp_path, capsys):
+@pytest.mark.parametrize("extra", [["--at", "0,0"], ["--certificate-only"]])
+def test_solve_takes_no_candidate(tmp_path, capsys, extra):
+    # certify --at is the one command that checks a given location
     path = _problem(tmp_path, "eq.json", "fermat", ROOTS3)
-    rc, _, err = _run(capsys, ["solve", path, "--certificate-only"])
+    with pytest.raises(SystemExit):
+        main(["solve", path, *extra])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_certify_a_single_point(tmp_path, capsys):
+    path = _problem(tmp_path, "one.json", "chebyshev", [50 - 7j])
+    rc, out, err = _run(capsys, ["certify", path, "--at", "50,-7"])
+    assert rc == 0, err
+    assert json.loads(out)["certificate"]["passed"] is True
+    for at in ("50,-6", "0,0"):
+        rc, out, _ = _run(capsys, ["certify", path, "--at", at])
+        assert rc == 2
+        assert json.loads(out)["certificate"]["passed"] is False
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_circle_refuses_a_tolerance(tmp_path, capsys, command):
+    path = _problem(tmp_path, "five.json", "chebyshev", FIVE)
+    at = ["--at", "2,1"] if command == "certify" else []
+    rc, out, err = _run(capsys, [command, path, *at, "--tol", "1e-12"])
     assert rc == 1
-    assert "--certificate-only needs --at X,Y" in err
-
-
-def test_certificate_only_skips_solving(tmp_path, capsys):
-    path = _problem(tmp_path, "eq.json", "fermat", ROOTS3)
-    rc, out, _ = _run(capsys, ["solve", path, "--certificate-only", "--at", "0,0"])
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["certificate"]["space"] == "l1"
-    assert doc["passed"] is True
+    assert out == ""
+    assert err == "error: --tol: the covering circle's certificate takes no tolerance\n"
 
 
 @pytest.mark.parametrize("kind", ["fermat", "chebyshev"])
@@ -276,7 +296,7 @@ def test_documents_stay_small_at_2000_points(rng):
         assert len(text.encode()) < 4096
         assert json.loads(text) == doc.payload
         cert = doc.payload["certificate"]
-        assert doc.payload["format"] == 2
+        assert doc.payload["format"] == 3
         assert "d" not in cert
         if cert["t"] is not None:
             assert len(cert["t"]) == len(cert["support"])
@@ -347,18 +367,20 @@ def test_plot_round_trip(tmp_path, capsys):
 
 
 def test_plot_refuses_a_tampered_result(tmp_path, capsys):
-    path = _problem(tmp_path, "five.json", "chebyshev", FIVE)
-    rc, out, _ = _run(capsys, ["solve", path])
-    assert rc == 0
-    payload = json.loads(out)
-    payload["solution"]["location"] = [9.0, 9.0]
-    result = tmp_path / "tampered.json"
-    result.write_text(json.dumps(payload), encoding="utf-8")
-    target = tmp_path / "nope.svg"
-    rc, _, err = _run(capsys, ["plot", path, str(result), str(target)])
-    assert rc == 2
-    assert "refusing to plot" in err
-    assert not target.exists()
+    # a single point is certified like any other covering circle
+    for name, points, moved in (("five", FIVE, [9.0, 9.0]), ("one", [1 + 1j], [50.0, -7.0])):
+        path = _problem(tmp_path, f"{name}.json", "chebyshev", points)
+        rc, out, _ = _run(capsys, ["solve", path])
+        assert rc == 0
+        payload = json.loads(out)
+        payload["solution"]["location"] = moved
+        result = tmp_path / f"{name}-tampered.json"
+        result.write_text(json.dumps(payload), encoding="utf-8")
+        target = tmp_path / f"{name}.svg"
+        rc, _, err = _run(capsys, ["plot", path, str(result), str(target)])
+        assert rc == 2, name
+        assert "refusing to plot" in err
+        assert not target.exists()
 
 
 # ------------------------------------------------------------ odds and ends
@@ -421,7 +443,8 @@ def test_unusable_tolerance_is_a_format_error(tmp_path, capsys, command, tol):
         tmp_path, "five.json", "fermat", [0, 2, 3 + 1j, 1 + 2j, -1 + 1j],
         (1.0, 2.0, 1.0, 1.5, 1.2),
     )
-    rc, out, err = _run(capsys, [command, path, "--at", "2,0", f"--tol={tol}"])
+    at = ["--at", "2,0"] if command == "certify" else []
+    rc, out, err = _run(capsys, [command, path, *at, f"--tol={tol}"])
     assert rc == 1
     assert out == ""
     assert err.startswith("error: --tol: ")

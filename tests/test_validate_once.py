@@ -73,7 +73,7 @@ def test_cli_solve_validates_once(tmp_path, capsys, distinct_calls, kind, weight
 def test_cli_certify_validates_once(tmp_path, capsys, distinct_calls):
     path = _problem(tmp_path, "fermat", SIX, SIX_W)
     assert main(["certify", path, "--at", "1,1"]) == 2  # not the median
-    assert json.loads(capsys.readouterr().out)["passed"] is False
+    assert json.loads(capsys.readouterr().out)["certificate"]["passed"] is False
     assert len(distinct_calls) == 1
 
 
