@@ -3,7 +3,9 @@
 Draws instances of 1 to ``--n-max`` distinct points with moderate weights,
 solves each with the certified solver, and compares objective values with
 the oracle.  The median is checked twice: by the general solver on n
-points and by the three-point closed form on a triangle.  ``--kind
+points, drawn in turn uniform, in clusters, exactly on a horizontal line
+(where its Newton step is always refused) and within 1e-9 of one, and by
+the three-point closed form on a triangle.  ``--kind
 distinct`` instead checks the duplicate test ``geom.ensure_distinct``
 against a numpy brute-force pair test on 33 to 3000 points: uniform, on
 an axis-aligned line, on a lattice at 0.999, 1 or 1.001 of the band, or
@@ -31,6 +33,7 @@ instance so it can be frozen into a regression test.
 
 import argparse
 import cmath
+import itertools
 import math
 import re
 import sys
@@ -50,8 +53,26 @@ def draw_points(gen, n, box=3.0, min_gap=2e-2):
     return pts
 
 
+MEDIAN_FAMILIES = itertools.cycle(("uniform", "clustered", "collinear", "near-collinear"))
+
+
+def draw_median_points(gen, n, family, box=3.0):
+    if family == "uniform":
+        return draw_points(gen, n, box)
+    if family == "clustered":
+        centers = gen.uniform(0.0, box, (3, 2))[gen.integers(0, 3, n)]
+        xy = centers + gen.normal(0.0, 0.05, (n, 2))
+        return [complex(x, y) for x, y in xy]
+    # one point per slot of width box/n keeps them apart on the line
+    xs = (gen.permutation(n) + gen.uniform(0.2, 0.8, n)) * (box / n)
+    ys = np.full(n, 0.5 * box)
+    if family == "near-collinear":
+        ys += 1e-9 * gen.uniform(-1.0, 1.0, n)
+    return [complex(x, y) for x, y in zip(xs, ys)]
+
+
 def check_median(gen, n):
-    pts = draw_points(gen, n)
+    pts = draw_median_points(gen, n, next(MEDIAN_FAMILIES))
     weights = tuple(float(gen.uniform(0.5, 2.0)) for _ in range(n))
     config = pl.WeightedConfiguration(tuple(pts), weights)
     res = pl.solve_ft_n(config)

@@ -5,11 +5,11 @@ document, ``certify --at X,Y`` checks a candidate location and prints its
 certificate, ``plot`` renders a problem plus an existing result to SVG.
 All three check a location through the one ``_certify``, for any number
 of points.  ``--tol`` is the median's; the covering circle's certificate
-takes none, and refuses one.  Exit codes: 0 success, 1 parse or
-validation trouble, 2 a certificate refused to pass (a solver that found
-no certified point included).  Nothing is ever printed as a solution
-without its certificate re-run first.  A problem is validated once, when
-it is loaded; every step after that uses its ``config``.
+takes none, and refuses one.  Exit codes: 0 success, 1 a usage error,
+parse or validation trouble, 2 a certificate refused to pass (a solver
+that found no certified point included).  Nothing is ever printed as a
+solution without its certificate re-run first.  A problem is validated
+once, when it is loaded; every step after that uses its ``config``.
 """
 
 from __future__ import annotations
@@ -50,14 +50,15 @@ def _solve_fermat(config, tol, max_iter) -> fermat.FtSolveResult:
     return fermat.solve_ft_n(config, tol=tol, max_iter=max_iter)
 
 
-def _certify(problem, kind: str, w: complex, tol: Optional[float]):
-    # a candidate that is not finite, or whose offsets overflow, is at fault
+def _certify(problem, kind: str, w: complex, tol: Optional[float], source: str):
+    # a location that is not finite, or whose offsets overflow, is at fault;
+    # source names where it came from
     try:
         if kind == "fermat":
             return fermat.ft_certificate(problem.config, w, tol)
         return cheby.cheby_certificate(problem.config, None, w)
     except ValueError as e:
-        raise documents.ProblemFormatError(f"--at: {e}") from e
+        raise documents.ProblemFormatError(f"{source}: {e}") from e
 
 
 def _recertify_location(result) -> complex:
@@ -117,7 +118,7 @@ def cmd_solve(args) -> int:
                 return 2
     # a median's certificate passed at tol or, for a closed form, at
     # EPS_REL; the re-check allows the larger of the two
-    if not _certify(problem, kind, w, max(tol, EPS_REL)).passed:
+    if not _certify(problem, kind, w, max(tol, EPS_REL), "result").passed:
         print("certification failed: result withheld", file=sys.stderr)
         return 2
     sys.stdout.write(doc.to_json())
@@ -134,7 +135,7 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     problem = _load(args)
     w = _parse_at(args.at)
-    cert = _certify(problem, problem.kind, w, args.tol)
+    cert = _certify(problem, problem.kind, w, args.tol, "--at")
     sys.stdout.write(documents.certify_document(problem.kind, w, cert).to_json())
     print(
         f"residual={cert.residual!r} slack={cert.slack!r} "
@@ -153,7 +154,7 @@ def cmd_plot(args) -> int:
         raise documents.ProblemFormatError("result document: missing kind")
     sol = svgplot.solution_points(doc.payload)
     w = sol[0] if len(sol) == 1 else 0.5 * (sol[0] + sol[1])
-    if not _certify(problem, kind, w, None).passed:
+    if not _certify(problem, kind, w, None, "result document").passed:
         print("certification failed: refusing to plot", file=sys.stderr)
         return 2
     try:
@@ -196,7 +197,14 @@ def main(argv=None) -> int:
     p_plot.add_argument("output", help="SVG path to write")
     p_plot.add_argument("--kind", choices=documents.KINDS)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, the code of a refused
+        # certificate here; a usage error is malformed input
+        if e.code == 0:
+            raise
+        return 1
     handler = {"solve": cmd_solve, "certify": cmd_certify, "plot": cmd_plot}
     try:
         return handler[args.command](args)

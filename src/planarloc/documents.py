@@ -14,9 +14,11 @@ verdict, the support and its weights live in the certificate alone.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,10 +61,30 @@ def _pair(value, where: str) -> complex:
         or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
     ):
         raise ProblemFormatError(f"{where}: expected a [x, y] pair of numbers")
-    z = complex(float(value[0]), float(value[1]))
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    try:
+        z = complex(float(value[0]), float(value[1]))
+    except OverflowError:  # an integer beyond the doubles
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
         raise ProblemFormatError(f"{where}: coordinates must be finite")
     return z
+
+
+def _points(items: list) -> list[complex]:
+    # C-level passes over the whole list: two-entry lists of JSON numbers
+    # (a bool's type is not int), finite; the per-item loop runs only to
+    # name the first bad entry
+    if {list} >= set(map(type, items)) and {2} >= set(map(len, items)):
+        xs = list(map(operator.itemgetter(0), items))
+        ys = list(map(operator.itemgetter(1), items))
+        if {int, float} >= set(map(type, xs)) | set(map(type, ys)):
+            try:
+                points = list(map(complex, xs, ys))
+                if all(map(cmath.isfinite, points)):
+                    return points
+            except OverflowError:  # an integer beyond the doubles
+                pass
+    return [_pair(v, f"points[{i}]") for i, v in enumerate(items)]
 
 
 def _validate(kind, points, weights) -> ProblemFile:
@@ -75,9 +97,10 @@ def _validate(kind, points, weights) -> ProblemFile:
             raise ProblemFormatError(
                 f"weights: length {len(weights)} does not match {len(points)} points"
             )
-        for i, a in enumerate(weights):
-            if not (math.isfinite(a) and a > 0.0):
-                raise ProblemFormatError(f"weights[{i}]: must be positive and finite")
+        if not (all(map(math.isfinite, weights)) and min(weights) > 0.0):
+            for i, a in enumerate(weights):
+                if not (math.isfinite(a) and a > 0.0):
+                    raise ProblemFormatError(f"weights[{i}]: must be positive and finite")
     return ProblemFile(
         kind=kind,
         points=tuple(points),
@@ -100,16 +123,16 @@ def _load_json_problem(text: str, kind_flag: Optional[str]) -> ProblemFile:
         raise ProblemFormatError("kind: expected a string")
     if "points" not in raw or not isinstance(raw["points"], list):
         raise ProblemFormatError("points: expected a list of [x, y] pairs")
-    points = [_pair(v, f"points[{i}]") for i, v in enumerate(raw["points"])]
+    points = _points(raw["points"])
     weights = None
     if raw.get("weights") is not None:
         if not isinstance(raw["weights"], list):
             raise ProblemFormatError("weights: expected a list of numbers")
-        weights = []
-        for i, a in enumerate(raw["weights"]):
-            if not isinstance(a, (int, float)) or isinstance(a, bool):
-                raise ProblemFormatError(f"weights[{i}]: expected a number")
-            weights.append(float(a))
+        if not {int, float} >= set(map(type, raw["weights"])):
+            for i, a in enumerate(raw["weights"]):
+                if not isinstance(a, (int, float)) or isinstance(a, bool):
+                    raise ProblemFormatError(f"weights[{i}]: expected a number")
+        weights = list(map(float, raw["weights"]))
     return _validate(kind_flag or kind, points, weights)
 
 

@@ -14,8 +14,9 @@ slack test, that condition at each configuration point, decides every
 vertex case of both: a passing point is the solution (two passing points
 bound a segment of solutions); otherwise three points meet at the
 interior point given by its closed-form barycentric coordinates, and four
-at the crossing of the diagonals.  The general solver is a reweighting
-iteration, O(n) per step, with a quadratic polish step; it tests each
+at the crossing of the diagonals.  The general solver takes damped Newton
+steps, O(n) each, with the Hessian built from two sums, and falls back to
+a reweighting (Weiszfeld) step where Newton is refused; it tests each
 point it comes nearest once as the optimum and steps out of a refused
 point by the modified Weiszfeld rule.  It alone uses numpy, imported
 inside its functions so that the closed forms, and the command line on
@@ -293,15 +294,16 @@ def solve_ft_n(
 ) -> FtSolveResult:
     """Certified iterative solver for any number of points.
 
-    Runs the inverse-distance reweighting iteration from the weighted
-    centroid, switching to a damped quadratic step once the residual is
-    small; every iteration is O(n).  The first time a configuration point
-    is the one nearest the iterate it gets the slack test, once, and passes
-    it exactly when it is the optimum.  An iterate inside the band of a
-    point that failed steps out by the modified Weiszfeld rule of Vardi and
-    Zhang (2000).  The returned location passes ft_certificate at the given
-    relative tolerance; otherwise MaxIterationsExceeded carries the best
-    iterate seen.  Raises ValueError unless tol is positive and finite.
+    Starts from the weighted centroid and tries a damped Newton step from
+    the first iterate on; an inverse-distance reweighting (Weiszfeld) step
+    is taken only when the Newton step is refused.  Every iteration is
+    O(n).  The first time a configuration point is the one nearest the
+    iterate it gets the slack test, once, and passes it exactly when it is
+    the optimum.  An iterate inside the band of a point that failed steps
+    out by the modified Weiszfeld rule of Vardi and Zhang (2000).  The
+    returned location passes ft_certificate at the given relative
+    tolerance; otherwise MaxIterationsExceeded carries the best iterate
+    seen.  Raises ValueError unless tol is positive and finite.
     """
     import numpy as np
 
@@ -311,16 +313,15 @@ def solve_ft_n(
         return _point_result(config, config.points[0], FtCase.ITERATIVE, tol)
     pts = np.asarray(config.points, dtype=complex)
     wts = np.asarray(config.weights, dtype=float)
-    wsum = config.total_weight
     near_band = EPS_CLASS * config.diameter
-    target = tol * wsum
+    target = tol * config.total_weight
     tested = set()
-    w = complex((wts * pts).sum() / wsum)
+    w = complex(wts @ pts / config.total_weight)
     best = (math.inf, w)
     for _ in range(max_iter):
         rel = pts - w
         d = np.abs(rel)
-        k = int(np.argmin(d))
+        k = int(d.argmin())
         if k not in tested or d[k] <= near_band:
             # the other points' pull at z_k, with z_k's own term dropped; it
             # does not depend on w, so one test per point settles z_k
@@ -328,7 +329,7 @@ def solve_ft_n(
             dk = np.abs(diff)
             dk[k] = math.inf
             inv = wts / dk
-            pull = complex((inv * diff).sum())
+            pull = complex(inv @ diff)
             r = abs(pull)
             if k not in tested:
                 tested.add(k)
@@ -341,19 +342,17 @@ def solve_ft_n(
                 # the other points' Weiszfeld average; r > a_k here
                 w = config.points[k] + complex((1.0 - wts[k] / r) * pull / inv.sum())
                 continue
-        units = rel / d
-        pull = complex((wts * units).sum())
+        inv = wts / d
+        pull = complex(inv @ rel)
         rn = abs(pull)
         if rn < best[0]:
             best = (rn, w)
         if rn <= target:
             break
-        stepped = None
-        if rn <= 1e-2 * wsum:
-            stepped = _newton_step(pts, wts, w, d, units, pull, rn, near_band)
+        s0 = float(inv.sum())
+        stepped = _newton_step(pts, wts, w, rel, d, inv, s0, pull, rn, near_band)
         if stepped is None:
-            inv = wts / d
-            stepped = complex((inv * pts).sum() / inv.sum())
+            stepped = complex(inv @ pts / s0)
             if stepped == w:
                 break
         w = stepped
@@ -374,29 +373,28 @@ def solve_ft_n(
     )
 
 
-def _newton_step(pts, wts, w, d, units, pull, rn, near_band) -> Optional[complex]:
+def _newton_step(pts, wts, w, rel, d, inv, s0, pull, rn, near_band) -> Optional[complex]:
+    """Damped Newton step, halved until the pull shrinks, or None.
+
+    With u_i the unit vector from w to z_i, I - u_i u_i^T is half of I
+    minus the reflection by u_i^2, so the Hessian acts on a step s as
+    (s0 s - s2 conj(s))/2, where s2 = sum of a_i u_i^2/|z_i - w|.  It is
+    singular, as on a line of points, when |s2| reaches s0.
+    """
     import numpy as np
 
-    inv = wts / d
-    ux = units.real
-    uy = units.imag
-    hxx = float((inv * (1.0 - ux * ux)).sum())
-    hyy = float((inv * (1.0 - uy * uy)).sum())
-    hxy = float((inv * (-ux * uy)).sum())
-    det = hxx * hyy - hxy * hxy
-    if det <= 0.0 or not math.isfinite(det):
+    u = rel / d
+    s2 = complex(inv @ (u * u))
+    det = s0 * s0 - abs(s2) ** 2
+    if not 0.0 < det < math.inf:
         return None
-    gx, gy = pull.real, pull.imag
-    dx = (gx * hyy - gy * hxy) / det
-    dy = (gy * hxx - gx * hxy) / det
-    step = complex(dx, dy)
+    step = 2.0 * (s0 * pull + s2 * pull.conjugate()) / det  # H step = pull
     for _ in range(8):
         cand = w + step
-        dc = np.abs(pts - cand)
-        if dc.min() > near_band:
-            pc = complex(((pts - cand) / dc * wts).sum())
-            if abs(pc) < rn:
-                return cand
+        rel = pts - cand
+        dc = np.abs(rel)
+        if dc.min() > near_band and abs(complex((wts / dc) @ rel)) < rn:
+            return cand
         step *= 0.5
     return None
 

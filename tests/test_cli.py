@@ -137,6 +137,52 @@ def test_malformed_json(tmp_path, capsys):
     assert "Expecting value" in err
 
 
+PAIR = "expected a [x, y] pair of numbers"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("[1, 2, 3]", PAIR),
+        ("[1]", PAIR),
+        ("5", PAIR),
+        ("null", PAIR),
+        ('{"x": 1}', PAIR),
+        ('[1, "2"]', PAIR),
+        ("[true, 2]", PAIR),
+        ("[1, NaN]", "coordinates must be finite"),
+        ("[1e400, 0]", "coordinates must be finite"),
+        pytest.param("[1" + "0" * 400 + ", 0]", "coordinates must be finite", id="huge-int"),
+    ],
+)
+def test_long_point_list_names_its_bad_entry(tmp_path, capsys, bad, message):
+    # the whole list is checked at once; the message still names the entry
+    good = ", ".join(f"[{k}, {k % 7}]" for k in range(1999))
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"kind": "fermat", "points": [{good}, {bad}]}}', encoding="utf-8")
+    rc, out, err = _run(capsys, ["solve", str(path)])
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: points[1999]: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("true", "expected a number"), ('"2"', "expected a number"), ("-1", "must be positive and finite")],
+)
+def test_long_weight_list_names_its_bad_entry(tmp_path, capsys, bad, message):
+    points = ", ".join(f"[{k}, {k % 7}]" for k in range(2000))
+    weights = ", ".join(["1.5"] * 1999 + [bad])
+    path = tmp_path / "long.json"
+    path.write_text(
+        f'{{"kind": "fermat", "points": [{points}], "weights": [{weights}]}}',
+        encoding="utf-8",
+    )
+    rc, _, err = _run(capsys, ["solve", str(path)])
+    assert rc == 1
+    assert err == f"error: weights[1999]: {message}\n"
+
+
 def test_unknown_kind(tmp_path, capsys):
     path = _problem(tmp_path, "odd.json", "voronoi", [0, 1, 1j])
     rc, _, err = _run(capsys, ["solve", str(path)])
@@ -234,9 +280,22 @@ def test_certify_circle_center(tmp_path, capsys):
 def test_solve_takes_no_candidate(tmp_path, capsys, extra):
     # certify --at is the one command that checks a given location
     path = _problem(tmp_path, "eq.json", "fermat", ROOTS3)
-    with pytest.raises(SystemExit):
-        main(["solve", path, *extra])
-    assert "unrecognized arguments" in capsys.readouterr().err
+    rc, _, err = _run(capsys, ["solve", path, *extra])
+    assert rc == 1
+    assert "unrecognized arguments" in err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    # exit 2 means a refused certificate, so a mistyped command line is 1
+    path = _problem(tmp_path, "eq.json", "fermat", ROOTS3)
+    for argv in (["solve"], ["certify", path], ["solve", path, "--tol", "x"], ["frobnicate"]):
+        rc, _, err = _run(capsys, argv)
+        assert rc == 1, argv
+        assert "usage:" in err
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--help"])
+    assert info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_certify_a_single_point(tmp_path, capsys):
@@ -381,6 +440,22 @@ def test_plot_refuses_a_tampered_result(tmp_path, capsys):
         assert rc == 2, name
         assert "refusing to plot" in err
         assert not target.exists()
+
+
+def test_plot_names_the_result_document_for_a_bad_location(tmp_path, capsys):
+    path = _problem(tmp_path, "three.json", "chebyshev", [0, 1, 1j])
+    rc, out, _ = _run(capsys, ["solve", path])
+    assert rc == 0
+    payload = json.loads(out)
+    payload["solution"]["location"] = [math.inf, 0.0]
+    result = tmp_path / "bad.json"
+    result.write_text(json.dumps(payload), encoding="utf-8")
+    target = tmp_path / "bad.svg"
+    rc, _, err = _run(capsys, ["plot", path, str(result), str(target)])
+    assert rc == 1
+    assert "error: result document: non-finite coordinate" in err
+    assert "--at" not in err
+    assert not target.exists()
 
 
 # ------------------------------------------------------------ odds and ends

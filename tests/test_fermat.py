@@ -30,6 +30,7 @@ from planarloc import (
     ft_certificate,
     ft_cheby_coincide4,
     ft_objective,
+    oracle_ft,
     replacement_preserves,
     scaled_configuration,
     solve_ft3_weighted,
@@ -37,6 +38,7 @@ from planarloc import (
     solve_ft_n,
     spread,
 )
+from planarloc import fermat
 
 from conftest import (
     FAR_TRIANGLE,
@@ -242,6 +244,71 @@ def test_vertex_optimum_next_to_the_critical_weight(n):
             res = solve_ft_n(WeightedConfiguration(pts, tuple(wts)))
             assert res.solution.location == z0
             assert res.certificate.passed
+
+
+MEDIAN_FAMILIES = [
+    "uniform",
+    "clustered",
+    "collinear",
+    "near-collinear",
+    "cocircular",
+    "vertex",
+    "offset",
+]
+
+
+def _median_family(gen, family, n):
+    xy = gen.uniform(0.0, 1.0, (n, 2))
+    wts = [float(a) for a in gen.uniform(0.5, 2.0, n)]
+    if family == "clustered":
+        centers = gen.uniform(0.0, 1.0, (3, 2))[gen.integers(0, 3, n)]
+        xy = centers + gen.normal(0.0, 0.02, (n, 2))
+    elif family in ("collinear", "near-collinear"):
+        # one point per slot of width 1/n keeps them apart on the line
+        xy[:, 0] = (gen.permutation(n) + gen.uniform(0.2, 0.8, n)) / n
+        xy[:, 1] = 0.25  # on a horizontal line, exactly
+        if family == "near-collinear":
+            xy[:, 1] += 1e-9 * gen.uniform(-1.0, 1.0, n)
+    elif family == "cocircular":
+        turn = np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, n))
+        xy = np.stack([turn.real, turn.imag], axis=1)
+    pts = [complex(x, y) for x, y in xy]
+    if family == "offset":
+        pts = [z + 1e4 * (1 + 1j) for z in pts]
+    if family == "vertex":
+        # point 0 carries a thousandth more than the others' pull
+        z0 = pts[0]
+        pull = abs(sum(a * (z - z0) / abs(z - z0) for z, a in zip(pts[1:], wts[1:])))
+        wts[0] = pull * (1.0 + 1e-3)
+    return WeightedConfiguration(tuple(pts), tuple(wts))
+
+
+@pytest.mark.parametrize("n", [5, 8, 40, 400])
+@pytest.mark.parametrize("family", MEDIAN_FAMILIES)
+def test_median_families_certify_within_the_oracle_gap(monkeypatch, family, n):
+    newton_step = fermat._newton_step
+    newton = []  # each Newton step taken, None where it was refused
+
+    def recorded(*args):
+        newton.append(newton_step(*args))
+        return newton[-1]
+
+    monkeypatch.setattr(fermat, "_newton_step", recorded)
+    gen = np.random.default_rng(n)
+    for _ in range(3):
+        config = _median_family(gen, family, n)
+        res = solve_ft_n(config)
+        assert ft_certificate(config, res.location, 1e-10).passed
+        _, oval = oracle_ft(config)
+        # the grid oracle only bounds the optimum from above
+        assert res.objective <= oval + 1e-6 * config.diameter * config.total_weight
+        if family == "vertex":
+            assert res.location == config.points[0]
+    if family == "collinear":
+        # the Hessian is singular on the line: every iterate is a Weiszfeld step
+        assert not any(newton)
+    elif family in ("uniform", "offset"):
+        assert any(newton)
 
 
 def test_vertex_result_is_certified_at_the_given_tolerance():
