@@ -42,12 +42,14 @@ def _check_tol(tol: Optional[float]) -> None:
         raise documents.ProblemFormatError(f"--tol: must be positive and finite, got {tol!r}")
 
 
-def _solve_fermat(config, tol, max_iter) -> fermat.FtSolveResult:
+def _solve_fermat(config, tol, max_iter) -> tuple[fermat.FtSolveResult, float]:
+    # the median and the relative tolerance its certificate passed at: the
+    # closed forms certify at EPS_REL whatever tol is
     if config.n == 3:
-        return fermat.solve_ft3_weighted(*config.points, config.weights)
+        return fermat.solve_ft3_weighted(*config.points, config.weights), EPS_REL
     if config.n == 4 and all(a == 1.0 for a in config.weights):
-        return fermat.solve_ft4(*config.points)
-    return fermat.solve_ft_n(config, tol=tol, max_iter=max_iter)
+        return fermat.solve_ft4(*config.points), EPS_REL
+    return fermat.solve_ft_n(config, tol=tol, max_iter=max_iter), tol
 
 
 def _certify(problem, kind: str, w: complex, tol: Optional[float], source: str):
@@ -80,19 +82,21 @@ def _load(args):
 
 
 def cmd_solve(args) -> int:
+    if args.max_iter < 1:
+        raise documents.ProblemFormatError("--max-iter: must be at least 1")
     problem = _load(args)
     kind, config = problem.kind, problem.config
     tol = args.tol if args.tol is not None else 1e-10
     try:
         if kind == "fermat":
-            result = _solve_fermat(config, tol, args.max_iter)
+            result, stated_tol = _solve_fermat(config, tol, args.max_iter)
         else:
             result = cheby.solve_chebyshev_weighted(config, None)
     except (MaxIterationsExceeded, NotOrthogonal) as e:
         print(f"certification failed: {e}", file=sys.stderr)
         return 2
     if kind == "fermat":
-        doc = documents.fermat_result_document(result, tol)
+        doc = documents.fermat_result_document(result, stated_tol)
         w, value = _recertify_location(result), result.objective
         if args.oracle:
             _, oval = oracle.oracle_ft(config)

@@ -54,6 +54,14 @@ class ProblemFile:
         object.__setattr__(self, "config", config)
 
 
+def _float_or_inf(a) -> float:
+    # an integer beyond the doubles is not finite, whatever its sign
+    try:
+        return float(a)
+    except OverflowError:
+        return math.inf
+
+
 def _pair(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
@@ -61,10 +69,7 @@ def _pair(value, where: str) -> complex:
         or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
     ):
         raise ProblemFormatError(f"{where}: expected a [x, y] pair of numbers")
-    try:
-        z = complex(float(value[0]), float(value[1]))
-    except OverflowError:  # an integer beyond the doubles
-        z = complex(math.inf)
+    z = complex(_float_or_inf(value[0]), _float_or_inf(value[1]))
     if not cmath.isfinite(z):
         raise ProblemFormatError(f"{where}: coordinates must be finite")
     return z
@@ -132,7 +137,10 @@ def _load_json_problem(text: str, kind_flag: Optional[str]) -> ProblemFile:
             for i, a in enumerate(raw["weights"]):
                 if not isinstance(a, (int, float)) or isinstance(a, bool):
                     raise ProblemFormatError(f"weights[{i}]: expected a number")
-        weights = list(map(float, raw["weights"]))
+        try:
+            weights = list(map(float, raw["weights"]))
+        except OverflowError:
+            weights = list(map(_float_or_inf, raw["weights"]))
     return _validate(kind_flag or kind, points, weights)
 
 

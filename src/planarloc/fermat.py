@@ -72,8 +72,7 @@ class WeightedConfiguration:
             for a in wts:
                 if not (math.isfinite(a) and a > 0.0):
                     raise ValueError(f"weights must be positive and finite, got {a!r}")
-        diameter = spread(pts)
-        geom.ensure_distinct(pts, diameter)
+        diameter = geom.ensure_distinct(pts)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "diameter", diameter)
@@ -303,12 +302,15 @@ def solve_ft_n(
     out by the modified Weiszfeld rule of Vardi and Zhang (2000).  The
     returned location passes ft_certificate at the given relative
     tolerance; otherwise MaxIterationsExceeded carries the best iterate
-    seen.  Raises ValueError unless tol is positive and finite.
+    seen.  Raises ValueError unless tol is positive and finite and
+    max_iter at least 1.
     """
     import numpy as np
 
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     if config.n == 1:
         return _point_result(config, config.points[0], FtCase.ITERATIVE, tol)
     pts = np.asarray(config.points, dtype=complex)

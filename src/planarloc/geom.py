@@ -32,7 +32,7 @@ from .errors import (
     NotUnimodular,
     OverlappingSegments,
 )
-from .tolerances import EPS_CLASS, EPS_REL, spread
+from .tolerances import EPS_CLASS, EPS_REL, diagonal, spread
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,89 +83,86 @@ def directed_angle(u: complex, v: complex, w: complex) -> float:
     return normalize_angle(cmath.phase((w - u) / (v - u)))
 
 
-# At or below this many points the plain pair loop is faster than the grid.
-PAIR_LOOP_MAX = 32
-
-
-def ensure_distinct(points: Sequence[complex], scale: Optional[float] = None) -> None:
+def ensure_distinct(points: Sequence[complex], scale: Optional[float] = None) -> float:
     """Raise DuplicatePoints when any two points sit closer than the band.
 
-    The band is ``EPS_CLASS * scale`` (``scale`` defaults to the points'
-    spread) and a pair coincides when ``abs(z_i - z_j) <= band``.  Up to
-    ``PAIR_LOOP_MAX`` points every pair is tested.  Above that a screen
-    runs first: each axis is sorted, and a point survives only when, on
-    both axes, it sits next to a gap between consecutive coordinates no
-    wider than the band.  A pair within the band is within it along each
-    axis, so every gap between its two ends, the ones next to either end
-    included, is within the band too; the computed gaps keep this, because
-    rounding a difference is monotone.  The screen therefore drops no
-    point of a coinciding pair, and well-separated points, or all the
-    points of an axis-aligned line, leave it with nothing to compare.  An
-    axis on which more than half the gaps are within the band (shared or
-    gridded coordinates) is not used to narrow, so a lattice goes to the
-    grid whole instead of paying for sets that keep every point.  The
-    survivors are hashed into square cells at least ``2 * band`` wide,
-    indexed from the lower-left corner of their bounding box, and each is
-    compared only with the earlier ones in its 3x3 block of cells (the
-    pair loop again when few survive): a pair within the band never lies
-    farther apart than neighbouring cells.  So the decision is the pair
-    loop's, in O(n log n).  Raises ValueError when the band is not finite,
-    which happens when the spread overflows.
+    Returns the points' spread, ``tolerances.spread`` bit for bit, taken
+    from the same coordinate lists.  The band is ``EPS_CLASS * scale``
+    (``scale`` defaults to that spread) and a pair coincides when
+    ``abs(z_i - z_j) <= band``.  A screen runs first: each axis is sorted,
+    and a point survives only when, on both axes, its coordinate sits next
+    to a gap between consecutive coordinates no wider than the band.  A
+    pair within the band is within it along each axis, so every gap
+    between its two ends, the ones next to either end included, is within
+    the band too; the computed gaps keep this, because rounding a
+    difference is monotone.  The screen therefore drops no point of a
+    coinciding pair, and well-separated points, or all the points of an
+    axis-aligned line, leave it with nothing to compare; when no gap at all
+    is within the band it ends after one sort.  An axis on which more than
+    half the gaps are within the band (shared or gridded coordinates) is
+    not used to narrow, so a lattice goes to the grid whole instead of
+    paying for sets that keep every point.  The survivors are hashed into
+    square cells at least ``2 * band`` wide, indexed from the lower-left
+    corner of their bounding box, and each is compared only with the
+    earlier ones in its 3x3 block of cells: a pair within the band never
+    lies farther apart than neighbouring cells.  So the decision is that of
+    testing every pair, in O(n log n).  Raises ValueError when the band is
+    not finite, which happens when the spread overflows.
     """
     pts = list(map(complex, points))
     if not all(map(cmath.isfinite, pts)):
         require_finite(*pts)
+    xs = [z.real for z in pts]
+    ys = [z.imag for z in pts]
+    diameter = diagonal(xs, ys)
     if scale is None:
-        scale = spread(pts)
+        scale = diameter
     band = EPS_CLASS * scale
     if not math.isfinite(band):
         raise ValueError(f"coincidence band overflows: scale {scale!r} is not finite")
-    idx = range(len(pts)) if len(pts) <= PAIR_LOOP_MAX else _screen(pts, band)
-    sub = pts if len(idx) == len(pts) else list(map(pts.__getitem__, idx))
-    pair = (_pair_loop if len(sub) <= PAIR_LOOP_MAX else _grid_pair)(sub, band)
-    if pair is not None:
-        raise DuplicatePoints(f"points {idx[pair[0]]} and {idx[pair[1]]} coincide within tolerance")
+    idx = _screen(xs, ys, band)
+    if len(idx) > 1:
+        sub = pts if len(idx) == len(pts) else list(map(pts.__getitem__, idx))
+        pair = _grid_pair(sub, band)
+        if pair is not None:
+            i, j = idx[pair[0]], idx[pair[1]]
+            raise DuplicatePoints(f"points {i} and {j} coincide within tolerance")
+    return diameter
 
 
-def _screen(pts: Sequence[complex], band: float) -> Sequence[int]:
+def _screen(xs: list[float], ys: list[float], band: float) -> Sequence[int]:
     """Indices, ascending, of the points next to a gap within the band on both axes.
 
     An axis on which most points sit next to such a gap (shared or gridded
     coordinates) narrows nothing worth the set work and is left out; when
     both are, every index is returned.
     """
-    near_x = _near_on_axis([z.real for z in pts], band)
+    near_x = _near_on_axis(xs, band)
     if near_x is not None and not near_x:
         return ()
-    near_y = _near_on_axis([z.imag for z in pts], band)
+    near_y = _near_on_axis(ys, band)
     if near_x is None:
-        return range(len(pts)) if near_y is None else sorted(near_y)
+        return range(len(xs)) if near_y is None else sorted(near_y)
     return sorted(near_x if near_y is None else near_x & near_y)
 
 
 def _near_on_axis(coords: list[float], band: float) -> Optional[set[int]]:
-    """Indices next to a gap of at most ``band`` in the sorted ``coords``.
+    """Indices whose coordinate is next to a gap of at most ``band`` in sorted ``coords``.
 
-    None when more than half the gaps are that small.
+    Empty at once when no gap is that small, None when more than half are.
+    Equal coordinates are next to each other, with gap zero, so all or
+    none of them are next to such a gap.
     """
-    order = sorted(range(len(coords)), key=coords.__getitem__)
-    vals = list(map(coords.__getitem__, order))
-    gaps = map(operator.sub, islice(vals, 1, None), vals)
+    vals = sorted(coords)
+    gaps = list(map(operator.sub, vals[1:], vals))
+    if not gaps or min(gaps) > band:
+        return set()
     close = list(map(functools.partial(operator.ge, band), gaps))
     if 2 * close.count(True) > len(coords):
         return None
-    near = set(compress(order, close))
-    near.update(compress(islice(order, 1, None), close))
-    return near
-
-
-def _pair_loop(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]:
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = pts[i] - pts[j]
-            if abs(d.real) <= band and abs(d.imag) <= band and abs(d) <= band:
-                return i, j
-    return None
+    ends = set(compress(vals, close))
+    ends.update(compress(islice(vals, 1, None), close))
+    return set(compress(range(len(coords)), map(ends.__contains__, coords)))
 
 
 def _grid_pair(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]:
@@ -386,7 +383,7 @@ def quadrilateral_shape(z1: complex, z2: complex, z3: complex, z4: complex):
     nearer the lowest point in (x, y) order is taken.
     """
     zs = [complex(z1), complex(z2), complex(z3), complex(z4)]
-    ensure_distinct(zs, spread(zs))
+    ensure_distinct(zs)
     return _shape4(zs)
 
 

@@ -11,7 +11,7 @@ Two bands, both relative to the length scale of the instance at hand:
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 EPS_REL = 1e-9
 EPS_CLASS = 1e-7
@@ -29,6 +29,11 @@ def spread(points: Iterable[complex]) -> float:
         z = complex(z)
         xs.append(z.real)
         ys.append(z.imag)
+    return diagonal(xs, ys)
+
+
+def diagonal(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """``spread`` of the points with coordinates ``xs`` and ``ys``."""
     if not xs:
         return 0.0
     return math.hypot(max(xs) - min(xs), max(ys) - min(ys))

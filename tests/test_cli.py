@@ -17,7 +17,7 @@ from conftest import (
     run_planarloc,
     run_python,
 )
-from planarloc import WeightedConfiguration, solve_chebyshev, solve_ft_n
+from planarloc import EPS_REL, WeightedConfiguration, solve_chebyshev, solve_ft_n
 from planarloc.cli import main
 from planarloc.documents import (
     ResultDocument,
@@ -181,6 +181,21 @@ def test_long_weight_list_names_its_bad_entry(tmp_path, capsys, bad, message):
     rc, _, err = _run(capsys, ["solve", str(path)])
     assert rc == 1
     assert err == f"error: weights[1999]: {message}\n"
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_integer_weight_beyond_the_doubles_is_a_format_error(tmp_path, capsys, sign):
+    # float() of a 401-digit integer overflows; it is a weight that is not finite
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"kind": "fermat", "points": [[0, 0], [1, 0], [0, 1]], '
+        f'"weights": [1, 1, {sign}1{"0" * 400}]}}',
+        encoding="utf-8",
+    )
+    rc, out, err = _run(capsys, ["solve", str(path)])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: weights[2]: must be positive and finite\n"
 
 
 def test_unknown_kind(tmp_path, capsys):
@@ -523,6 +538,34 @@ def test_unusable_tolerance_is_a_format_error(tmp_path, capsys, command, tol):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: --tol: ")
+
+
+@pytest.mark.parametrize("tol", ["1e-15", "1e-6"])
+@pytest.mark.parametrize(
+    "points, weights",
+    [([0, 2, 1 + 1.5j], (1.0, 1.3, 0.8)), ([0, 2, 3 + 1j, 2 + 2j], None)],
+    ids=["three", "four"],
+)
+def test_closed_form_states_the_tolerance_it_passed_at(tmp_path, capsys, tol, points, weights):
+    # the closed forms certify at EPS_REL whatever --tol says
+    path = _problem(tmp_path, "closed.json", "fermat", points, weights)
+    rc, out, err = _run(capsys, ["solve", path, "--tol", tol])
+    assert rc == 0, err
+    doc = json.loads(out)
+    total = sum(weights or (1.0,) * len(points))
+    assert doc["tolerances"]["tol"] == EPS_REL
+    assert doc["certificate"]["tol"] == pytest.approx(EPS_REL * total, rel=1e-12)
+
+
+@pytest.mark.parametrize("max_iter", ["-1", "0"])
+@pytest.mark.parametrize("points", [[0, 2, 1 + 1.5j], FIVE], ids=["three", "five"])
+def test_max_iter_below_one_is_a_usage_error(tmp_path, capsys, max_iter, points):
+    # -1 used to be reported as a refused certificate, and ignored on three points
+    path = _problem(tmp_path, "median.json", "fermat", points)
+    rc, out, err = _run(capsys, ["solve", path, "--max-iter", max_iter])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: --max-iter: must be at least 1\n"
 
 
 def test_default_tolerance_still_refuses_a_light_vertex(tmp_path, capsys):

@@ -348,6 +348,15 @@ def test_certificate_rejects_an_overflowing_candidate():
             ft_certificate(WeightedConfiguration.of(pts), w)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_iteration_budget_below_one_is_refused(max_iter):
+    config = WeightedConfiguration.of((0, 2, 3 + 1j, 1 + 2j, -1 + 1j))
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        solve_ft_n(config, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        solve_ft_n(WeightedConfiguration.of((1 + 1j,)), max_iter=max_iter)
+
+
 @pytest.mark.parametrize("tol", [math.inf, 0.0, -1.0, math.nan])
 def test_unusable_tolerance_is_refused(tol):
     # an infinite tol passed the vertex z_1, 1.21 short of cancelling its pull

@@ -517,9 +517,7 @@ def _check_against_pair_loop(points, scale=None, reference=_pair_loop_decision):
     return False
 
 
-@pytest.mark.parametrize(
-    "n", [3, 8, geom.PAIR_LOOP_MAX, geom.PAIR_LOOP_MAX + 1, 60, 150]
-)
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 33, 60, 150])
 def test_duplicate_decisions_match_the_pair_loop(rng, n):
     found = 0
     for k in range(60):
@@ -587,7 +585,40 @@ def test_hundred_thousand_points_validate_in_linear_time(rng, shape):
 def test_one_repeated_point_is_a_duplicate():
     # zero spread: the band and the extent are both zero
     with pytest.raises(DuplicatePoints, match="points 0 and 1 coincide"):
-        geom.ensure_distinct([1 + 2j] * (geom.PAIR_LOOP_MAX + 8))
+        geom.ensure_distinct([1 + 2j] * 40)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["uniform", "offset", "vertical line", "lattice", "negative zero", "one point", "overflow"],
+)
+def test_duplicate_check_returns_the_spread(rng, shape):
+    # the spread comes from the duplicate check's own coordinate lists, and
+    # must be tolerances.spread bit for bit; an overflowing one still
+    # refuses the band it would give
+    points = [complex(x, y) for x, y in rng.uniform(-1.0, 1.0, (50, 2))]
+    if shape == "offset":
+        points = [1e8 - 1e8j + z for z in points]
+    elif shape == "vertical line":
+        points = [complex(0.25, z.imag) for z in points]
+    elif shape == "lattice":
+        points = [complex(0.1 * x, 0.3 * y) for x in range(7) for y in range(9)]
+    elif shape == "negative zero":
+        points = [complex(-0.0, 0.0), complex(0.0, 1.0), complex(-0.0, 2.5), complex(1.5, -0.0)]
+    elif shape == "one point":
+        points = [complex(-0.0, -0.0)]
+    elif shape == "overflow":
+        points = [1e308, -1e308, 1j]
+    expected = spread(points).hex()
+    assert geom.ensure_distinct(points, 1.0).hex() == expected
+    if shape == "overflow":
+        with pytest.raises(ValueError, match="coincidence band overflows"):
+            geom.ensure_distinct(points)
+        with pytest.raises(ValueError, match="coincidence band overflows"):
+            WeightedConfiguration.of(points)
+        return
+    assert geom.ensure_distinct(points).hex() == expected
+    assert WeightedConfiguration.of(points).diameter.hex() == expected
 
 
 def _block_pair_decision(points, scale):
@@ -604,7 +635,7 @@ def _block_pair_decision(points, scale):
     return False
 
 
-@pytest.mark.parametrize("n", [geom.PAIR_LOOP_MAX + 1, 2000, 10_000])
+@pytest.mark.parametrize("n", [2, 32, 33, 2000, 10_000])
 @pytest.mark.parametrize("offset", [0.0, 1e8 - 3e7j])
 def test_screen_keeps_every_pair_within_the_band(rng, n, offset):
     # planted on a diagonal both axis gaps are about 0.71 of the band, so
@@ -661,10 +692,15 @@ def test_screen_on_overflowing_gaps(rng):
 
 @pytest.mark.parametrize("shape", ["uniform", "vertical line"])
 def test_separated_points_never_reach_the_grid(rng, monkeypatch, shape):
-    def refuse(pts, band):
-        raise AssertionError(f"{len(pts)} points passed the screen")
+    # a point may pass the screen by chance, next to one neighbour on x and
+    # another on y, but never more than a handful
+    grid_pair = geom._grid_pair
 
-    monkeypatch.setattr(geom, "_grid_pair", refuse)
+    def bounded(pts, band):
+        assert len(pts) <= 32, f"{len(pts)} points passed the screen"
+        return grid_pair(pts, band)
+
+    monkeypatch.setattr(geom, "_grid_pair", bounded)
     n = 10_000
     if shape == "uniform":
         points = [complex(x, y) for x, y in rng.uniform(0.0, 1.0, (n, 2))]
@@ -677,8 +713,10 @@ def test_shared_coordinates_go_to_the_grid_whole(rng):
     # on a lattice every coordinate is shared, so neither axis narrows and
     # the grid gets every point; columns of distinct heights still clear on y
     lattice = [complex(x, y) for x in range(20) for y in range(20)]
-    assert geom._screen(lattice, EPS_CLASS * spread(lattice)) == range(len(lattice))
+    xs, ys = [z.real for z in lattice], [z.imag for z in lattice]
+    assert geom._screen(xs, ys, EPS_CLASS * spread(lattice)) == range(len(lattice))
     columns = [complex(k % 20, (k + 0.5 * rng.random()) / 400) for k in range(400)]
-    assert len(geom._screen(columns, EPS_CLASS * spread(columns))) == 0
+    xs, ys = [z.real for z in columns], [z.imag for z in columns]
+    assert len(geom._screen(xs, ys, EPS_CLASS * spread(columns))) == 0
     _check_against_pair_loop(lattice)
     assert _check_against_pair_loop(lattice + [lattice[137]])
