@@ -22,13 +22,20 @@ of an edge's length inside or outside a triangle, near-collinear
 triangles whose heavy weight is (1 +- 1e-12 ... 1e-6) times the sum of the
 others, and four collinear points; each must be certified, and its
 objective must not exceed the oracle's by more than the command line's
-gap.  Exits nonzero on the first disagreement, printing the offending
-instance so it can be frozen into a regression test.
+gap.  ``--kind l1`` checks the median's certificate ``ft_certificate`` on
+2 to 3000 points, half of the instances within twice ``ARRAY_MIN`` so both
+of its paths run often, at the certified optimum, at a heavy point that is
+the optimum, at a location within a point's band and at an arbitrary
+location, against an entrywise numpy rebuild of the functional; the
+decision must agree wherever it is not within 1e-12 of the total weight
+of flipping.  Exits nonzero on the first disagreement, printing the
+offending instance so it can be frozen into a regression test.
 
     python3 scripts/random_cross_check.py --count 200 --seed 7
     python3 scripts/random_cross_check.py --kind distinct --count 100
     python3 scripts/random_cross_check.py --kind linf --count 2000
     python3 scripts/random_cross_check.py --kind closed --count 3000
+    python3 scripts/random_cross_check.py --kind l1 --count 300
 """
 
 import argparse
@@ -343,6 +350,88 @@ def main_closed(count, seed):
     return 0
 
 
+L1_FAMILIES = ("optimum", "vertex", "in-band", "arbitrary")
+
+
+def draw_l1_instance(gen):
+    """A family name, a configuration and the location to certify there."""
+    top = 2 * pl.bjorth.ARRAY_MIN if gen.uniform() < 0.5 else 3000
+    n = int(gen.integers(2, top + 1))
+    family = L1_FAMILIES[int(gen.integers(0, len(L1_FAMILIES)))]
+    pts = [complex(x, y) for x, y in gen.uniform(0.0, 1.0, (n, 2))]
+    weights = [float(a) for a in gen.uniform(0.5, 2.0, n)]
+    if family == "vertex":
+        z0 = pts[0]
+        pull = abs(sum(a * (z - z0) / abs(z - z0) for z, a in zip(pts[1:], weights[1:])))
+        weights[0] = float(gen.uniform(1.01, 2.0)) * pull
+    config = pl.WeightedConfiguration(tuple(pts), tuple(weights))
+    if family == "optimum":
+        w = pl.solve_ft_n(config).location
+    elif family == "vertex":
+        w = pts[0]
+    elif family == "in-band":
+        turn = complex(np.exp(1j * gen.uniform(0.0, 2.0 * np.pi)))
+        w = pts[int(gen.integers(0, n))] + 0.5 * pl.EPS_CLASS * config.diameter * turn
+    else:
+        w = complex(*gen.uniform(-0.5, 1.5, 2))
+    return family, config, w
+
+
+def l1_reference(config, w, tol):
+    """The sum-norm functional's forced part, slack and free entries, entry by entry."""
+    z = np.asarray(config.points, dtype=complex)
+    a = np.asarray(config.weights, dtype=float)
+    xy = np.stack([z.real, z.imag])
+    band = pl.EPS_CLASS * float(np.hypot(*np.ptp(xy, axis=1)))
+    forced, slack, free = 0j, 0.0, []
+    for i in range(len(z)):
+        x = a[i] * (z[i] - w)
+        if abs(z[i] - w) <= band:
+            slack += a[i]
+            free.append(i)
+        else:
+            forced += complex(np.conj(x) / abs(x)) * a[i]
+    return forced, slack, free, abs(forced) - slack - tol * a.sum()
+
+
+def check_l1(gen):
+    family, config, w = draw_l1_instance(gen)
+    total = config.total_weight
+    cert = pl.ft_certificate(config, w)
+    forced, slack, free, margin = l1_reference(config, w, pl.EPS_REL)
+    ok = len(cert.d) == config.n and (cert.gamma is not None) == (len(free) == 1)
+    ok = ok and abs(cert.forced - forced) <= 1e-12 * total
+    ok = ok and abs(cert.slack - slack) <= 1e-12 * total
+    if abs(margin) <= 1e-12 * total:
+        return ok, family, cert.passed, "skipped", config, w
+    expected = bool(margin <= 0.0)
+    return ok and cert.passed == expected, family, cert.passed, expected, config, w
+
+
+def main_l1(count, seed):
+    gen = np.random.default_rng(seed)
+    tally = {}
+    for trial in range(count):
+        ok, family, got, expected, config, w = check_l1(gen)
+        if not ok:
+            print(f"l1 disagrees on trial {trial} ({family}, {config.n} points)")
+            print(f"  ft_certificate passes: {got}, entrywise rebuild: {expected}")
+            print(f"  w       = {w!r}")
+            print(f"  points  = {config.points!r}")
+            print(f"  weights = {config.weights!r}")
+            return 1
+        side = "arrays" if config.n >= pl.bjorth.ARRAY_MIN else "loops"
+        tally[side] = tally.get(side, 0) + 1
+        tally[expected] = tally.get(expected, 0) + 1
+    print(
+        f"l1: {count} trials ({tally.get('loops', 0)} on the loops, "
+        f"{tally.get('arrays', 0)} on the arrays), {tally.get(True, 0)} pass, "
+        f"{tally.get(False, 0)} refuse, {tally.get('skipped', 0)} within rounding "
+        f"of the boundary skipped, all agree"
+    )
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=200)
@@ -350,7 +439,7 @@ def main():
     ap.add_argument("--n-max", type=int, default=12)
     ap.add_argument(
         "--kind",
-        choices=("fermat", "chebyshev", "both", "distinct", "linf", "closed"),
+        choices=("fermat", "chebyshev", "both", "distinct", "linf", "closed", "l1"),
         default="both",
     )
     args = ap.parse_args()
@@ -360,6 +449,8 @@ def main():
         return main_linf(args.count, args.seed)
     if args.kind == "closed":
         return main_closed(args.count, args.seed)
+    if args.kind == "l1":
+        return main_l1(args.count, args.seed)
     gen = np.random.default_rng(args.seed)
     checks = []
     if args.kind in ("fermat", "both"):

@@ -5,7 +5,8 @@ document, ``certify --at X,Y`` checks a candidate location and prints its
 certificate, ``plot`` renders a problem plus an existing result to SVG.
 All three check a location through the one ``_certify``, for any number
 of points.  ``--tol`` is the median's; the covering circle's certificate
-takes none, and refuses one.  Exit codes: 0 success, 1 a usage error,
+takes none, and refuses one; ``plot`` re-checks a median at the
+tolerance its result document states.  Exit codes: 0 success, 1 a usage error,
 parse or validation trouble, 2 a certificate refused to pass (a solver
 that found no certified point included).  Nothing is ever printed as a
 solution without its certificate re-run first.  A problem is validated
@@ -61,6 +62,19 @@ def _certify(problem, kind: str, w: complex, tol: Optional[float], source: str):
         return cheby.cheby_certificate(problem.config, None, w)
     except ValueError as e:
         raise documents.ProblemFormatError(f"{source}: {e}") from e
+
+
+def _stated_tol(payload: dict) -> float:
+    # a median document states the relative tolerance its certificate
+    # passed at; the re-check allows it, and never less than EPS_REL, as
+    # solve's own re-check does
+    tols = payload.get("tolerances")
+    tol = tols.get("tol") if isinstance(tols, dict) else None
+    if type(tol) not in (int, float) or not 0.0 < tol < math.inf:
+        raise documents.ProblemFormatError(
+            f"result document: tolerances.tol must be positive and finite, got {tol!r}"
+        )
+    return max(tol, EPS_REL)
 
 
 def _recertify_location(result) -> complex:
@@ -158,7 +172,8 @@ def cmd_plot(args) -> int:
         raise documents.ProblemFormatError("result document: missing kind")
     sol = svgplot.solution_points(doc.payload)
     w = sol[0] if len(sol) == 1 else 0.5 * (sol[0] + sol[1])
-    if not _certify(problem, kind, w, None, "result document").passed:
+    tol = _stated_tol(doc.payload) if kind == "fermat" else None
+    if not _certify(problem, kind, w, tol, "result document").passed:
         print("certification failed: refusing to plot", file=sys.stderr)
         return 2
     try:

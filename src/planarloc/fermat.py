@@ -122,10 +122,16 @@ class WeightedConfiguration:
 
 
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
-    """Weighted distance sum at w, in numpy from ARRAY_MIN points on."""
+    """Weighted distance sum at w, in numpy from ARRAY_MIN points on.
+
+    A sum beyond the doubles is inf on both paths.
+    """
     if config.n >= ARRAY_MIN:
+        import numpy as np
+
         pts, wts = config.arrays
-        return float(wts @ abs(pts - complex(w)))
+        with np.errstate(over="ignore"):
+            return float(wts @ abs(pts - complex(w)))
     dist = map(abs, map(complex(w).__rsub__, config.points))
     return sum(map(operator.mul, config.weights, dist))
 
@@ -164,7 +170,7 @@ def ft_certificate(
         pts, wts = config.arrays
         with np.errstate(over="ignore"):
             rel = pts - w
-        mods = abs(rel)
+            mods = abs(rel)
         if mods.max() == math.inf:
             raise ValueError("offset modulus overflows: the query point is too far out")
         mask = mods <= band

@@ -18,7 +18,7 @@ from planarloc import (
     is_bj_orthogonal_linf,
     smoothness_order_linf,
 )
-from planarloc.bjorth import build_l1_certificate
+from planarloc.bjorth import ARRAY_MIN, build_l1_certificate
 
 from conftest import sample_type3, sample_type4, triangle_weights, unit
 
@@ -238,8 +238,11 @@ def _textbook_l1(x, y, mask, tol):
 
 @pytest.mark.parametrize("masked", [0, 1, 3])
 def test_l1_certificate_matches_the_entrywise_loop(rng, masked):
-    for trial in range(200):
-        n = int(rng.integers(max(masked, 1), 12))
+    # short vectors take the builder's Python loops, from ARRAY_MIN entries
+    # on its numpy arrays; both must give the entrywise functional
+    sizes = [int(rng.integers(max(masked, 1), 12)) for _ in range(200)]
+    sizes += [ARRAY_MIN - 1, ARRAY_MIN, ARRAY_MIN + 1, 200, 2000] * 4
+    for trial, n in enumerate(sizes):
         x = [complex(*rng.normal(0.0, 1.0, 2)) for _ in range(n)]
         y = [complex(*rng.normal(0.0, 1.0, 2)) for _ in range(n)]
         free = [int(i) for i in rng.choice(n, min(masked, n), replace=False)]
@@ -259,12 +262,16 @@ def test_l1_certificate_matches_the_entrywise_loop(rng, masked):
         def close(a, b, s=scale):
             return cmath.isclose(a, b, rel_tol=1e-14, abs_tol=1e-14 * s)
 
+        # a free entry points along -forced; the array path's summation
+        # order moves forced by up to 1e-14 * scale, and so its direction
+        # by that over |forced|
+        turn = max(1.0, scale / abs(ref["forced"])) if ref["forced"] else 1.0
         assert cert.passed is ref["passed"]
         assert (cert.gamma is None) is (ref["gamma"] is None)
         if cert.gamma is not None:
-            assert close(cert.gamma, ref["gamma"], 1.0)
+            assert close(cert.gamma, ref["gamma"], turn)
         assert len(cert.d) == n
-        assert all(close(a, b, 1.0) for a, b in zip(cert.d, ref["d"]))
+        assert all(close(a, b, turn if m else 1.0) for a, b, m in zip(cert.d, ref["d"], mask))
         assert close(cert.forced, ref["forced"])
         assert close(cert.slack, ref["slack"])
         assert close(cert.residual, ref["residual"])

@@ -473,6 +473,42 @@ def test_plot_names_the_result_document_for_a_bad_location(tmp_path, capsys):
     assert not target.exists()
 
 
+def _light_vertex_result(tmp_path, capsys):
+    # a median whose certificate passes at --tol 1e-6 but not at EPS_REL
+    pts, wts = light_vertex_instance()
+    path = _problem(tmp_path, "light.json", "fermat", pts, wts)
+    rc, out, err = _run(capsys, ["solve", path, "--tol", "1e-6"])
+    assert rc == 0, err
+    return path, json.loads(out)
+
+
+def test_plot_honours_the_stated_tolerance(tmp_path, capsys):
+    path, payload = _light_vertex_result(tmp_path, capsys)
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(payload), encoding="utf-8")
+    target = tmp_path / "light.svg"
+    rc, _, err = _run(capsys, ["plot", path, str(result), str(target)])
+    assert rc == 0, err
+    assert target.exists()
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, -1e-6, math.inf, math.nan, "1e-6", True])
+def test_plot_refuses_an_unusable_stated_tolerance(tmp_path, capsys, tol):
+    path, payload = _light_vertex_result(tmp_path, capsys)
+    if tol is None:
+        del payload["tolerances"]["tol"]
+    else:
+        payload["tolerances"]["tol"] = tol
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(payload), encoding="utf-8")
+    target = tmp_path / "light.svg"
+    rc, out, err = _run(capsys, ["plot", path, str(result), str(target)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: result document: tolerances.tol must be positive and finite")
+    assert not target.exists()
+
+
 # ------------------------------------------------------------ odds and ends
 
 

@@ -3,7 +3,9 @@
 import cmath
 import itertools
 import math
+import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +40,8 @@ from planarloc import (
     solve_ft_n,
     spread,
 )
-from planarloc import fermat
+from planarloc import bjorth, fermat
+from planarloc.bjorth import ARRAY_MIN
 
 from conftest import (
     FAR_TRIANGLE,
@@ -416,6 +419,77 @@ def test_certificate_rejects_other_points():
     assert not ft_certificate(EQUILATERAL, 0.5).passed
 
 
+def _on_both_paths(monkeypatch, fn):
+    """fn() as it runs, then with the Python loops forced at every n."""
+    on_arrays = fn()
+    with monkeypatch.context() as m:
+        m.setattr(fermat, "ARRAY_MIN", sys.maxsize)
+        m.setattr(bjorth, "ARRAY_MIN", sys.maxsize)
+        on_loops = fn()
+    return on_arrays, on_loops
+
+
+@pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, ARRAY_MIN + 1, 2000])
+def test_certificate_paths_agree(monkeypatch, n):
+    gen = np.random.default_rng(n)
+    pts = tuple(complex(*p) for p in gen.uniform(0.0, 1.0, (n, 2)))
+    wts = [float(a) for a in gen.uniform(0.5, 2.0, n)]
+    interior = WeightedConfiguration(pts, wts)
+    # point 0 outweighs the others' pull there, so it is the optimum and
+    # the one free entry of its certificate
+    z0 = pts[0]
+    wts[0] = 1.5 * abs(sum(a * (z - z0) / abs(z - z0) for z, a in zip(pts[1:], wts[1:])))
+    vertex = WeightedConfiguration(pts, wts)
+    cases = [
+        (interior, solve_ft_n(interior).location, True),
+        (vertex, z0, True),
+        (interior, 0.2 + 0.9j, False),
+    ]
+    on_arrays, on_loops = _on_both_paths(
+        monkeypatch,
+        lambda: [(ft_certificate(c, w), ft_objective(c, w)) for c, w, _ in cases],
+    )
+    for (config, _, passes), (a, obj_a), (b, obj_b) in zip(cases, on_arrays, on_loops):
+        scale = config.total_weight
+
+        def close(u, v, s=scale):
+            return cmath.isclose(u, v, rel_tol=1e-14, abs_tol=1e-14 * s)
+
+        assert a.passed is b.passed is passes
+        assert len(a.d) == len(b.d) == n
+        assert all(close(u, v, 1.0) for u, v in zip(a.d, b.d))
+        assert (a.gamma is None) is (b.gamma is None) is (config is not vertex)
+        if a.gamma is not None:
+            assert close(a.gamma, b.gamma, 1.0)
+        for field in ("forced", "slack", "residual", "tol"):
+            assert close(getattr(a, field), getattr(b, field)), field
+        # n positive terms: the two summation orders differ by under n ulps
+        assert obj_a == pytest.approx(obj_b, rel=1e-12)
+
+    # offsets that overflow in modulus, then outright, and unusable tolerances
+    far = WeightedConfiguration([1e308 + 1e300 * z for z in pts], wts)
+    refused = [
+        (interior, 1.7e308 + 1.7e308j, None),
+        (far, -1.7e308, None),
+        (interior, 0.5, -1.0),
+        (interior, 0.5, math.nan),
+    ]
+
+    def refusals():
+        out = []
+        for config, w, tol in refused:
+            with pytest.raises(ValueError) as info, warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy warns where Python raises
+                ft_certificate(config, w, tol)
+            out.append(str(info.value))
+        return out
+
+    on_arrays, on_loops = _on_both_paths(monkeypatch, refusals)
+    assert on_arrays == on_loops
+    expected = ["offset modulus overflows"] * 2 + ["tol must be nonnegative and finite"] * 2
+    assert all(m.startswith(e) for m, e in zip(on_arrays, expected)), on_arrays
+
+
 # ------------------------------------------------------------ perturbation
 
 
@@ -534,6 +608,52 @@ def test_weight_scaling_invariance(rng):
         assert scaled.objective == pytest.approx(lam * base.objective, rel=1e-9)
         if isinstance(base.solution, FtPoint):
             assert scaled.solution.location == pytest.approx(base.solution.location, abs=1e-8)
+
+
+SCALE_TRIANGLE = ((0j, 1 + 0j, 1j), (1.0, 1.5, 2.0))
+SCALE_MEDIANS = [
+    ((0j, 1 + 0j, 1j, -1 + 0.2j, 0.4 - 1j), (1.0, 1.5, 2.0, 1.2, 0.7)),
+    (
+        tuple(complex(*p) for p in np.random.default_rng(4).uniform(0.0, 1.0, (40, 2))),
+        tuple(float(a) for a in np.random.default_rng(5).uniform(0.5, 2.0, 40)),
+    ),
+]
+
+
+@pytest.mark.parametrize("factor", [2.0**600, 2.0**-600])
+def test_power_of_two_weights_give_the_same_location(factor):
+    # the interior triangle's squared weights, the median's Newton sums and
+    # the certificate's products used to overflow or underflow here
+    pts, wts = SCALE_TRIANGLE
+    base = solve_ft3_weighted(*pts, wts)
+    scaled = solve_ft3_weighted(*pts, [factor * a for a in wts])
+    assert scaled.case is base.case is FtCase.INTERIOR
+    assert scaled.location == base.location
+    assert scaled.objective == factor * base.objective
+    for pts, wts in SCALE_MEDIANS:
+        base = solve_ft_n(WeightedConfiguration(pts, wts))
+        scaled = solve_ft_n(WeightedConfiguration(pts, [factor * a for a in wts]))
+        assert scaled.location == base.location
+        assert scaled.certificate.passed
+        assert scaled.certificate.forced == factor * base.certificate.forced
+
+
+@pytest.mark.parametrize("factor", [1e300, 1e-300])
+def test_weights_at_the_ends_of_the_range_are_certified(factor):
+    pts, wts = SCALE_TRIANGLE
+    base = solve_ft3_weighted(*pts, wts)
+    scaled = solve_ft3_weighted(*pts, [factor * a for a in wts])
+    assert scaled.certificate.passed
+    assert scaled.location == pytest.approx(base.location, abs=1e-12)
+    for pts, wts in SCALE_MEDIANS:
+        base = solve_ft_n(WeightedConfiguration(pts, wts))
+        for zoom in (1.0, 1e10):
+            # a_i * (z_i - w) overflows at 1e300 times 1e10; the directions do not
+            config = WeightedConfiguration([zoom * z for z in pts], [factor * a for a in wts])
+            scaled = solve_ft_n(config)
+            assert scaled.certificate.passed
+            assert scaled.location == pytest.approx(zoom * base.location, abs=1e-9 * zoom)
+            assert ft_certificate(config, zoom * base.location).passed
 
 
 @st.composite
