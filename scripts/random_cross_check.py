@@ -355,7 +355,7 @@ L1_FAMILIES = ("optimum", "vertex", "in-band", "arbitrary")
 
 def draw_l1_instance(gen):
     """A family name, a configuration and the location to certify there."""
-    top = 2 * pl.bjorth.ARRAY_MIN if gen.uniform() < 0.5 else 3000
+    top = 2 * pl.fermat.ARRAY_MIN if gen.uniform() < 0.5 else 3000
     n = int(gen.integers(2, top + 1))
     family = L1_FAMILIES[int(gen.integers(0, len(L1_FAMILIES)))]
     pts = [complex(x, y) for x, y in gen.uniform(0.0, 1.0, (n, 2))]
@@ -420,7 +420,7 @@ def main_l1(count, seed):
             print(f"  points  = {config.points!r}")
             print(f"  weights = {config.weights!r}")
             return 1
-        side = "arrays" if config.n >= pl.bjorth.ARRAY_MIN else "loops"
+        side = "arrays" if config.n >= pl.fermat.ARRAY_MIN else "loops"
         tally[side] = tally.get(side, 0) + 1
         tally[expected] = tally.get(expected, 0) + 1
     print(

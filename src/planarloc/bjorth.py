@@ -38,12 +38,6 @@ from .errors import (
 )
 from .tolerances import EPS_CLASS, EPS_REL
 
-# Vectors of at least this many entries take the sum-norm passes in numpy.
-# A median's certificate and objective cost the same both ways at about 24
-# points (Intel Xeon, numpy 2.4); from 32 on the arrays are ahead by a
-# quarter.  The closed forms and small medians stay on the Python loops.
-ARRAY_MIN = 32
-
 
 @dataclass(frozen=True)
 class SupportCertificate:
@@ -93,13 +87,13 @@ def build_l1_certificate(
     ``zero_mask`` says which entries of x count as zero; callers choose the
     band (entry modulus for raw vectors, geometric coincidence for location
     problems).  Free coefficients are spent proportionally to cancel the
-    forced part, clamped to the unit disc.  Vectors of ARRAY_MIN entries or
-    more take the O(n) passes as numpy array operations, shorter ones as
-    Python loops; both give the same functional up to the order in which
-    the sums are added.
+    forced part, clamped to the unit disc.  Numpy arrays, which
+    ``fermat.ft_certificate`` passes for a large configuration, take the
+    O(n) passes as array operations, other sequences as Python loops; both
+    give the same functional up to the order in which the sums are added.
     """
     n = len(x)
-    if n >= ARRAY_MIN:
+    if hasattr(x, "dtype"):
         import numpy as np
 
         xs = np.asarray(x, dtype=complex)

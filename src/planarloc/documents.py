@@ -106,6 +106,8 @@ def _validate(kind, points, weights) -> ProblemFile:
             for i, a in enumerate(weights):
                 if not (math.isfinite(a) and a > 0.0):
                     raise ProblemFormatError(f"weights[{i}]: must be positive and finite")
+        if sum(weights) == math.inf:
+            raise ProblemFormatError("weights: their sum is beyond the doubles")
     return ProblemFile(
         kind=kind,
         points=tuple(points),
@@ -212,6 +214,16 @@ class ResultDocument:
         return cls(raw)
 
 
+def _finite_value(name: str, value: float) -> float:
+    # an objective or radius scales with the weights, and JSON has no
+    # spelling for one beyond the doubles
+    if not math.isfinite(value):
+        raise ProblemFormatError(
+            f"result document: {name} is beyond the doubles; scale the weights or the points down"
+        )
+    return float(value)
+
+
 def _c(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
@@ -254,7 +266,7 @@ def fermat_result_document(result, tol_used: float) -> ResultDocument:
         "kind": "fermat",
         "case": result.case.value,
         "solution": solution,
-        "objective": float(result.objective),
+        "objective": _finite_value("objective", result.objective),
         "vertex": None if result.vertex is None else int(result.vertex),
         "vertex_angle": None if result.vertex_angle is None else float(result.vertex_angle),
         "angles": None if result.angles is None else [float(a) for a in result.angles],
@@ -274,7 +286,7 @@ def cheby_result_document(result) -> ResultDocument:
         "kind": "chebyshev",
         "case": None,
         "solution": {"type": "point", "location": _c(result.center)},
-        "radius": float(result.radius),
+        "radius": _finite_value("radius", result.radius),
         "certificate": certificate_payload(result.certificate),
         "tolerances": {"eps_rel": EPS_REL, "eps_class": EPS_CLASS},
     }

@@ -22,8 +22,8 @@ point by the modified Weiszfeld rule.
 
 numpy enters through ``WeightedConfiguration.arrays``, the points and
 weights converted once, on first use.  The general solver always runs on
-them; the certificate and the objective do from ``bjorth.ARRAY_MIN``
-points on and take Python loops below, so the closed forms, and the
+them; the certificate and the objective do from ``ARRAY_MIN`` points on
+and take Python loops below, so the closed forms, and the
 command line on them, run without loading numpy.
 """
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 from . import geom
-from .bjorth import ARRAY_MIN, SupportCertificate, _angle_threshold, build_l1_certificate
+from .bjorth import SupportCertificate, _angle_threshold, build_l1_certificate
 from .errors import (
     CertificatePreconditionFailed,
     EmptyInput,
@@ -50,6 +50,11 @@ from .errors import (
 )
 from .tolerances import EPS_CLASS, EPS_REL, spread
 
+# Configurations of at least this many points take the certificate's and
+# the objective's passes in numpy.  Both cost the same either way at about
+# 24 points (Intel Xeon, numpy 2.4); from 32 on the arrays are ahead by a
+# quarter.  The closed forms and small medians stay on the Python loops.
+ARRAY_MIN = 32
 
 @dataclass(frozen=True)
 class WeightedConfiguration:
@@ -57,7 +62,9 @@ class WeightedConfiguration:
 
     The one validated instance of the package: the solvers, their
     certificates and the command line all take it as built.  ``diameter``
-    and ``total_weight`` are computed once, at construction.
+    and ``total_weight`` are computed once, at construction; weights whose
+    sum overflows the doubles are refused, so every tolerance scaled by the
+    total weight stays finite.
     """
 
     points: tuple[complex, ...]
@@ -76,11 +83,14 @@ class WeightedConfiguration:
             for a in wts:
                 if not (math.isfinite(a) and a > 0.0):
                     raise ValueError(f"weights must be positive and finite, got {a!r}")
+        total = sum(wts)
+        if total == math.inf:
+            raise ValueError("weights must have a finite sum, got one beyond the doubles")
         diameter = geom.ensure_distinct(pts)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "diameter", diameter)
-        object.__setattr__(self, "total_weight", sum(wts))
+        object.__setattr__(self, "total_weight", total)
 
     @classmethod
     def of(cls, points, weights=None) -> "WeightedConfiguration":
@@ -124,7 +134,8 @@ class WeightedConfiguration:
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
     """Weighted distance sum at w, in numpy from ARRAY_MIN points on.
 
-    A sum beyond the doubles is inf on both paths.
+    A sum beyond the doubles is inf on both paths, also when an offset's
+    modulus overflows.
     """
     if config.n >= ARRAY_MIN:
         import numpy as np
@@ -133,7 +144,10 @@ def ft_objective(config: WeightedConfiguration, w: complex) -> float:
         with np.errstate(over="ignore"):
             return float(wts @ abs(pts - complex(w)))
     dist = map(abs, map(complex(w).__rsub__, config.points))
-    return sum(map(operator.mul, config.weights, dist))
+    try:
+        return sum(map(operator.mul, config.weights, dist))
+    except OverflowError:  # abs of an offset beyond the doubles
+        return math.inf
 
 
 def ft_certificate(

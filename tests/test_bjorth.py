@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,8 @@ from planarloc import (
     is_bj_orthogonal_linf,
     smoothness_order_linf,
 )
-from planarloc.bjorth import ARRAY_MIN, build_l1_certificate
+from planarloc.bjorth import build_l1_certificate
+from planarloc.fermat import ARRAY_MIN
 
 from conftest import sample_type3, sample_type4, triangle_weights, unit
 
@@ -238,8 +240,9 @@ def _textbook_l1(x, y, mask, tol):
 
 @pytest.mark.parametrize("masked", [0, 1, 3])
 def test_l1_certificate_matches_the_entrywise_loop(rng, masked):
-    # short vectors take the builder's Python loops, from ARRAY_MIN entries
-    # on its numpy arrays; both must give the entrywise functional
+    # lists take the builder's Python loops and numpy arrays, which the
+    # median's certificate passes from ARRAY_MIN points on, its array
+    # passes; both must give the entrywise functional
     sizes = [int(rng.integers(max(masked, 1), 12)) for _ in range(200)]
     sizes += [ARRAY_MIN - 1, ARRAY_MIN, ARRAY_MIN + 1, 200, 2000] * 4
     for trial, n in enumerate(sizes):
@@ -255,7 +258,11 @@ def test_l1_certificate_matches_the_entrywise_loop(rng, masked):
             y[free[0]] = complex(float(rng.uniform(4.0, 20.0)), 0.0)  # enough slack
         mask = [i in free for i in range(n)]
         tol = 1e-9 * sum(abs(v) for v in y)
-        cert = build_l1_certificate(x, y, mask, tol)
+        on_arrays = n >= ARRAY_MIN
+        if on_arrays:
+            cert = build_l1_certificate(np.array(x), np.array(y), np.array(mask), tol)
+        else:
+            cert = build_l1_certificate(x, y, mask, tol)
         ref = _textbook_l1(x, y, mask, tol)
         scale = sum(abs(v) for v in y)
 
@@ -265,7 +272,9 @@ def test_l1_certificate_matches_the_entrywise_loop(rng, masked):
         # a free entry points along -forced; the array path's summation
         # order moves forced by up to 1e-14 * scale, and so its direction
         # by that over |forced|
-        turn = max(1.0, scale / abs(ref["forced"])) if ref["forced"] else 1.0
+        turn = 1.0
+        if on_arrays and ref["forced"]:
+            turn = max(1.0, scale / abs(ref["forced"]))
         assert cert.passed is ref["passed"]
         assert (cert.gamma is None) is (ref["gamma"] is None)
         if cert.gamma is not None:

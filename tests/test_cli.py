@@ -198,6 +198,33 @@ def test_integer_weight_beyond_the_doubles_is_a_format_error(tmp_path, capsys, s
     assert err == "error: weights[2]: must be positive and finite\n"
 
 
+def test_weights_summing_beyond_the_doubles_are_a_format_error(tmp_path, capsys):
+    path = _problem(tmp_path, "heavy.json", "fermat", [0, 1, 1j], (1e308,) * 3)
+    rc, out, err = _run(capsys, ["solve", path])
+    assert (rc, out) == (1, "")
+    assert err == "error: weights: their sum is beyond the doubles\n"
+
+
+@pytest.mark.parametrize("kind, value", [("fermat", "objective"), ("chebyshev", "radius")])
+def test_value_beyond_the_doubles_writes_no_document(tmp_path, capsys, kind, value):
+    # the location certifies, but its weighted distance sum (about 1e311)
+    # or radius (about 1e310) is a value JSON cannot spell
+    pts = [0, 1e10, 1e10j, 3e9 + 4e9j, 7e9 + 1e9j]
+    path = _problem(tmp_path, "far.json", kind, pts, (1e300,) * 5)
+    rc, out, err = _run(capsys, ["solve", path])
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"error: result document: {value} is beyond the doubles;"
+        " scale the weights or the points down\n"
+    )
+    # lighter weights keep every value finite, and the document strict JSON
+    path = _problem(tmp_path, "light.json", kind, pts, (1e297,) * 5)
+    rc, out, _ = _run(capsys, ["solve", path])
+    assert rc == 0
+    doc = json.loads(out, parse_constant=pytest.fail)
+    assert 1e306 < doc[value] < math.inf
+
+
 def test_unknown_kind(tmp_path, capsys):
     path = _problem(tmp_path, "odd.json", "voronoi", [0, 1, 1j])
     rc, _, err = _run(capsys, ["solve", str(path)])

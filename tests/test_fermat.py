@@ -40,8 +40,8 @@ from planarloc import (
     solve_ft_n,
     spread,
 )
-from planarloc import bjorth, fermat
-from planarloc.bjorth import ARRAY_MIN
+from planarloc import fermat
+from planarloc.fermat import ARRAY_MIN
 
 from conftest import (
     FAR_TRIANGLE,
@@ -424,7 +424,6 @@ def _on_both_paths(monkeypatch, fn):
     on_arrays = fn()
     with monkeypatch.context() as m:
         m.setattr(fermat, "ARRAY_MIN", sys.maxsize)
-        m.setattr(bjorth, "ARRAY_MIN", sys.maxsize)
         on_loops = fn()
     return on_arrays, on_loops
 
@@ -488,6 +487,14 @@ def test_certificate_paths_agree(monkeypatch, n):
     assert on_arrays == on_loops
     expected = ["offset modulus overflows"] * 2 + ["tol must be nonnegative and finite"] * 2
     assert all(m.startswith(e) for m, e in zip(on_arrays, expected)), on_arrays
+
+    def far_objective():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return ft_objective(interior, 1.7e308 + 1.7e308j)
+
+    # the objective reports such an offset as the inf its sum is
+    assert _on_both_paths(monkeypatch, far_objective) == (math.inf, math.inf)
 
 
 # ------------------------------------------------------------ perturbation
@@ -654,6 +661,22 @@ def test_weights_at_the_ends_of_the_range_are_certified(factor):
             assert scaled.certificate.passed
             assert scaled.location == pytest.approx(zoom * base.location, abs=1e-9 * zoom)
             assert ft_certificate(config, zoom * base.location).passed
+
+
+def test_weights_summing_beyond_the_doubles_are_refused():
+    # each weight is finite, but a pass bound scaled by their sum would be
+    # inf and pass every location
+    pts = (0j, 1 + 0j, 1j)
+    with pytest.raises(ValueError, match="finite sum"):
+        WeightedConfiguration(pts, (1e308,) * 3)
+    with pytest.raises(ValueError, match="finite sum"):
+        solve_ft3_weighted(*pts, (1e308,) * 3)
+    with pytest.raises(ValueError, match="finite sum"):
+        WeightedConfiguration([complex(k, k % 7) for k in range(40)], (1e307,) * 40)
+    # just below the largest sum a far location is refused, the optimum not
+    heavy = WeightedConfiguration(pts, (5e307,) * 3)
+    assert not ft_certificate(heavy, 5 + 5j).passed
+    assert ft_certificate(heavy, solve_ft3_weighted(*pts, (5e307,) * 3).location).passed
 
 
 @st.composite
