@@ -142,6 +142,8 @@ def is_bj_orthogonal_l1(
     """Certificate for x orthogonal to y in the sum norm, or None.
 
     Entries of x within EPS_CLASS * max|x| of zero count as zero entries.
+    Raises ValueError when the moduli of y sum past the largest double,
+    where the forced part and the default tolerance would be inf.
     """
     xs = _entries(x, "x")
     ys = _entries(y, "y")
@@ -150,8 +152,14 @@ def is_bj_orthogonal_l1(
     top = max(abs(v) for v in xs)
     if top == 0.0:
         raise ZeroVector("x must be nonzero")
+    try:
+        total = sum(map(abs, ys))
+    except OverflowError:  # abs of an entry beyond the doubles
+        total = math.inf
+    if total == math.inf:
+        raise ValueError("the moduli of y must have a finite sum")
     if tol is None:
-        tol = EPS_REL * sum(abs(v) for v in ys)
+        tol = EPS_REL * total
     mask = [abs(v) <= EPS_CLASS * top for v in xs]
     cert = build_l1_certificate(xs, ys, mask, tol)
     return cert if cert.passed else None
@@ -266,12 +274,10 @@ def _slot_split(c: Sequence[complex]) -> tuple[list[int], list[int]]:
 def _angle_threshold(a_i: float, a_j: float, a_k: float) -> float:
     """Cosine of the angle between u_j and u_k when a_i*u_i + a_j*u_j + a_k*u_k = 0.
 
-    The weights are divided by the largest first, so no square overflows
-    or underflows whatever their common scale.
+    Taken in weight ratios, so no square overflows or underflows whatever
+    their common scale; the callers' triangle condition bounds the ratios.
     """
-    top = max(a_i, a_j, a_k)
-    a_i, a_j, a_k = a_i / top, a_j / top, a_k / top
-    return (a_i * a_i - a_j * a_j - a_k * a_k) / (2.0 * a_j * a_k)
+    return 0.5 * ((a_i / a_j) * (a_i / a_k) - a_j / a_k - a_k / a_j)
 
 
 def classify_l1_orthogonal_3(

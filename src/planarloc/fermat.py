@@ -119,16 +119,16 @@ class WeightedConfiguration:
         conversion; a configuration that never reaches them never imports
         numpy.
         """
-        try:
-            return self.__dict__["_arrays"]
-        except KeyError:
+        arrays = self.__dict__.get("_arrays")
+        if arrays is None:
             import numpy as np
 
             pts = np.array(self.points, dtype=complex)
             wts = np.array(self.weights, dtype=float)
             pts.flags.writeable = wts.flags.writeable = False
-            object.__setattr__(self, "_arrays", (pts, wts))
-            return pts, wts
+            arrays = pts, wts
+            object.__setattr__(self, "_arrays", arrays)
+        return arrays
 
 
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
@@ -366,8 +366,8 @@ def solve_ft_n(
     returned location passes ft_certificate at the given relative
     tolerance; otherwise MaxIterationsExceeded carries the best iterate
     seen.  The iteration runs on the configuration's numpy arrays, with
-    the weights divided by the largest, so weights of any finite scale
-    give the same iterates, and a common power-of-two factor the same
+    the weights divided by their total, so weights of any scale whose
+    sum is finite give the same iterates, and a common power-of-two factor the same
     location to the bit.  Raises ValueError unless tol is positive and
     finite and max_iter at least 1.
     """
@@ -378,13 +378,11 @@ def solve_ft_n(
     if config.n == 1:
         return _point_result(config, config.points[0], FtCase.ITERATIVE, tol)
     pts, wts = config.arrays
-    top = float(wts.max())
-    wts = wts / top
-    wsum = config.total_weight / top
+    wts = wts / config.total_weight  # shares of the total, which sum to 1
     near_band = EPS_CLASS * config.diameter
-    target = tol * wsum
+    target = tol
     tested = set()
-    w = complex(wts @ pts / wsum)
+    w = complex(wts @ pts)
     best = (math.inf, w)
     for _ in range(max_iter):
         rel = pts - w

@@ -79,6 +79,14 @@ def test_zero_vector_rejected():
         smoothness_order_linf((0, 0, 0))
 
 
+@pytest.mark.parametrize("y", [(1e308,) * 3, (1, 1, 1.7e308 + 1.7e308j)])
+def test_y_summing_beyond_the_doubles_is_refused(y):
+    # the forced part and the default tolerance would both be inf, and
+    # (1, 1, 1) would pass against (1, 1, 1)
+    with pytest.raises(ValueError, match="finite sum"):
+        is_bj_orthogonal_l1((1, 1, 1), y)
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatch):
         is_bj_orthogonal_l1((1, 2), (1, 1, 1))
