@@ -6,10 +6,14 @@ the oracle.  The median is checked twice: by the general solver on n
 points, drawn in turn uniform, in clusters, exactly on a horizontal line
 (where its Newton step is always refused) and within 1e-9 of one, and by
 the three-point closed form on a triangle.  ``--kind
-distinct`` instead checks the duplicate test ``geom.ensure_distinct``
-against a numpy brute-force pair test on 2 to 3000 points: uniform, on
-an axis-aligned line, on a lattice at 0.999, 1 or 1.001 of the band, or
-with a planted pair.
+distinct`` instead checks the duplicate test ``geom.ensure_distinct``,
+handed each instance once as a list (its Python passes) and once as a
+numpy array (its array passes), against a numpy brute-force pair test:
+2 to 3000 points uniform, on an axis-aligned line or with a planted pair,
+and ``fermat.ARRAY_MIN`` to 10000 points on a lattice at 0.999, 1 or
+1.001 of the band or on a regular polygon, with or without a planted
+pair, where every point reaches the neighbour check.  The families are
+taken in turn, those two first, so a short sweep runs both.
 ``--kind linf`` checks the max-norm test ``is_bj_orthogonal_linf`` on
 random x and y (generic, an exactly antipodal max pair, cocircular maxima,
 y zero on a maximal entry, moduli from 1e-300 to 1e300) against an
@@ -121,10 +125,16 @@ def brute_force_pair(pts, band):
     return None
 
 
-def draw_distinct_instance(gen):
-    n = int(gen.integers(2, 3001))
+# every point of the first two reaches the neighbour check
+DISTINCT_FAMILIES = ("cocircular", "lattice", "uniform", "vertical", "horizontal", "planted")
+
+
+def draw_distinct_instance(gen, family):
+    if family in ("cocircular", "lattice"):
+        n = int(gen.integers(pl.fermat.ARRAY_MIN, 10_001))
+    else:
+        n = int(gen.integers(2, 3001))
     offset = complex(*gen.uniform(-1.0, 1.0, 2)) * 10.0 ** gen.uniform(0.0, 8.0)
-    family = str(gen.choice(["uniform", "vertical", "horizontal", "lattice", "planted"]))
     xy = gen.uniform(0.0, 1.0, (n, 2))
     scale = None
     if family == "vertical":
@@ -136,10 +146,19 @@ def draw_distinct_instance(gen):
         side = int(np.ceil(np.sqrt(n)))
         xy = np.array([(k // side, k % side) for k in range(n)], dtype=float)
         scale = 1.0 / (float(gen.choice([0.999, 1.0, 1.001])) * pl.EPS_CLASS)
+    elif family == "cocircular":
+        # with n even, mirror images share an x or a y up to rounding, so
+        # every point is next to a gap within the band on both axes; an
+        # offset of at most 1e3 radii keeps that rounding within the band
+        n -= n % 2
+        turn = 2.0 * np.pi * np.arange(n) / n
+        radius = 10.0 ** gen.uniform(-3.0, 3.0)
+        xy = radius * np.column_stack((np.cos(turn), np.sin(turn)))
+        offset *= radius * 1e-5
     pts = [offset + complex(x, y) for x, y in xy]
     if scale is None:
         scale = pl.spread(pts)
-    if family == "planted":
+    if family == "planted" or (family == "cocircular" and gen.random() < 0.5):
         i, j = (int(v) for v in gen.choice(n, 2, replace=False))
         turn = complex(np.exp(1j * gen.uniform(0.0, 2.0 * np.pi)))
         factor = float(gen.choice([0.5, 0.999, 1.001, 2.0]))
@@ -147,18 +166,24 @@ def draw_distinct_instance(gen):
     return family, pts, scale
 
 
-def check_distinct(gen):
-    family, pts, scale = draw_distinct_instance(gen)
-    expected = brute_force_pair(pts, pl.EPS_CLASS * scale)
+def named_pair(handed, scale):
+    """The pair ensure_distinct names on ``handed``, or None when it finds none."""
     try:
-        pl.geom.ensure_distinct(pts, scale)
-        got = None
+        pl.geom.ensure_distinct(handed, scale)
     except pl.DuplicatePoints as e:
-        got = tuple(int(t) for t in re.findall(r"\d+", str(e)))
-    ok = (got is None) == (expected is None)
-    if got is not None:
-        i, j = got
-        ok = ok and i != j and abs(pts[i] - pts[j]) <= pl.EPS_CLASS * scale
+        return tuple(int(t) for t in re.findall(r"\d+", str(e)))
+    return None
+
+
+def check_distinct(gen, family):
+    family, pts, scale = draw_distinct_instance(gen, family)
+    band = pl.EPS_CLASS * scale
+    expected = brute_force_pair(pts, band)
+    got = [named_pair(pts, scale), named_pair(np.asarray(pts, dtype=complex), scale)]
+    ok = all((pair is None) == (expected is None) for pair in got)
+    for pair in filter(None, got):
+        i, j = pair
+        ok = ok and i != j and abs(pts[i] - pts[j]) <= band
     return ok, family, got, expected, pts, scale
 
 
@@ -166,15 +191,17 @@ def main_distinct(count, seed):
     gen = np.random.default_rng(seed)
     found = 0
     for trial in range(count):
-        ok, family, got, expected, pts, scale = check_distinct(gen)
+        family = DISTINCT_FAMILIES[trial % len(DISTINCT_FAMILIES)]
+        ok, family, got, expected, pts, scale = check_distinct(gen, family)
         if not ok:
             print(f"distinct disagrees on trial {trial} ({family}, {len(pts)} points)")
-            print(f"  ensure_distinct names {got}, the pair test finds {expected}")
+            print(f"  ensure_distinct names {got[0]} on a list and {got[1]} on an array,")
+            print(f"  the pair test finds {expected}")
             print(f"  scale  = {scale!r}")
             print(f"  points = {pts!r}")
             return 1
         found += expected is not None
-    print(f"distinct: {count} trials, {found} with a pair within the band, all agree")
+    print(f"distinct: {count} trials, {found} with a pair within the band, both paths agree")
     return 0
 
 

@@ -66,6 +66,9 @@ class SupportCertificate:
     gamma: Optional[complex] = None
 
 
+_X_OVERFLOWS = "the modulus of an entry of x overflows the doubles"
+
+
 def _entries(x: Sequence[complex], name: str) -> tuple[complex, ...]:
     out = tuple(complex(v) for v in x)
     if not out:
@@ -142,14 +145,16 @@ def is_bj_orthogonal_l1(
     """Certificate for x orthogonal to y in the sum norm, or None.
 
     Entries of x within EPS_CLASS * max|x| of zero count as zero entries.
-    Raises ValueError when the moduli of y sum past the largest double,
-    where the forced part and the default tolerance would be inf.
+    Raises ValueError when the modulus of an entry of x overflows the
+    doubles, or the moduli of y sum past the largest double, where the
+    forced part and the default tolerance would be inf.
     """
     xs = _entries(x, "x")
     ys = _entries(y, "y")
     if len(xs) != len(ys):
         raise LengthMismatch("vectors must have equal length")
-    top = max(abs(v) for v in xs)
+    mods = geom._moduli(xs, _X_OVERFLOWS)
+    top = max(mods)
     if top == 0.0:
         raise ZeroVector("x must be nonzero")
     try:
@@ -160,7 +165,7 @@ def is_bj_orthogonal_l1(
         raise ValueError("the moduli of y must have a finite sum")
     if tol is None:
         tol = EPS_REL * total
-    mask = [abs(v) <= EPS_CLASS * top for v in xs]
+    mask = [m <= EPS_CLASS * top for m in mods]
     cert = build_l1_certificate(xs, ys, mask, tol)
     return cert if cert.passed else None
 
@@ -211,12 +216,15 @@ def build_linf_certificate(
 def is_bj_orthogonal_linf(
     x: Sequence[complex], y: Sequence[complex]
 ) -> Optional[SupportCertificate]:
-    """Certificate for x orthogonal to y in the max norm, or None."""
+    """Certificate for x orthogonal to y in the max norm, or None.
+
+    Raises ValueError when the modulus of an entry of x overflows the doubles.
+    """
     xs = _entries(x, "x")
     ys = _entries(y, "y")
     if len(xs) != len(ys):
         raise LengthMismatch("vectors must have equal length")
-    support = linf_support(list(map(abs, xs)))
+    support = linf_support(geom._moduli(xs, _X_OVERFLOWS))
     cert = build_linf_certificate(xs, ys, support)
     return cert if cert.passed else None
 

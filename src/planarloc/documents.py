@@ -199,7 +199,9 @@ class ResultDocument:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.payload, indent=2) + "\n"
+        # strict JSON: a non-finite float raises here instead of leaving as
+        # a token such as Infinity that JSON parsers reject
+        return json.dumps(self.payload, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ResultDocument":
@@ -233,12 +235,13 @@ def certificate_payload(cert) -> dict:
 
     The functional ``d`` is left out: a verifier rebuilds it from the
     problem and the location (see the README).  ``t`` is given over
-    ``support`` only.
+    ``support`` only.  A refused max-norm certificate has no functional,
+    and its infinite residual is written as null.
     """
     return {
         "space": cert.space,
         "passed": bool(cert.passed),
-        "residual": float(cert.residual),
+        "residual": None if cert.residual == math.inf else float(cert.residual),
         "forced": _c(cert.forced),
         "slack": float(cert.slack),
         "tol": float(cert.tol),

@@ -21,10 +21,14 @@ point it comes nearest once as the optimum and steps out of a refused
 point by the modified Weiszfeld rule.
 
 numpy enters through ``WeightedConfiguration.arrays``, the points and
-weights converted once, on first use.  The general solver always runs on
-them; the certificate and the objective do from ``ARRAY_MIN`` points on
-and take Python loops below, so the closed forms, and the
-command line on them, run without loading numpy.
+weights converted once.  A configuration of ``ARRAY_MIN`` or more points
+converts them as it validates, when numpy is already loaded, and checks
+its points for duplicates on the arrays; otherwise it validates in Python
+and converts on first use.  Validation never imports numpy.  The general
+solver always runs on the arrays; the certificate and the objective do
+from ``ARRAY_MIN`` points on and take Python loops below, so the closed
+forms, the covering circle, and the command line on them, run without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import enum
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -64,7 +69,11 @@ class WeightedConfiguration:
     certificates and the command line all take it as built.  ``diameter``
     and ``total_weight`` are computed once, at construction; weights whose
     sum overflows the doubles are refused, so every tolerance scaled by the
-    total weight stays finite.
+    total weight stays finite.  From ``ARRAY_MIN`` points on, when numpy is
+    already loaded, construction converts the points and weights to the
+    arrays that ``arrays`` returns and hands the point array to
+    ``geom.ensure_distinct``, which then takes array passes.  Construction
+    never imports numpy itself.
     """
 
     points: tuple[complex, ...]
@@ -79,14 +88,19 @@ class WeightedConfiguration:
             raise EmptyInput("a configuration needs at least one point")
         if len(pts) != len(wts):
             raise LengthMismatch("one weight per point")
-        if not (all(map(math.isfinite, wts)) and min(wts) > 0.0):
+        total = sum(wts)
+        # min may pass over a NaN, but the sum is then NaN; with an inf it is inf
+        if not (min(wts) > 0.0 and total < math.inf):
             for a in wts:
                 if not (math.isfinite(a) and a > 0.0):
                     raise ValueError(f"weights must be positive and finite, got {a!r}")
-        total = sum(wts)
-        if total == math.inf:
             raise ValueError("weights must have a finite sum, got one beyond the doubles")
-        diameter = geom.ensure_distinct(pts)
+        if len(pts) >= ARRAY_MIN and "numpy" in sys.modules:
+            arrays = _as_arrays(pts, wts)
+            object.__setattr__(self, "_arrays", arrays)
+            diameter = geom.ensure_distinct(arrays[0])
+        else:
+            diameter = geom.ensure_distinct(pts)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "diameter", diameter)
@@ -113,22 +127,27 @@ class WeightedConfiguration:
 
     @property
     def arrays(self):
-        """The points and weights as read-only numpy arrays, built on first use.
+        """The points and weights as read-only numpy arrays, converted once.
 
         The solvers and certificates that take array passes share this one
-        conversion; a configuration that never reaches them never imports
-        numpy.
+        conversion: the one made at construction when there was one,
+        otherwise one made on first use.  A configuration that never
+        reaches them never imports numpy.
         """
         arrays = self.__dict__.get("_arrays")
         if arrays is None:
-            import numpy as np
-
-            pts = np.array(self.points, dtype=complex)
-            wts = np.array(self.weights, dtype=float)
-            pts.flags.writeable = wts.flags.writeable = False
-            arrays = pts, wts
+            arrays = _as_arrays(self.points, self.weights)
             object.__setattr__(self, "_arrays", arrays)
         return arrays
+
+
+def _as_arrays(points, weights):
+    import numpy as np
+
+    pts = np.array(points, dtype=complex)
+    wts = np.array(weights, dtype=float)
+    pts.flags.writeable = wts.flags.writeable = False
+    return pts, wts
 
 
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:

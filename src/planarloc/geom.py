@@ -42,14 +42,16 @@ def require_finite(*zs: complex) -> None:
         raise ValueError(f"non-finite coordinate {z!r}")
 
 
-def _moduli(offsets) -> list[float]:
-    """The modulus of each offset; ValueError when one overflows the double range."""
+def _moduli(
+    offsets, error: str = "offset modulus overflows: the query point is too far out"
+) -> list[float]:
+    """The modulus of each offset; ValueError(error) when one overflows the double range."""
     try:
         mods = list(map(abs, offsets))
     except OverflowError:
         mods = [math.inf]
     if math.inf in mods:
-        raise ValueError("offset modulus overflows: the query point is too far out")
+        raise ValueError(error)
     return mods
 
 
@@ -108,7 +110,15 @@ def ensure_distinct(points: Sequence[complex], scale: Optional[float] = None) ->
     lies farther apart than neighbouring cells.  So the decision is that of
     testing every pair, in O(n log n).  Raises ValueError when the band is
     not finite, which happens when the spread overflows.
+
+    A numpy array of two or more points takes the same steps as array
+    passes (``_distinct_array``), the rule ``bjorth.build_l1_certificate``
+    follows; ``fermat.WeightedConfiguration`` hands one over from
+    ``fermat.ARRAY_MIN`` points on when numpy is already loaded.  Any other
+    sequence takes the Python passes, so validation never imports numpy.
     """
+    if hasattr(points, "dtype") and len(points) > 1:
+        return _distinct_array(points, scale)
     pts = list(map(complex, points))
     if not all(map(cmath.isfinite, pts)):
         require_finite(*pts)
@@ -188,6 +198,106 @@ def _grid_pair(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]
                     if abs(d.real) <= band and abs(d.imag) <= band and abs(d) <= band:
                         return i, j
         cells.setdefault(key, []).append(j)
+    return None
+
+
+def _distinct_array(points, scale: Optional[float]) -> float:
+    """``ensure_distinct`` on a numpy array of at least two points.
+
+    The checks, the spread, the band and the screen are those of the
+    Python passes, taken on arrays: the spread from the extremes of each
+    axis, the screen from each axis sorted by ``np.sort``.  Both axes always
+    narrow, since a mask costs the same however many points it keeps.  The
+    survivors go to ``_array_pair`` in place of the dict grid.
+    """
+    import numpy as np
+
+    pts = np.asarray(points, dtype=complex)
+    if not np.isfinite(pts).all():
+        require_finite(*pts.tolist())
+    xs, ys = pts.real, pts.imag
+    # tolerances.diagonal: the extremes are the lists' max and min exactly
+    diameter = math.hypot(
+        float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min())
+    )
+    if scale is None:
+        scale = diameter
+    band = EPS_CLASS * scale
+    if not math.isfinite(band):
+        raise ValueError(f"coincidence band overflows: scale {scale!r} is not finite")
+    near_x = _near_on_axis_array(xs, band)
+    near_y = None if near_x is None else _near_on_axis_array(ys, band)
+    if near_y is not None:
+        idx = np.flatnonzero(near_x & near_y)
+        pair = _array_pair(pts[idx], band) if len(idx) > 1 else None
+        if pair is not None:
+            i, j = sorted(int(idx[k]) for k in pair)
+            raise DuplicatePoints(f"points {i} and {j} coincide within tolerance")
+    return diameter
+
+
+def _near_on_axis_array(coords, band: float):
+    """Mask of the coordinates next to a gap of at most ``band`` in sorted ``coords``.
+
+    None when no gap is that small.  ``_near_on_axis`` as array passes: a
+    coordinate is next to such a gap when its value ends one, so equal
+    coordinates are all next to one or none are.  A gap that overflows is
+    inf, wider than every band.
+    """
+    import numpy as np
+
+    vals = np.sort(coords)
+    with np.errstate(over="ignore"):
+        close = np.diff(vals) <= band
+    if not close.any():
+        return None
+    ends = np.zeros(len(vals), dtype=bool)
+    ends[:-1] = close
+    ends[1:] |= close
+    ends = vals[ends]
+    at = np.minimum(np.searchsorted(ends, coords), len(ends) - 1)
+    return ends[at] == coords
+
+
+def _array_pair(pts, band: float) -> Optional[tuple[int, int]]:
+    """Indices of two points of the array ``pts`` within the band, or None.
+
+    ``_grid_pair`` as array passes.  The cells are the same, except that one
+    is never narrower than the extent times 2**-21, so a key, column times
+    stride plus row, stays below 2**43 and fits int64.  With the points
+    sorted by key, each one meets the later points of its own cell and
+    every point of the 4 neighbouring cells that come after its cell (up,
+    and the three of the next column), so each pair of neighbouring cells
+    is searched once.  The search is one array pass per rank within a cell,
+    over the points that still have a partner of that rank.
+    """
+    import numpy as np
+
+    hx, hy = 0.5 * pts.real, 0.5 * pts.imag
+    x0, y0 = hx.min(), hy.min()
+    extent = max(hx.max() - x0, hy.max() - y0)
+    cell = max(band, extent * 2.0**-21) or 1.0
+    stride = int(extent / cell) + 3
+    keys = ((hx - x0) / cell).astype(np.int64) * stride + ((hy - y0) / cell).astype(np.int64)
+    order = np.argsort(keys)
+    keys, zs = keys[order], pts[order]
+    for off in (0, 1, stride - 1, stride, stride + 1):
+        if off:
+            lo = np.searchsorted(keys, keys + off)
+            hi = np.searchsorted(keys, keys + off, "right")
+        else:
+            lo, hi = np.arange(1, len(keys) + 1), np.searchsorted(keys, keys, "right")
+        live = np.flatnonzero(lo < hi)
+        mate = lo[live]
+        while live.size:
+            with np.errstate(over="ignore"):
+                close = abs(zs[live] - zs[mate]) <= band
+            if close.any():
+                k = int(np.argmax(close))
+                return int(order[live[k]]), int(order[mate[k]])
+            mate += 1
+            keep = mate < hi[live]
+            live, mate = live[keep], mate[keep]
     return None
 
 

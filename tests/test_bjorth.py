@@ -87,6 +87,15 @@ def test_y_summing_beyond_the_doubles_is_refused(y):
         is_bj_orthogonal_l1((1, 1, 1), y)
 
 
+@pytest.mark.parametrize("test", [is_bj_orthogonal_l1, is_bj_orthogonal_linf])
+@pytest.mark.parametrize("x", [(1.7e308 + 1.7e308j, 1), (1, -1.7e308 + 1.7e308j, 0)])
+def test_x_whose_modulus_overflows_is_refused(test, x):
+    # a finite entry beyond the doubles in modulus: no maximal entry or
+    # zero band can be told, so the test refuses it as malformed input
+    with pytest.raises(ValueError, match="modulus of an entry of x overflows"):
+        test(x, (1,) * len(x))
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(LengthMismatch):
         is_bj_orthogonal_l1((1, 2), (1, 1, 1))

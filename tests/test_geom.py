@@ -500,24 +500,33 @@ def _pair_loop_decision(points, scale):
     return False
 
 
+def _both_paths(points):
+    # ensure_distinct takes Python passes on a list, array passes on an array
+    return [list(points), np.asarray(points, dtype=complex)]
+
+
 def _check_against_pair_loop(points, scale=None, reference=_pair_loop_decision):
-    """ensure_distinct must decide like the pair loop and name a true pair."""
+    """ensure_distinct must decide like the pair loop and name a true pair.
+
+    Checked on both paths: the points handed over as a list and as an array.
+    """
     scale = spread(points) if scale is None else scale
     expected = reference(points, scale)
-    try:
-        geom.ensure_distinct(points, scale)
-    except DuplicatePoints as e:
-        named = re.fullmatch(r"points (\d+) and (\d+) coincide within tolerance", str(e))
-        i, j = (int(t) for t in named.groups())
-        assert i != j
-        assert abs(points[i] - points[j]) <= EPS_CLASS * scale
-        assert expected, "grid reports a pair the pair loop does not"
-        return True
-    assert not expected, "grid misses a pair the pair loop finds"
-    return False
+    for handed in _both_paths(points):
+        try:
+            geom.ensure_distinct(handed, scale)
+        except DuplicatePoints as e:
+            named = re.fullmatch(r"points (\d+) and (\d+) coincide within tolerance", str(e))
+            i, j = (int(t) for t in named.groups())
+            assert i != j
+            assert abs(points[i] - points[j]) <= EPS_CLASS * scale
+            assert expected, "grid reports a pair the pair loop does not"
+        else:
+            assert not expected, "grid misses a pair the pair loop finds"
+    return expected
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 32, 33, 60, 150])
+@pytest.mark.parametrize("n", [2, 3, 8, 31, 32, 33, 60, 150])
 def test_duplicate_decisions_match_the_pair_loop(rng, n):
     found = 0
     for k in range(60):
@@ -552,27 +561,36 @@ def test_duplicate_decisions_on_a_lattice_at_the_band(factor, offset):
 
 def test_tiny_scale_takes_the_pair_loop_answer(rng):
     points = [complex(x, y) for x, y in rng.uniform(0.0, 1.0, (100, 2))]
-    geom.ensure_distinct(points, 1e-310)
-    with pytest.raises(DuplicatePoints):
-        geom.ensure_distinct(points + [points[40]], 1e-310)
+    for handed in _both_paths(points):
+        geom.ensure_distinct(handed, 1e-310)
+    for handed in _both_paths(points + [points[40]]):
+        with pytest.raises(DuplicatePoints, match="points 40 and 100 coincide"):
+            geom.ensure_distinct(handed, 1e-310)
 
 
 def test_overflowing_spread_is_not_a_duplicate():
     points = [1e308, -1e308, 1j]
-    with pytest.raises(ValueError, match="overflows"):
-        geom.ensure_distinct(points)
+    for handed in _both_paths(points):
+        with pytest.raises(ValueError, match="overflows"):
+            geom.ensure_distinct(handed)
     with pytest.raises(ValueError, match="overflows"):
         WeightedConfiguration.of(points)
     # a finite band on the same coordinates sees three distinct points
-    geom.ensure_distinct(points, 1.0)
-    geom.ensure_distinct(points + [complex(k) for k in range(40)], 1.0)
+    for handed in _both_paths(points) + _both_paths(points + [complex(k) for k in range(40)]):
+        geom.ensure_distinct(handed, 1.0)
+    # and so does a configuration past ARRAY_MIN, on its arrays
+    with pytest.raises(ValueError, match="overflows"):
+        WeightedConfiguration.of(points + [complex(k) for k in range(40)])
 
 
-@pytest.mark.parametrize("shape", ["uniform", "vertical line", "horizontal line"])
+@pytest.mark.parametrize("shape", ["uniform", "vertical line", "horizontal line", "cocircular"])
 def test_hundred_thousand_points_validate_in_linear_time(rng, shape):
     n = 100_000
     if shape == "uniform":
         points = [complex(x, y) for x, y in rng.uniform(0.0, 1.0, (n, 2))]
+    elif shape == "cocircular":
+        # every point survives the screen: see the neighbour check's test
+        points = list(np.exp(2j * np.pi * np.arange(n) / n))
     else:
         line = [complex(0.5, (k + 0.5 * rng.random()) / n) for k in rng.permutation(n)]
         points = line if shape == "vertical line" else [z.imag + 0.5j for z in line]
@@ -584,8 +602,9 @@ def test_hundred_thousand_points_validate_in_linear_time(rng, shape):
 
 def test_one_repeated_point_is_a_duplicate():
     # zero spread: the band and the extent are both zero
-    with pytest.raises(DuplicatePoints, match="points 0 and 1 coincide"):
-        geom.ensure_distinct([1 + 2j] * 40)
+    for handed in _both_paths([1 + 2j] * 40):
+        with pytest.raises(DuplicatePoints, match="points 0 and 1 coincide"):
+            geom.ensure_distinct(handed)
 
 
 @pytest.mark.parametrize(
@@ -610,14 +629,17 @@ def test_duplicate_check_returns_the_spread(rng, shape):
     elif shape == "overflow":
         points = [1e308, -1e308, 1j]
     expected = spread(points).hex()
-    assert geom.ensure_distinct(points, 1.0).hex() == expected
+    for handed in _both_paths(points):
+        assert geom.ensure_distinct(handed, 1.0).hex() == expected
+        if shape == "overflow":
+            with pytest.raises(ValueError, match="coincidence band overflows"):
+                geom.ensure_distinct(handed)
+            continue
+        assert geom.ensure_distinct(handed).hex() == expected
     if shape == "overflow":
-        with pytest.raises(ValueError, match="coincidence band overflows"):
-            geom.ensure_distinct(points)
         with pytest.raises(ValueError, match="coincidence band overflows"):
             WeightedConfiguration.of(points)
         return
-    assert geom.ensure_distinct(points).hex() == expected
     assert WeightedConfiguration.of(points).diameter.hex() == expected
 
 
@@ -694,19 +716,22 @@ def test_screen_on_overflowing_gaps(rng):
 def test_separated_points_never_reach_the_grid(rng, monkeypatch, shape):
     # a point may pass the screen by chance, next to one neighbour on x and
     # another on y, but never more than a handful
-    grid_pair = geom._grid_pair
+    def bounded(inner):
+        def check(pts, band):
+            assert len(pts) <= 32, f"{len(pts)} points passed the screen"
+            return inner(pts, band)
 
-    def bounded(pts, band):
-        assert len(pts) <= 32, f"{len(pts)} points passed the screen"
-        return grid_pair(pts, band)
+        return check
 
-    monkeypatch.setattr(geom, "_grid_pair", bounded)
+    monkeypatch.setattr(geom, "_grid_pair", bounded(geom._grid_pair))
+    monkeypatch.setattr(geom, "_array_pair", bounded(geom._array_pair))
     n = 10_000
     if shape == "uniform":
         points = [complex(x, y) for x, y in rng.uniform(0.0, 1.0, (n, 2))]
     else:
         points = [complex(0.5, (k + 0.5 * rng.random()) / n) for k in rng.permutation(n)]
-    geom.ensure_distinct(points)
+    for handed in _both_paths(points):
+        geom.ensure_distinct(handed)
 
 
 def test_shared_coordinates_go_to_the_grid_whole(rng):
@@ -715,8 +740,83 @@ def test_shared_coordinates_go_to_the_grid_whole(rng):
     lattice = [complex(x, y) for x in range(20) for y in range(20)]
     xs, ys = [z.real for z in lattice], [z.imag for z in lattice]
     assert geom._screen(xs, ys, EPS_CLASS * spread(lattice)) == range(len(lattice))
+    band = EPS_CLASS * spread(lattice)
+    assert geom._near_on_axis_array(np.array(xs), band).all()
+    assert geom._near_on_axis_array(np.array(ys), band).all()
     columns = [complex(k % 20, (k + 0.5 * rng.random()) / 400) for k in range(400)]
     xs, ys = [z.real for z in columns], [z.imag for z in columns]
     assert len(geom._screen(xs, ys, EPS_CLASS * spread(columns))) == 0
+    # the array screen: every x next to a zero gap, no y next to a small one
+    band = EPS_CLASS * spread(columns)
+    assert geom._near_on_axis_array(np.array(xs), band).all()
+    assert geom._near_on_axis_array(np.array(ys), band) is None
     _check_against_pair_loop(lattice)
     assert _check_against_pair_loop(lattice + [lattice[137]])
+
+
+@pytest.mark.parametrize("shape", ["cocircular", "lattice"])
+@pytest.mark.parametrize("planted", [None, 0.999, 1.001])
+def test_array_neighbour_check_where_every_point_survives(rng, shape, planted):
+    # every point of these sets sits next to a gap within the band on both
+    # axes, so the whole set reaches the neighbour check, on the array path
+    n = 10_000
+    if shape == "cocircular":
+        # a regular polygon: mirror images share an x or a y up to rounding
+        points = list(np.exp(2j * np.pi * np.arange(n) / n))
+        scale = spread(points)
+    else:
+        points = [complex(k // 100, k % 100) for k in range(n)]
+        scale = 1.0 / (1.001 * EPS_CLASS)  # a band just under the spacing
+    band = EPS_CLASS * scale
+    xs, ys = np.array(points).real, np.array(points).imag
+    assert (geom._near_on_axis_array(xs, band) & geom._near_on_axis_array(ys, band)).all()
+    if planted is not None:
+        i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+        turn = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        points[j] = points[i] + planted * band * turn
+    found = _check_against_pair_loop(points, scale, _block_pair_decision)
+    if planted != 1.001:  # a pair moved 1.001 bands off may land near a third point
+        assert found is (planted == 0.999)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (9.7 + 14.3j, 10.3 + 13.7j),  # across a corner, down to the right
+        (9.7 + 13.7j, 10.3 + 14.3j),  # across a corner, up to the right
+        (9.7 + 15j, 10.3 + 15j),  # across a column boundary
+        (11 + 13.7j, 11 + 14.3j),  # across a row boundary
+        (10.7 + 14.7j, 11.3 + 15.3j),  # within one cell
+    ],
+    ids=["down-right", "up-right", "right", "up", "same"],
+)
+def test_neighbour_check_searches_every_neighbouring_cell(p, q):
+    # the band is 1.0; the two anchor pairs, near on both axes but apart,
+    # survive the screen and put the grid's origin at 0, so the cells are
+    # 2 wide with corners at even coordinates, and p, q (0.6 or 0.85
+    # apart) lie in the cells named
+    anchors = [0j, 0.9 + 0.9j, 40 + 40j, 39.1 + 39.1j]
+    for pair in ([p, q], [q, p]):
+        assert _check_against_pair_loop(anchors + pair, 1.0 / EPS_CLASS)
+    assert not _check_against_pair_loop(anchors + [p, q + 2.0 * (q - p)], 1.0 / EPS_CLASS)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([0j, 1 + 1j, complex(math.nan, 0.0)] + [complex(k, 2.0) for k in range(40)],
+         r"non-finite coordinate \(nan\+0j\)"),
+        ([0j, complex(3.0, math.inf), complex(-math.inf, 1.0)] + [complex(k) for k in range(40)],
+         r"non-finite coordinate \(3\+infj\)"),
+        ([1e308, -1e308, 1j] + [complex(k) for k in range(40)],
+         r"coincidence band overflows: scale inf is not finite"),
+    ],
+    ids=["nan", "inf", "band"],
+)
+def test_both_paths_refuse_with_the_same_message(points, message):
+    messages = []
+    for handed in _both_paths(points):
+        with pytest.raises(ValueError, match=message) as err:
+            geom.ensure_distinct(handed)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]

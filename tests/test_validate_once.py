@@ -26,13 +26,18 @@ from planarloc import (
     solve_chebyshev_weighted,
     solve_ft3_weighted,
     solve_ft4,
+    solve_ft_n,
 )
+from planarloc.fermat import ARRAY_MIN
 from planarloc.cli import main
 
 from conftest import distinct_points
 
 SIX = [0j, 2 + 0j, 3 + 1j, 1 + 2j, -1 + 1j, 0.5 + 0.7j]
 SIX_W = [1.0, 2.0, 1.0, 1.5, 1.2, 0.8]
+# past fermat.ARRAY_MIN: validated on arrays, since numpy is loaded here
+FORTY = [complex(k % 8, k // 8 + 0.1 * k) for k in range(40)]
+FORTY_W = [1.0 + 0.01 * k for k in range(40)]
 
 
 @pytest.fixture
@@ -59,12 +64,17 @@ def _problem(tmp_path, kind, points, weights=None):
 
 
 @pytest.mark.parametrize(
-    "kind, weights",
-    [("fermat", SIX_W), ("chebyshev", None), ("chebyshev", SIX_W)],
-    ids=["fermat", "chebyshev", "chebyshev-weighted"],
+    "kind, points, weights",
+    [
+        ("fermat", SIX, SIX_W),
+        ("chebyshev", SIX, None),
+        ("chebyshev", SIX, SIX_W),
+        ("fermat", FORTY, FORTY_W),
+    ],
+    ids=["fermat", "chebyshev", "chebyshev-weighted", "fermat-forty"],
 )
-def test_cli_solve_validates_once(tmp_path, capsys, distinct_calls, kind, weights):
-    path = _problem(tmp_path, kind, SIX, weights)
+def test_cli_solve_validates_once(tmp_path, capsys, distinct_calls, kind, points, weights):
+    path = _problem(tmp_path, kind, points, weights)
     assert main(["solve", path]) == 0
     assert json.loads(capsys.readouterr().out)["certificate"]["passed"] is True
     assert len(distinct_calls) == 1
@@ -145,6 +155,41 @@ def test_configuration_answers_like_raw_points(rng):
         assert cheby_certificate(weighted, None, w) == cheby_certificate(pts, wts, w)
         assert chebyshev_radius(plain, None, w) == chebyshev_radius(pts, None, w)
         assert chebyshev_radius(weighted, None, w) == chebyshev_radius(pts, wts, w)
+
+
+@pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, 2000])
+def test_large_configuration_converts_once(rng, monkeypatch, n):
+    # from ARRAY_MIN points on, with numpy loaded, the duplicate check gets
+    # the arrays that config.arrays returns, and the solve, its certificate
+    # and its objective convert nothing again
+    handed, converted = [], []
+    check, convert = planarloc.geom.ensure_distinct, planarloc.fermat._as_arrays
+
+    def spy_check(points, scale=None):
+        handed.append(points)
+        return check(points, scale)
+
+    def spy_convert(points, weights):
+        converted.append(1)
+        return convert(points, weights)
+
+    monkeypatch.setattr(planarloc.geom, "ensure_distinct", spy_check)
+    monkeypatch.setattr(planarloc.fermat, "_as_arrays", spy_convert)
+    pts = distinct_points(rng, n, box=3.0, min_gap=1e-4)
+    config = WeightedConfiguration.of(pts, rng.uniform(0.5, 2.0, n))
+    assert len(handed) == 1
+    if n < ARRAY_MIN:
+        assert handed[0] == config.points and not converted
+        return
+    arrays = config.arrays
+    assert handed[0] is arrays[0] and len(converted) == 1
+    assert not (arrays[0].flags.writeable or arrays[1].flags.writeable)
+    assert arrays[0].tolist() == list(config.points)
+    assert arrays[1].tolist() == list(config.weights)
+    result = solve_ft_n(config)
+    assert result.certificate.passed
+    assert config.arrays[0] is arrays[0] and config.arrays[1] is arrays[1]
+    assert len(handed) == 1 and len(converted) == 1
 
 
 def test_configuration_passes_through_unchanged(distinct_calls):
