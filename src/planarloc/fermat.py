@@ -59,6 +59,9 @@ from .tolerances import EPS_CLASS, EPS_REL, spread
 # the objective's passes in numpy.  Both cost the same either way at about
 # 24 points (Intel Xeon, numpy 2.4); from 32 on the arrays are ahead by a
 # quarter.  The closed forms and small medians stay on the Python loops.
+# The duplicate check breaks even near the same size, so it shares the
+# cut-off, but it takes arrays only when numpy is already loaded: importing
+# numpy costs more than the check saves below about 1e5 points.
 ARRAY_MIN = 32
 
 @dataclass(frozen=True)
