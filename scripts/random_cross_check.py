@@ -163,7 +163,7 @@ def draw_distinct_instance(gen, family):
         turn = complex(np.exp(1j * gen.uniform(0.0, 2.0 * np.pi)))
         factor = float(gen.choice([0.5, 0.999, 1.001, 2.0]))
         pts[j] = pts[i] + factor * pl.EPS_CLASS * scale * turn
-    return family, pts, scale
+    return pts, scale
 
 
 def named_pair(handed, scale):
@@ -176,7 +176,7 @@ def named_pair(handed, scale):
 
 
 def check_distinct(gen, family):
-    family, pts, scale = draw_distinct_instance(gen, family)
+    pts, scale = draw_distinct_instance(gen, family)
     band = pl.EPS_CLASS * scale
     expected = brute_force_pair(pts, band)
     got = [named_pair(pts, scale), named_pair(np.asarray(pts, dtype=complex), scale)]
@@ -184,7 +184,7 @@ def check_distinct(gen, family):
     for pair in filter(None, got):
         i, j = pair
         ok = ok and i != j and abs(pts[i] - pts[j]) <= band
-    return ok, family, got, expected, pts, scale
+    return ok, got, expected, pts, scale
 
 
 def main_distinct(count, seed):
@@ -192,7 +192,7 @@ def main_distinct(count, seed):
     found = 0
     for trial in range(count):
         family = DISTINCT_FAMILIES[trial % len(DISTINCT_FAMILIES)]
-        ok, family, got, expected, pts, scale = check_distinct(gen, family)
+        ok, got, expected, pts, scale = check_distinct(gen, family)
         if not ok:
             print(f"distinct disagrees on trial {trial} ({family}, {len(pts)} points)")
             print(f"  ensure_distinct names {got[0]} on a list and {got[1]} on an array,")

@@ -147,8 +147,8 @@ class WeightedConfiguration:
 def _as_arrays(points, weights):
     import numpy as np
 
-    pts = np.array(points, dtype=complex)
-    wts = np.array(weights, dtype=float)
+    pts = np.fromiter(points, dtype=complex, count=len(points))
+    wts = np.fromiter(weights, dtype=float, count=len(weights))
     pts.flags.writeable = wts.flags.writeable = False
     return pts, wts
 

@@ -213,20 +213,22 @@ def _distinct_array(points, scale: Optional[float]) -> float:
     import numpy as np
 
     pts = np.asarray(points, dtype=complex)
-    if not np.isfinite(pts).all():
-        require_finite(*pts.tolist())
     xs, ys = pts.real, pts.imag
-    # tolerances.diagonal: the extremes are the lists' max and min exactly
-    diameter = math.hypot(
-        float(xs.max()) - float(xs.min()), float(ys.max()) - float(ys.min())
-    )
+    x_sorted = np.sort(xs)
+    # the extremes that tolerances.diagonal takes, exactly; a NaN sorts
+    # last and comes out of min and max, so they show every non-finite value
+    ends = (float(x_sorted[0]), float(x_sorted[-1]), float(ys.min()), float(ys.max()))
+    if not all(map(math.isfinite, ends)):
+        require_finite(*pts.tolist())
+    diameter = math.hypot(ends[1] - ends[0], ends[3] - ends[2])
     if scale is None:
         scale = diameter
     band = EPS_CLASS * scale
     if not math.isfinite(band):
         raise ValueError(f"coincidence band overflows: scale {scale!r} is not finite")
-    near_x = _near_on_axis_array(xs, band)
-    near_y = None if near_x is None else _near_on_axis_array(ys, band)
+    with np.errstate(over="ignore"):  # a gap that overflows is inf, wider than any band
+        near_x = _near_on_axis_array(xs, x_sorted, band)
+        near_y = None if near_x is None else _near_on_axis_array(ys, np.sort(ys), band)
     if near_y is not None:
         idx = np.flatnonzero(near_x & near_y)
         pair = _array_pair(pts[idx], band) if len(idx) > 1 else None
@@ -236,19 +238,16 @@ def _distinct_array(points, scale: Optional[float]) -> float:
     return diameter
 
 
-def _near_on_axis_array(coords, band: float):
-    """Mask of the coordinates next to a gap of at most ``band`` in sorted ``coords``.
+def _near_on_axis_array(coords, vals, band: float):
+    """Mask of the ``coords`` next to a gap of at most ``band`` in ``vals``, them sorted.
 
     None when no gap is that small.  ``_near_on_axis`` as array passes: a
     coordinate is next to such a gap when its value ends one, so equal
-    coordinates are all next to one or none are.  A gap that overflows is
-    inf, wider than every band.
+    coordinates are all next to one or none are.
     """
     import numpy as np
 
-    vals = np.sort(coords)
-    with np.errstate(over="ignore"):
-        close = np.diff(vals) <= band
+    close = vals[1:] - vals[:-1] <= band
     if not close.any():
         return None
     ends = np.zeros(len(vals), dtype=bool)

@@ -500,6 +500,11 @@ def _pair_loop_decision(points, scale):
     return False
 
 
+def _near_on_axis_array(coords, band):
+    coords = np.asarray(coords)
+    return geom._near_on_axis_array(coords, np.sort(coords), band)
+
+
 def _both_paths(points):
     # ensure_distinct takes Python passes on a list, array passes on an array
     return [list(points), np.asarray(points, dtype=complex)]
@@ -741,15 +746,15 @@ def test_shared_coordinates_go_to_the_grid_whole(rng):
     xs, ys = [z.real for z in lattice], [z.imag for z in lattice]
     assert geom._screen(xs, ys, EPS_CLASS * spread(lattice)) == range(len(lattice))
     band = EPS_CLASS * spread(lattice)
-    assert geom._near_on_axis_array(np.array(xs), band).all()
-    assert geom._near_on_axis_array(np.array(ys), band).all()
+    assert _near_on_axis_array(np.array(xs), band).all()
+    assert _near_on_axis_array(np.array(ys), band).all()
     columns = [complex(k % 20, (k + 0.5 * rng.random()) / 400) for k in range(400)]
     xs, ys = [z.real for z in columns], [z.imag for z in columns]
     assert len(geom._screen(xs, ys, EPS_CLASS * spread(columns))) == 0
     # the array screen: every x next to a zero gap, no y next to a small one
     band = EPS_CLASS * spread(columns)
-    assert geom._near_on_axis_array(np.array(xs), band).all()
-    assert geom._near_on_axis_array(np.array(ys), band) is None
+    assert _near_on_axis_array(np.array(xs), band).all()
+    assert _near_on_axis_array(np.array(ys), band) is None
     _check_against_pair_loop(lattice)
     assert _check_against_pair_loop(lattice + [lattice[137]])
 
@@ -769,7 +774,7 @@ def test_array_neighbour_check_where_every_point_survives(rng, shape, planted):
         scale = 1.0 / (1.001 * EPS_CLASS)  # a band just under the spacing
     band = EPS_CLASS * scale
     xs, ys = np.array(points).real, np.array(points).imag
-    assert (geom._near_on_axis_array(xs, band) & geom._near_on_axis_array(ys, band)).all()
+    assert (_near_on_axis_array(xs, band) & _near_on_axis_array(ys, band)).all()
     if planted is not None:
         i, j = (int(v) for v in rng.choice(n, 2, replace=False))
         turn = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
@@ -808,10 +813,12 @@ def test_neighbour_check_searches_every_neighbouring_cell(p, q):
          r"non-finite coordinate \(nan\+0j\)"),
         ([0j, complex(3.0, math.inf), complex(-math.inf, 1.0)] + [complex(k) for k in range(40)],
          r"non-finite coordinate \(3\+infj\)"),
+        ([complex(k, 1.0) for k in range(40)] + [complex(2.0, math.nan)],
+         r"non-finite coordinate \(2\+nanj\)"),
         ([1e308, -1e308, 1j] + [complex(k) for k in range(40)],
          r"coincidence band overflows: scale inf is not finite"),
     ],
-    ids=["nan", "inf", "band"],
+    ids=["nan", "inf", "nan-imag", "band"],
 )
 def test_both_paths_refuse_with_the_same_message(points, message):
     messages = []
