@@ -13,7 +13,6 @@ import math
 import pathlib
 
 import planarloc as pl
-from planarloc.documents import ProblemFile, cheby_result_document
 from planarloc.svgplot import render_svg
 
 INSTANCES = {
@@ -37,10 +36,9 @@ def run(name, pts, svg_dir):
     mid = pl.circumcenter3(pts[0], pts[1], pts[2])
     print(f"   circumcenter of the first three  {fmt(mid)}")
     if svg_dir is not None:
-        problem = ProblemFile(kind="chebyshev", points=tuple(pts), weights=None)
-        payload = cheby_result_document(res).payload
+        svg = render_svg(pts, "chebyshev", [res.center], res.support, res.radius)
         target = svg_dir / f"{name}.svg"
-        target.write_text(render_svg(problem, payload), encoding="utf-8")
+        target.write_text(svg, encoding="utf-8")
         print(f"   svg      {target}")
 
 

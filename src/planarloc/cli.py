@@ -5,12 +5,15 @@ document, ``certify --at X,Y`` checks a candidate location and prints its
 certificate, ``plot`` renders a problem plus an existing result to SVG.
 All three check a location through the one ``_certify``, for any number
 of points.  ``--tol`` is the median's; the covering circle's certificate
-takes none, and refuses one; ``plot`` re-checks a median at the
-tolerance its result document states.  Exit codes: 0 success, 1 a usage error,
-parse or validation trouble, 2 a certificate refused to pass (a solver
-that found no certified point included).  Nothing is ever printed as a
-solution without its certificate re-run first.  A problem is validated
-once, when it is loaded; every step after that uses its ``config``.
+takes none, and refuses one.  ``solve`` re-checks the document it is
+about to print and ``plot`` the one it is given, both by ``_recheck``, a
+median at the tolerance the document states; the one SVG writer draws
+only what that re-check certified.  Exit codes: 0 success, 1 a usage
+error, parse or validation trouble (a malformed result document too), 2 a
+certificate refused to pass (a solver that found no certified point
+included).  Nothing is ever printed as a solution without its certificate
+re-run first.  A problem is validated once, when it is loaded; every step
+after that uses its ``config``.
 """
 
 from __future__ import annotations
@@ -64,23 +67,28 @@ def _certify(problem, kind: str, w: complex, tol: Optional[float], source: str):
         raise documents.ProblemFormatError(f"{source}: {e}") from e
 
 
-def _stated_tol(payload: dict) -> float:
-    # a median document states the relative tolerance its certificate
-    # passed at; the re-check allows it, and never less than EPS_REL, as
-    # solve's own re-check does
-    tols = payload.get("tolerances")
-    tol = tols.get("tol") if isinstance(tols, dict) else None
-    if type(tol) not in (int, float) or not 0.0 < tol < math.inf:
-        raise documents.ProblemFormatError(
-            f"result document: tolerances.tol must be positive and finite, got {tol!r}"
-        )
-    return max(tol, EPS_REL)
+def _recheck(problem, payload: dict, source: str):
+    # the certificate re-run at the stated location (a segment's midpoint),
+    # a median's at the stated tolerance but never below EPS_REL
+    kind, tol = documents.stated_check(payload)
+    sol = documents.solution_points(payload)
+    w = sol[0] if len(sol) == 1 else 0.5 * (sol[0] + sol[1])
+    tol = None if tol is None else max(tol, EPS_REL)
+    return kind, sol, _certify(problem, kind, w, tol, source)
 
 
-def _recertify_location(result) -> complex:
-    if isinstance(result.solution, fermat.FtSegment):
-        return 0.5 * (result.solution.start + result.solution.end)
-    return result.solution.location
+def _write_svg(path: str, problem, kind: str, sol, cert) -> int:
+    # only what the certificate just re-run checked is drawn: its support,
+    # and a circle's radius about the checked center
+    radius = cheby.chebyshev_radius(problem.config, None, sol[0]) if kind == "chebyshev" else 0.0
+    svg = svgplot.render_svg(problem.points, kind, sol, cert.support, radius)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as e:
+        print(f"cannot write svg: {e}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _load(args):
@@ -104,50 +112,31 @@ def cmd_solve(args) -> int:
     try:
         if kind == "fermat":
             result, stated_tol = _solve_fermat(config, tol, args.max_iter)
+            doc = documents.fermat_result_document(result, stated_tol)
         else:
             result = cheby.solve_chebyshev_weighted(config, None)
+            doc = documents.cheby_result_document(result)
     except (MaxIterationsExceeded, NotOrthogonal) as e:
         print(f"certification failed: {e}", file=sys.stderr)
         return 2
-    if kind == "fermat":
-        doc = documents.fermat_result_document(result, stated_tol)
-        w, value = _recertify_location(result), result.objective
-        if args.oracle:
-            _, oval = oracle.oracle_ft(config)
+    if args.oracle:
+        # the grid oracle only bounds the optimum from above
+        if kind == "fermat":
+            value, (_, bound) = result.objective, oracle.oracle_ft(config)
             gap = 1e-6 * max(1.0, config.diameter * config.total_weight)
-            if value > oval + gap:
-                print(
-                    f"oracle disagrees: solver {value!r} vs oracle {oval!r}",
-                    file=sys.stderr,
-                )
-                return 2
-    else:
-        doc = documents.cheby_result_document(result)
-        w = result.center
-        if args.oracle:
-            _, oval = oracle.oracle_cheby(config.points, config.weights)
+        else:
+            value, (_, bound) = result.radius, oracle.oracle_cheby(config.points, config.weights)
             gap = 1e-5 * max(1.0, config.diameter * max(config.weights))
-            # the grid oracle only bounds the optimum from above
-            if result.radius > oval + gap:
-                print(
-                    f"oracle disagrees: solver {result.radius!r} vs oracle {oval!r}",
-                    file=sys.stderr,
-                )
-                return 2
-    # a median's certificate passed at tol or, for a closed form, at
-    # EPS_REL; the re-check allows the larger of the two
-    if not _certify(problem, kind, w, max(tol, EPS_REL), "result").passed:
+        if value > bound + gap:
+            print(f"oracle disagrees: solver {value!r} vs oracle {bound!r}", file=sys.stderr)
+            return 2
+    # the document about to be printed is the one re-checked
+    _, sol, cert = _recheck(problem, doc.payload, "result")
+    if not cert.passed:
         print("certification failed: result withheld", file=sys.stderr)
         return 2
     sys.stdout.write(doc.to_json())
-    if args.svg:
-        try:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(svgplot.render_svg(problem, doc.payload))
-        except OSError as e:
-            print(f"cannot write svg: {e}", file=sys.stderr)
-            return 1
-    return 0
+    return _write_svg(args.svg, problem, kind, sol, cert) if args.svg else 0
 
 
 def cmd_certify(args) -> int:
@@ -167,22 +156,11 @@ def cmd_plot(args) -> int:
     problem = documents.load_problem(args.input, args.kind)
     with open(args.result, "r", encoding="utf-8") as fh:
         doc = documents.ResultDocument.from_json(fh.read())
-    kind = doc.payload.get("kind")
-    if kind not in documents.KINDS:
-        raise documents.ProblemFormatError("result document: missing kind")
-    sol = svgplot.solution_points(doc.payload)
-    w = sol[0] if len(sol) == 1 else 0.5 * (sol[0] + sol[1])
-    tol = _stated_tol(doc.payload) if kind == "fermat" else None
-    if not _certify(problem, kind, w, tol, "result document").passed:
+    kind, sol, cert = _recheck(problem, doc.payload, "result document")
+    if not cert.passed:
         print("certification failed: refusing to plot", file=sys.stderr)
         return 2
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svgplot.render_svg(problem, doc.payload))
-    except OSError as e:
-        print(f"cannot write svg: {e}", file=sys.stderr)
-        return 1
-    return 0
+    return _write_svg(args.output, problem, kind, sol, cert)
 
 
 def main(argv=None) -> int:

@@ -5,11 +5,15 @@ Problems arrive as JSON ({"kind": ..., "points": [[x, y], ...],
 malformed fields as ProblemFormatError; the point set itself is validated
 once, by the ``fermat.WeightedConfiguration`` that every ProblemFile
 carries as ``config`` and that the solvers and certificates then share.
-Results leave as JSON through ``json.dumps``, whose floats are the
-shortest text that reads back as the same double; parse(serialize(doc))
-equals doc.  A result document holds only what a verifier cannot
-recompute from the problem and the location, and each fact once: the
-verdict, the support and its weights live in the certificate alone.
+A median of ``fermat.ARRAY_MIN`` or more points, which every command
+solves or certifies with numpy, loads it first so that it validates on
+arrays.  This is the one module that knows the result format: results
+leave as JSON through ``json.dumps``, whose floats are the shortest text
+that reads back as the same double; parse(serialize(doc)) equals doc.  A
+result document holds only what a verifier cannot recompute from the
+problem and the location, and each fact once: the verdict, the support
+and its weights live in the certificate alone.  ``stated_check`` and
+``solution_points`` read one back.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import __version__
 from .errors import ProblemFormatError
-from .fermat import FtPoint, WeightedConfiguration
+from .fermat import ARRAY_MIN, FtPoint, WeightedConfiguration
 from .tolerances import EPS_CLASS, EPS_REL
 
 KINDS = ("fermat", "chebyshev")
@@ -62,14 +67,18 @@ def _float_or_inf(a) -> float:
         return math.inf
 
 
-def _pair(value, where: str) -> complex:
+def _number_pair(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
     ):
         raise ProblemFormatError(f"{where}: expected a [x, y] pair of numbers")
-    z = complex(_float_or_inf(value[0]), _float_or_inf(value[1]))
+    return complex(_float_or_inf(value[0]), _float_or_inf(value[1]))
+
+
+def _pair(value, where: str) -> complex:
+    z = _number_pair(value, where)
     if not cmath.isfinite(z):
         raise ProblemFormatError(f"{where}: coordinates must be finite")
     return z
@@ -108,6 +117,8 @@ def _validate(kind, points, weights) -> ProblemFile:
                     raise ProblemFormatError(f"weights[{i}]: must be positive and finite")
         if sum(weights) == math.inf:
             raise ProblemFormatError("weights: their sum is beyond the doubles")
+    if kind == "fermat" and len(points) >= ARRAY_MIN:
+        import numpy  # noqa: F401  (the configuration then validates on arrays)
     return ProblemFile(
         kind=kind,
         points=tuple(points),
@@ -251,9 +262,11 @@ def certificate_payload(cert) -> dict:
     }
 
 
-def fermat_result_document(result, tol_used: float) -> ResultDocument:
-    from . import __version__
+def _header(kind: str) -> dict:
+    return {"solver": "planarloc", "version": __version__, "format": FORMAT, "kind": kind}
 
+
+def fermat_result_document(result, tol_used: float) -> ResultDocument:
     if isinstance(result.solution, FtPoint):
         solution = {"type": "point", "location": _c(result.solution.location)}
     else:
@@ -263,10 +276,7 @@ def fermat_result_document(result, tol_used: float) -> ResultDocument:
             "end": _c(result.solution.end),
         }
     payload = {
-        "solver": "planarloc",
-        "version": __version__,
-        "format": FORMAT,
-        "kind": "fermat",
+        **_header("fermat"),
         "case": result.case.value,
         "solution": solution,
         "objective": _finite_value("objective", result.objective),
@@ -280,13 +290,8 @@ def fermat_result_document(result, tol_used: float) -> ResultDocument:
 
 
 def cheby_result_document(result) -> ResultDocument:
-    from . import __version__
-
     payload = {
-        "solver": "planarloc",
-        "version": __version__,
-        "format": FORMAT,
-        "kind": "chebyshev",
+        **_header("chebyshev"),
         "case": None,
         "solution": {"type": "point", "location": _c(result.center)},
         "radius": _finite_value("radius", result.radius),
@@ -297,15 +302,47 @@ def cheby_result_document(result) -> ResultDocument:
 
 
 def certify_document(kind: str, w: complex, cert) -> ResultDocument:
-    from . import __version__
-
     payload = {
-        "solver": "planarloc",
-        "version": __version__,
-        "format": FORMAT,
-        "kind": kind,
+        **_header(kind),
         "candidate": _c(w),
         "certificate": certificate_payload(cert),
         "tolerances": {"eps_rel": EPS_REL, "eps_class": EPS_CLASS},
     }
     return ResultDocument(payload)
+
+
+def stated_check(payload: dict) -> tuple[str, Optional[float]]:
+    """The kind a result document states, and a median's tolerance.
+
+    The tolerance is the relative one the certificate passed at; a
+    covering circle's takes none, so it is None there.
+    """
+    kind = payload.get("kind")
+    if kind not in KINDS:
+        raise ProblemFormatError("result document: missing kind")
+    if kind == "chebyshev":
+        return kind, None
+    tols = payload.get("tolerances")
+    tol = tols.get("tol") if isinstance(tols, dict) else None
+    if type(tol) not in (int, float) or not 0.0 < tol < math.inf:
+        raise ProblemFormatError(
+            f"result document: tolerances.tol must be positive and finite, got {tol!r}"
+        )
+    return kind, tol
+
+
+def solution_points(payload: dict) -> list[complex]:
+    """The location a result document states, or a median's segment ends.
+
+    A number that is not finite is left for the certificate to refuse.
+    """
+    sol = payload.get("solution")
+    if not isinstance(sol, dict):
+        raise ProblemFormatError("result document: solution: missing or malformed")
+    if sol.get("type") == "point":
+        fields = ("location",)
+    elif sol.get("type") == "segment" and payload.get("kind") == "fermat":
+        fields = ("start", "end")
+    else:
+        raise ProblemFormatError("result document: solution: unknown type")
+    return [_number_pair(sol.get(f), f"result document: solution.{f}") for f in fields]

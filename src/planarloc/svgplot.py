@@ -3,42 +3,24 @@
 Drawing happens in data coordinates inside a y-flipped group, so lengths
 in the file equal lengths in the plane: the covering circle's r attribute
 is the radius, verbatim.  Stroke widths and marker sizes scale with the
-drawing's span.
+drawing's span.  The renderer takes geometry, not a result document.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Optional
-
-from .documents import ProblemFile
-from .errors import ProblemFormatError
 
 
 def _f(v: float) -> str:
     return repr(float(v))
 
 
-def solution_points(payload: dict) -> list[complex]:
-    sol = payload.get("solution")
-    if not isinstance(sol, dict):
-        raise ProblemFormatError("solution: missing or malformed")
-    if sol.get("type") == "point":
-        x, y = sol["location"]
-        return [complex(x, y)]
-    if sol.get("type") == "segment":
-        a = complex(*sol["start"])
-        b = complex(*sol["end"])
-        return [a, b]
-    raise ProblemFormatError("solution: unknown type")
+def render_svg(points, kind: str, solution, support, radius: float) -> str:
+    """Draw points, solution, and the certificate geometry as SVG 1.1.
 
-
-def render_svg(problem: ProblemFile, payload: dict) -> str:
-    """Draw points, solution, and the certificate geometry as SVG 1.1."""
-    pts = list(problem.points)
-    sol = solution_points(payload)
-    kind = payload.get("kind")
-    radius = float(payload.get("radius", 0.0) or 0.0)
+    ``solution`` is the location, or a median's segment ends; a covering
+    circle is drawn with ``radius`` and rings on its ``support`` points.
+    """
+    pts = list(points)
+    sol = list(solution)
 
     xs = [z.real for z in pts + sol]
     ys = [z.imag for z in pts + sol]
@@ -72,9 +54,8 @@ def render_svg(problem: ProblemFile, payload: dict) -> str:
             f'r="{_f(radius)}" fill="none" stroke="#7a7ad0" '
             f'stroke-width="{_f(stroke)}"/>'
         )
-        support = (payload.get("certificate") or {}).get("support") or []
         for j in support:
-            z = pts[int(j)]
+            z = pts[j]
             parts.append(
                 f'<circle class="support" cx="{_f(z.real)}" cy="{_f(z.imag)}" '
                 f'r="{_f(1.8 * dot)}" fill="none" stroke="#d08030" '

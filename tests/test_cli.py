@@ -17,7 +17,7 @@ from conftest import (
     run_planarloc,
     run_python,
 )
-from planarloc import EPS_REL, WeightedConfiguration, solve_chebyshev, solve_ft_n
+from planarloc import EPS_REL, WeightedConfiguration, documents, solve_chebyshev, solve_ft_n
 from planarloc.cli import main
 from planarloc.documents import (
     ResultDocument,
@@ -541,6 +541,125 @@ def test_plot_refuses_an_unusable_stated_tolerance(tmp_path, capsys, tol):
     assert not target.exists()
 
 
+def _solved(tmp_path, capsys, name, kind, points, weights=None):
+    path = _problem(tmp_path, f"{name}.json", kind, points, weights)
+    rc, out, err = _run(capsys, ["solve", path])
+    assert rc == 0, err
+    return path, json.loads(out)
+
+
+def _plot(tmp_path, capsys, path, payload, name):
+    result = tmp_path / f"{name}.json"
+    result.write_text(json.dumps(payload), encoding="utf-8")
+    target = tmp_path / f"{name}.svg"
+    rc, out, err = _run(capsys, ["plot", path, str(result), str(target)])
+    return rc, out, err, target
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("location", None),
+        ("location", [1.0]),
+        ("location", ["a", "b"]),
+        ("start", None),
+        ("location", [True, False]),
+    ],
+    ids=["missing", "one-coordinate", "strings", "null-start", "bools"],
+)
+def test_plot_reports_a_malformed_solution(tmp_path, capsys, field, value):
+    # these ended in a KeyError, ValueError or TypeError, and the bools
+    # were read as (1, 0)
+    if field == "start":
+        path, payload = _solved(tmp_path, capsys, "seg", "fermat", [0, 1, 3], (3.0, 1.0, 2.0))
+        payload["solution"]["start"] = value
+    else:
+        path, payload = _solved(tmp_path, capsys, "five", "chebyshev", FIVE)
+        if value is None:
+            del payload["solution"]["location"]
+        else:
+            payload["solution"]["location"] = value
+    rc, out, err, target = _plot(tmp_path, capsys, path, payload, "bad")
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: result document: solution.{field}: expected a [x, y] pair of numbers\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda p: p["certificate"].update(support=[99]),
+        lambda p: p.update(radius="x"),
+        lambda p: p.update(certificate="x"),
+    ],
+    ids=["support", "radius", "certificate"],
+)
+def test_plot_draws_only_what_it_rechecked(tmp_path, capsys, tamper):
+    # the support and the radius come from the certificate re-run at the
+    # stated center, never from the document
+    path, payload = _solved(tmp_path, capsys, "five", "chebyshev", FIVE)
+    rc, _, err, honest = _plot(tmp_path, capsys, path, payload, "honest")
+    assert rc == 0, err
+    tamper(payload)
+    rc, _, err, tampered = _plot(tmp_path, capsys, path, payload, "tampered")
+    assert rc == 0, err
+    assert tampered.read_bytes() == honest.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, points, weights",
+    [
+        ("fermat", [0, 2, 3 + 1j, 1 + 2j, -1 + 1j], (1.0, 2.0, 1.0, 1.5, 1.2)),
+        ("chebyshev", FIVE, None),
+    ],
+    ids=["median", "circle"],
+)
+def test_solve_withholds_a_document_that_moved(
+    tmp_path, capsys, monkeypatch, kind, points, weights
+):
+    # the re-check runs on the document about to be printed, not on the
+    # result it was built from
+    def shifted(build):
+        def build_and_shift(*args):
+            doc = build(*args)
+            x, y = doc.payload["solution"]["location"]
+            doc.payload["solution"]["location"] = [x + 0.25, y]
+            return doc
+
+        return build_and_shift
+
+    for name in ("fermat_result_document", "cheby_result_document"):
+        monkeypatch.setattr(documents, name, shifted(getattr(documents, name)))
+    path = _problem(tmp_path, "moved.json", kind, points, weights)
+    rc, out, err = _run(capsys, ["solve", path])
+    assert rc == 2
+    assert out == ""
+    assert "certification failed: result withheld" in err
+
+
+@pytest.mark.parametrize(
+    "kind, points, weights",
+    [
+        ("fermat", [0, 2, 1 + 1.5j], (1.0, 1.3, 0.8)),
+        ("fermat", SQUARE, None),
+        ("fermat", [0, 2, 3 + 1j, 1 + 2j, -1 + 1j], (1.0, 2.0, 1.0, 1.5, 1.2)),
+        ("fermat", [0, 1, 3], (3.0, 1.0, 2.0)),
+        ("chebyshev", FIVE, None),
+        ("chebyshev", FIVE, (1.0, 2.0, 1.0, 1.5, 1.2)),
+    ],
+    ids=["three-point", "four-point", "n-point", "segment", "circle", "weighted-circle"],
+)
+def test_solve_svg_and_plot_draw_the_same(tmp_path, capsys, kind, points, weights):
+    path = _problem(tmp_path, "problem.json", kind, points, weights)
+    solved = tmp_path / "solved.svg"
+    rc, out, err = _run(capsys, ["solve", path, "--svg", str(solved)])
+    assert rc == 0, err
+    rc, _, err, plotted = _plot(tmp_path, capsys, path, json.loads(out), "plotted")
+    assert rc == 0, err
+    assert plotted.read_bytes() == solved.read_bytes()
+
+
 # ------------------------------------------------------------ odds and ends
 
 
@@ -703,3 +822,35 @@ def test_closed_forms_run_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # only the n-point median, the last file, loads numpy
     assert json.loads(proc.stderr.splitlines()[-1]) == [False, False, False, False, True]
+
+
+DISTINCT_PROBE = """
+import json, sys
+from planarloc import geom
+from planarloc.cli import main
+handed = []
+check = geom.ensure_distinct
+def probe(points, scale=None):
+    handed.append(type(points).__name__)
+    return check(points, scale)
+geom.ensure_distinct = probe
+seen = []
+for path in sys.argv[1:]:
+    del handed[:]
+    if main(["solve", path]) != 0:
+        raise SystemExit(f"solve failed on {path}")
+    seen.append([handed[0], "numpy" in sys.modules])
+print(json.dumps(seen), file=sys.stderr)
+"""
+
+
+def test_a_large_median_validates_on_arrays(tmp_path):
+    # from fermat.ARRAY_MIN points on a median loads numpy before its
+    # configuration is built; a covering circle still loads none
+    files = [
+        _problem(tmp_path, "circle-40.json", "chebyshev", FORTY_ON_A_CIRCLE),
+        _problem(tmp_path, "median-40.json", "fermat", FORTY_ON_A_CIRCLE),
+    ]
+    proc = run_python(["-c", DISTINCT_PROBE, *files], cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [["tuple", False], ["ndarray", True]]
