@@ -32,7 +32,12 @@ of its paths run often, at the certified optimum, at a heavy point that is
 the optimum, at a location within a point's band and at an arbitrary
 location, against an entrywise numpy rebuild of the functional; the
 decision must agree wherever it is not within 1e-12 of the total weight
-of flipping.  Exits nonzero on the first disagreement, printing the
+of flipping.  ``--kind paths`` solves each median twice with
+``solve_ft_n``, once with its numpy arrays forced and once with its
+Python loops forced (by setting ``fermat.ARRAY_MIN``), on 5 to 3000
+points (log-uniform) drawn in turn uniform, in clusters, exactly on a
+line, within 1e-9 of one, and with a vertex optimum; both paths must
+certify, or both refuse.  Exits nonzero on the first disagreement, printing the
 offending instance so it can be frozen into a regression test.
 
     python3 scripts/random_cross_check.py --count 200 --seed 7
@@ -40,6 +45,7 @@ offending instance so it can be frozen into a regression test.
     python3 scripts/random_cross_check.py --kind linf --count 2000
     python3 scripts/random_cross_check.py --kind closed --count 3000
     python3 scripts/random_cross_check.py --kind l1 --count 300
+    python3 scripts/random_cross_check.py --kind paths --count 200
 """
 
 import argparse
@@ -459,6 +465,64 @@ def main_l1(count, seed):
     return 0
 
 
+PATHS_FAMILIES = ("uniform", "clustered", "collinear", "near-collinear", "vertex-optimum")
+
+
+def draw_paths_instance(gen, family):
+    """A median of 5 to 3000 points, log-uniform in n, from the named family."""
+    n = int(round(10.0 ** gen.uniform(math.log10(5), math.log10(3000))))
+    if family in ("uniform", "vertex-optimum"):
+        pts = [complex(x, y) for x, y in gen.uniform(0.0, 3.0, (n, 2))]
+    else:
+        pts = draw_median_points(gen, n, family)
+    weights = [float(a) for a in gen.uniform(0.5, 2.0, n)]
+    if family == "vertex-optimum":
+        # point 0 outweighs the others' pull there, so it is the optimum
+        z0 = pts[0]
+        pull = abs(sum(a * (z - z0) / abs(z - z0) for z, a in zip(pts[1:], weights[1:])))
+        weights[0] = float(gen.uniform(1.01, 2.0)) * pull
+    return pl.WeightedConfiguration(tuple(pts), tuple(weights))
+
+
+def solve_on_path(config, array_min):
+    """solve_ft_n's result, or the PlanarLocError it raised, with ARRAY_MIN set."""
+    saved, pl.fermat.ARRAY_MIN = pl.fermat.ARRAY_MIN, array_min
+    try:
+        return pl.solve_ft_n(config)
+    except pl.PlanarLocError as e:
+        return e
+    finally:
+        pl.fermat.ARRAY_MIN = saved
+
+
+def main_paths(count, seed):
+    gen = np.random.default_rng(seed)
+    refused, worst = 0, 0.0
+    for trial in range(count):
+        family = PATHS_FAMILIES[trial % len(PATHS_FAMILIES)]
+        config = draw_paths_instance(gen, family)
+        on_arrays = solve_on_path(config, 0)
+        on_loops = solve_on_path(config, sys.maxsize)
+        certified = [not isinstance(r, pl.PlanarLocError) for r in (on_arrays, on_loops)]
+        if certified[0] != certified[1]:
+            print(f"paths disagree on trial {trial} ({family}, {config.n} points)")
+            print(f"  on the arrays: {on_arrays!r}")
+            print(f"  on the loops:  {on_loops!r}")
+            print(f"  points  = {config.points!r}")
+            print(f"  weights = {config.weights!r}")
+            return 1
+        if all(certified):
+            gap = abs(on_arrays.objective - on_loops.objective) / on_loops.objective
+            worst = max(worst, gap)
+        else:
+            refused += 1
+    print(
+        f"paths: {count} trials, {count - refused} certified on both paths, "
+        f"{refused} refused on both, worst relative objective gap {worst:.3e}"
+    )
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=200)
@@ -466,7 +530,7 @@ def main():
     ap.add_argument("--n-max", type=int, default=12)
     ap.add_argument(
         "--kind",
-        choices=("fermat", "chebyshev", "both", "distinct", "linf", "closed", "l1"),
+        choices=("fermat", "chebyshev", "both", "distinct", "linf", "closed", "l1", "paths"),
         default="both",
     )
     args = ap.parse_args()
@@ -478,6 +542,8 @@ def main():
         return main_closed(args.count, args.seed)
     if args.kind == "l1":
         return main_l1(args.count, args.seed)
+    if args.kind == "paths":
+        return main_paths(args.count, args.seed)
     gen = np.random.default_rng(args.seed)
     checks = []
     if args.kind in ("fermat", "both"):

@@ -5,15 +5,17 @@ Problems arrive as JSON ({"kind": ..., "points": [[x, y], ...],
 malformed fields as ProblemFormatError; the point set itself is validated
 once, by the ``fermat.WeightedConfiguration`` that every ProblemFile
 carries as ``config`` and that the solvers and certificates then share.
-A median of ``fermat.ARRAY_MIN`` or more points, which every command
-solves or certifies with numpy, loads it first so that it validates on
-arrays.  This is the one module that knows the result format: results
-leave as JSON through ``json.dumps``, whose floats are the shortest text
-that reads back as the same double; parse(serialize(doc)) equals doc.  A
-result document holds only what a verifier cannot recompute from the
-problem and the location, and each fact once: the verdict, the support
-and its weights live in the certificate alone.  ``stated_check`` and
-``solution_points`` read one back.
+A median of ``fermat.IMPORT_MIN`` or more points, which ``solve_ft_n``
+solves on numpy arrays, loads numpy first so that it validates on arrays
+too; a smaller median, and every covering circle, is validated, solved
+and certified in Python loops without loading it (``fermat`` states the
+one rule and its two constants).  This is the one module that knows the
+result format: results leave as JSON through ``json.dumps``, whose floats
+are the shortest text that reads back as the same double;
+parse(serialize(doc)) equals doc.  A result document holds only what a
+verifier cannot recompute from the problem and the location, and each
+fact once: the verdict, the support and its weights live in the
+certificate alone.  ``stated_check`` and ``solution_points`` read one back.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional
 
 from . import __version__
 from .errors import ProblemFormatError
-from .fermat import ARRAY_MIN, FtPoint, WeightedConfiguration
+from .fermat import IMPORT_MIN, FtPoint, WeightedConfiguration
 from .tolerances import EPS_CLASS, EPS_REL
 
 KINDS = ("fermat", "chebyshev")
@@ -117,7 +119,7 @@ def _validate(kind, points, weights) -> ProblemFile:
                     raise ProblemFormatError(f"weights[{i}]: must be positive and finite")
         if sum(weights) == math.inf:
             raise ProblemFormatError("weights: their sum is beyond the doubles")
-    if kind == "fermat" and len(points) >= ARRAY_MIN:
+    if kind == "fermat" and len(points) >= IMPORT_MIN:
         import numpy  # noqa: F401  (the configuration then validates on arrays)
     return ProblemFile(
         kind=kind,

@@ -21,14 +21,15 @@ point it comes nearest once as the optimum and steps out of a refused
 point by the modified Weiszfeld rule.
 
 numpy enters through ``WeightedConfiguration.arrays``, the points and
-weights converted once.  A configuration of ``ARRAY_MIN`` or more points
-converts them as it validates, when numpy is already loaded, and checks
-its points for duplicates on the arrays; otherwise it validates in Python
-and converts on first use.  Validation never imports numpy.  The general
-solver always runs on the arrays; the certificate and the objective do
-from ``ARRAY_MIN`` points on and take Python loops below, so the closed
-forms, the covering circle, and the command line on them, run without
-loading numpy.
+weights converted once.  One rule, ``_on_arrays``, decides where a median
+takes its O(n) passes, for validation, the general solver, the
+certificate and the objective alike: on the arrays from ``ARRAY_MIN``
+points on when numpy is already loaded, in Python loops otherwise.
+Nothing on that path imports numpy, except that ``solve_ft_n`` loads it
+for a configuration of ``IMPORT_MIN`` or more points, where the loops of a
+whole solve cost more than the import.  So the closed forms, the covering
+circle, and every median below ``IMPORT_MIN`` points, with the command
+line on them, run without loading numpy.
 """
 
 from __future__ import annotations
@@ -55,14 +56,26 @@ from .errors import (
 )
 from .tolerances import EPS_CLASS, EPS_REL, spread
 
-# Configurations of at least this many points take the certificate's and
-# the objective's passes in numpy.  Both cost the same either way at about
-# 24 points (Intel Xeon, numpy 2.4); from 32 on the arrays are ahead by a
-# quarter.  The closed forms and small medians stay on the Python loops.
-# The duplicate check breaks even near the same size, so it shares the
-# cut-off, but it takes arrays only when numpy is already loaded: importing
-# numpy costs more than the check saves below about 1e5 points.
+# Where a median's O(n) passes run.  With numpy loaded, a configuration of
+# ARRAY_MIN or more points takes them on arrays: the certificate and the
+# objective cost the same either way at about 24 points (Intel Xeon, numpy
+# 2.4), and from 32 on the arrays are ahead by a quarter; the duplicate check
+# and a whole solve break even near the same size.  Loading numpy costs
+# 0.06-0.15 s and 14 MB on top, which the loops only make up for at about
+# IMPORT_MIN points: on a 2-core Intel Xeon a `python -m planarloc solve`
+# child on a weighted median took as long with numpy as without at about
+# 1e4 near-collinear and 1.5e4 uniform points.  From there solve_ft_n, and
+# the command line for a median, load it.  One constant cannot stand for
+# both: the first is where arrays beat loops once numpy is there, the second
+# where they also pay for bringing it in.
 ARRAY_MIN = 32
+IMPORT_MIN = 10_000
+
+
+def _on_arrays(n: int) -> bool:
+    """Whether a median of n points takes its O(n) passes on numpy arrays."""
+    return n >= ARRAY_MIN and "numpy" in sys.modules
+
 
 @dataclass(frozen=True)
 class WeightedConfiguration:
@@ -72,11 +85,12 @@ class WeightedConfiguration:
     certificates and the command line all take it as built.  ``diameter``
     and ``total_weight`` are computed once, at construction; weights whose
     sum overflows the doubles are refused, so every tolerance scaled by the
-    total weight stays finite.  From ``ARRAY_MIN`` points on, when numpy is
-    already loaded, construction converts the points and weights to the
-    arrays that ``arrays`` returns and hands the point array to
-    ``geom.ensure_distinct``, which then takes array passes.  Construction
-    never imports numpy itself.
+    total weight stays finite.  Where ``_on_arrays`` holds (``ARRAY_MIN``
+    points or more, numpy already loaded), construction converts the points
+    and weights to the arrays that ``arrays`` returns and hands the point
+    array to ``geom.ensure_distinct``, which then takes array passes.
+    Construction never imports numpy itself: the command line loads it
+    first for a median of ``IMPORT_MIN`` points or more.
     """
 
     points: tuple[complex, ...]
@@ -98,7 +112,7 @@ class WeightedConfiguration:
                 if not (math.isfinite(a) and a > 0.0):
                     raise ValueError(f"weights must be positive and finite, got {a!r}")
             raise ValueError("weights must have a finite sum, got one beyond the doubles")
-        if len(pts) >= ARRAY_MIN and "numpy" in sys.modules:
+        if _on_arrays(len(pts)):
             arrays = _as_arrays(pts, wts)
             object.__setattr__(self, "_arrays", arrays)
             diameter = geom.ensure_distinct(arrays[0])
@@ -154,12 +168,12 @@ def _as_arrays(points, weights):
 
 
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
-    """Weighted distance sum at w, in numpy from ARRAY_MIN points on.
+    """Weighted distance sum at w, on the arrays where ``_on_arrays`` holds.
 
     A sum beyond the doubles is inf on both paths, also when an offset's
     modulus overflows.
     """
-    if config.n >= ARRAY_MIN:
+    if _on_arrays(config.n):
         import numpy as np
 
         pts, wts = config.arrays
@@ -186,8 +200,9 @@ def ft_certificate(
     The functional depends on x = (alpha_i * (z_i - w)) only through the
     directions of its entries, which are those of z_i - w, so the offsets
     go to ``build_l1_certificate`` as they are and no weight of any finite
-    scale can make an entry overflow.  From ARRAY_MIN points on, the
-    offsets and the band test are numpy array operations.  ``tol`` is
+    scale can make an entry overflow.  Where ``_on_arrays`` holds, the
+    offsets and the band test are numpy array operations, and Python loops
+    otherwise; neither imports numpy.  ``tol`` is
     relative and defaults to EPS_REL.  When w coincides with exactly one
     configuration point the certificate's ``gamma`` is the free coefficient
     spent there.  Raises ValueError when w is not finite, an offset's
@@ -200,7 +215,7 @@ def ft_certificate(
     elif not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     band = EPS_CLASS * config.diameter
-    if config.n >= ARRAY_MIN:
+    if _on_arrays(config.n):
         import numpy as np
 
         pts, wts = config.arrays
@@ -387,11 +402,14 @@ def solve_ft_n(
     out by the modified Weiszfeld rule of Vardi and Zhang (2000).  The
     returned location passes ft_certificate at the given relative
     tolerance; otherwise MaxIterationsExceeded carries the best iterate
-    seen.  The iteration runs on the configuration's numpy arrays, with
-    the weights divided by their total, so weights of any scale whose
-    sum is finite give the same iterates, and a common power-of-two factor the same
-    location to the bit.  Raises ValueError unless tol is positive and
-    finite and max_iter at least 1.
+    seen.  The iteration runs on the weights divided by their total, so
+    weights of any scale whose sum is finite give the same iterates, and a
+    common power-of-two factor the same location to the bit.  Its passes
+    take the configuration's numpy arrays where ``_on_arrays`` holds, and
+    Python loops otherwise, whose sums may differ from the arrays' in the
+    last digits; from ``IMPORT_MIN`` points on it loads numpy first.
+    Raises ValueError unless tol is positive and finite and max_iter at
+    least 1.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -399,48 +417,40 @@ def solve_ft_n(
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     if config.n == 1:
         return _point_result(config, config.points[0], FtCase.ITERATIVE, tol)
-    pts, wts = config.arrays
-    wts = wts / config.total_weight  # shares of the total, which sum to 1
-    near_band = EPS_CLASS * config.diameter
+    if config.n >= IMPORT_MIN:
+        import numpy  # noqa: F401  (the loops would cost more than loading it)
+    passes = (_ArrayPasses if _on_arrays(config.n) else _LoopPasses)(config)
+    shares, near_band = passes.shares, passes.band
     target = tol
     tested = set()
-    w = complex(wts @ pts)
+    w = passes.centroid()
     best = (math.inf, w)
     for _ in range(max_iter):
-        rel = pts - w
-        d = abs(rel)
-        k = int(d.argmin())
-        if k not in tested or d[k] <= near_band:
+        k, dk, pull, s0 = passes.field(w)
+        if k not in tested or dk <= near_band:
             # the other points' pull at z_k, with z_k's own term dropped; it
             # does not depend on w, so one test per point settles z_k
-            diff = pts - pts[k]
-            dk = abs(diff)
-            dk[k] = math.inf
-            inv = wts / dk
-            pull = complex(inv @ diff)
-            r = abs(pull)
+            vpull, inv_sum = passes.vertex_pull(k)
+            r = abs(vpull)
             if k not in tested:
                 tested.add(k)
-                if r - wts[k] <= target:
+                if r - shares[k] <= target:
                     return _point_result(
                         config, config.points[k], FtCase.ITERATIVE, tol
                     )
-            if d[k] <= near_band:
+            if dk <= near_band:
                 # modified Weiszfeld step z_k + (1 - a_k/r)(T - z_k), with T
                 # the other points' Weiszfeld average; r > a_k here
-                w = config.points[k] + complex((1.0 - wts[k] / r) * pull / inv.sum())
+                w = config.points[k] + complex((1.0 - shares[k] / r) * vpull / inv_sum)
                 continue
-        inv = wts / d
-        pull = complex(inv @ rel)
         rn = abs(pull)
         if rn < best[0]:
             best = (rn, w)
         if rn <= target:
             break
-        s0 = float(inv.sum())
-        stepped = _newton_step(pts, wts, w, rel, d, inv, s0, pull, rn, near_band)
+        stepped = _newton_step(passes, w, s0, pull, rn)
         if stepped is None:
-            stepped = complex(inv @ pts / s0)
+            stepped = passes.weiszfeld(w, s0)
             if stepped == w:
                 break
         w = stepped
@@ -461,7 +471,7 @@ def solve_ft_n(
     )
 
 
-def _newton_step(pts, wts, w, rel, d, inv, s0, pull, rn, near_band) -> Optional[complex]:
+def _newton_step(passes, w, s0, pull, rn) -> Optional[complex]:
     """Damped Newton step, halved until the pull shrinks, or None.
 
     With u_i the unit vector from w to z_i, I - u_i u_i^T is half of I
@@ -469,20 +479,134 @@ def _newton_step(pts, wts, w, rel, d, inv, s0, pull, rn, near_band) -> Optional[
     (s0 s - s2 conj(s))/2, where s2 = sum of a_i u_i^2/|z_i - w|.  It is
     singular, as on a line of points, when |s2| reaches s0.
     """
-    u = rel / d
-    s2 = complex(inv @ (u * u))
+    s2 = passes.s2()
     det = (s0 - abs(s2)) * (s0 + abs(s2))
     if not 0.0 < det < math.inf:
         return None
     step = 2.0 * (s0 * pull + s2 * pull.conjugate()) / det  # H step = pull
     for _ in range(8):
         cand = w + step
-        rel = pts - cand
-        dc = abs(rel)
-        if dc.min() > near_band and abs(complex((wts / dc) @ rel)) < rn:
+        if passes.improves(cand, rn):
             return cand
         step *= 0.5
     return None
+
+
+class _ArrayPasses:
+    """The O(n) passes of ``solve_ft_n`` as numpy array operations.
+
+    ``field`` keeps the offsets, distances and inverse distances at the
+    iterate, which ``s2`` and ``weiszfeld`` then reuse.
+    """
+
+    def __init__(self, config: WeightedConfiguration):
+        self.pts, wts = config.arrays
+        self.shares = wts / config.total_weight  # shares of the total, which sum to 1
+        self.band = EPS_CLASS * config.diameter
+
+    def centroid(self) -> complex:
+        return complex(self.shares @ self.pts)
+
+    def field(self, w: complex):
+        """The nearest point and its distance; the pull and s0 unless in its band."""
+        self.rel = rel = self.pts - w
+        self.d = d = abs(rel)
+        k = int(d.argmin())
+        if d[k] <= self.band:
+            return k, d[k], None, None
+        self.inv = inv = self.shares / d
+        return k, d[k], complex(inv @ rel), float(inv.sum())
+
+    def s2(self) -> complex:
+        u = self.rel / self.d
+        return complex(self.inv @ (u * u))
+
+    def vertex_pull(self, k: int):
+        """The other points' pull at z_k and their inverse distances' sum."""
+        diff = self.pts - self.pts[k]
+        dk = abs(diff)
+        dk[k] = math.inf
+        inv = self.shares / dk
+        return complex(inv @ diff), inv.sum()
+
+    def improves(self, cand: complex, rn: float) -> bool:
+        """Whether cand is outside every band and pulls less than rn."""
+        rel = self.pts - cand
+        dc = abs(rel)
+        return dc.min() > self.band and abs(complex((self.shares / dc) @ rel)) < rn
+
+    def weiszfeld(self, w: complex, s0: float) -> complex:
+        return complex(self.inv @ self.pts / s0)
+
+
+class _LoopPasses:
+    """The same passes as Python loops, each one pass over the points.
+
+    A pass accumulates its sums in floats and complexes as it goes and
+    builds no list; ``field`` sums s2 along with the pull, for ``s2``.
+    """
+
+    def __init__(self, config: WeightedConfiguration):
+        self.pts = config.points
+        total = config.total_weight
+        self.shares = [a / total for a in config.weights]
+        self.band = EPS_CLASS * config.diameter
+
+    def centroid(self) -> complex:
+        return sum(map(operator.mul, self.shares, self.pts), 0j)
+
+    def field(self, w: complex):
+        k, dk = 0, math.inf
+        pull, s0, s2 = 0j, 0.0, 0j
+        try:
+            for i, (z, a) in enumerate(zip(self.pts, self.shares)):
+                r = z - w
+                d = abs(r)
+                if d < dk:
+                    k, dk = i, d
+                inv = a / d
+                u = r / d
+                pull += inv * r
+                s0 += inv
+                s2 += inv * (u * u)
+        except ZeroDivisionError:  # w is z_i
+            return i, 0.0, None, None
+        self._s2 = s2
+        if dk <= self.band:
+            return k, dk, None, None
+        return k, dk, pull, s0
+
+    def s2(self) -> complex:
+        return self._s2
+
+    def vertex_pull(self, k: int):
+        zk, pts, shares = self.pts[k], self.pts, self.shares
+        pull, inv_sum = 0j, 0.0
+        for z, a in zip(pts[:k] + pts[k + 1:], shares[:k] + shares[k + 1:]):
+            diff = z - zk
+            inv = a / abs(diff)
+            pull += inv * diff
+            inv_sum += inv
+        return pull, inv_sum
+
+    def improves(self, cand: complex, rn: float) -> bool:
+        dmin, pull = math.inf, 0j
+        try:
+            for z, a in zip(self.pts, self.shares):
+                r = z - cand
+                d = abs(r)
+                if d < dmin:
+                    dmin = d
+                pull += a / d * r
+        except (ZeroDivisionError, OverflowError):  # cand on a point, or far out
+            return False
+        return dmin > self.band and abs(pull) < rn
+
+    def weiszfeld(self, w: complex, s0: float) -> complex:
+        num = 0j
+        for z, a in zip(self.pts, self.shares):
+            num += a / abs(z - w) * z
+        return num / s0
 
 
 # ---------------------------------------------------------------------------

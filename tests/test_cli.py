@@ -24,6 +24,7 @@ from planarloc.documents import (
     cheby_result_document,
     fermat_result_document,
 )
+from planarloc.fermat import IMPORT_MIN
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -809,6 +810,11 @@ print(json.dumps(loaded), file=sys.stderr)
 """
 
 
+def _spiral(n):
+    # n points of a sunflower spiral, about one unit apart
+    return [cmath.rect(math.sqrt(k + 0.5), 2.399963 * k) for k in range(n)]
+
+
 def test_closed_forms_run_without_numpy(tmp_path):
     files = [
         _problem(tmp_path, "three.json", "fermat", [0, 2, 1 + 1.5j], (1.0, 1.3, 0.8)),
@@ -817,11 +823,12 @@ def test_closed_forms_run_without_numpy(tmp_path):
         # past fermat.ARRAY_MIN: validation takes Python passes without numpy
         _problem(tmp_path, "circle-40.json", "chebyshev", FORTY_ON_A_CIRCLE),
         _problem(tmp_path, "five.json", "fermat", FIVE),
+        # below fermat.IMPORT_MIN a median is solved in Python loops too
+        _problem(tmp_path, "median-40.json", "fermat", FORTY_ON_A_CIRCLE),
     ]
     proc = run_python(["-c", NUMPY_PROBE, *files], cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # only the n-point median, the last file, loads numpy
-    assert json.loads(proc.stderr.splitlines()[-1]) == [False, False, False, False, True]
+    assert json.loads(proc.stderr.splitlines()[-1]) == [False] * 6
 
 
 DISTINCT_PROBE = """
@@ -845,12 +852,39 @@ print(json.dumps(seen), file=sys.stderr)
 
 
 def test_a_large_median_validates_on_arrays(tmp_path):
-    # from fermat.ARRAY_MIN points on a median loads numpy before its
-    # configuration is built; a covering circle still loads none
+    # from fermat.IMPORT_MIN points on a median loads numpy before its
+    # configuration is built; a smaller median and a covering circle load none
     files = [
         _problem(tmp_path, "circle-40.json", "chebyshev", FORTY_ON_A_CIRCLE),
         _problem(tmp_path, "median-40.json", "fermat", FORTY_ON_A_CIRCLE),
+        _problem(tmp_path, "median-large.json", "fermat", _spiral(IMPORT_MIN)),
     ]
     proc = run_python(["-c", DISTINCT_PROBE, *files], cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stderr.splitlines()[-1]) == [["tuple", False], ["ndarray", True]]
+    assert json.loads(proc.stderr.splitlines()[-1]) == [
+        ["tuple", False],
+        ["tuple", False],
+        ["ndarray", True],
+    ]
+
+
+LIBRARY_PROBE = """
+import cmath, json, math, sys
+from planarloc import WeightedConfiguration, solve_ft_n
+from planarloc.fermat import IMPORT_MIN
+loaded = []
+for n in (IMPORT_MIN - 1, IMPORT_MIN):
+    spiral = [cmath.rect(math.sqrt(k + 0.5), 2.399963 * k) for k in range(n)]
+    if not solve_ft_n(WeightedConfiguration.of(spiral)).certificate.passed:
+        raise SystemExit(f"no certified median of {n} points")
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+def test_the_solver_loads_numpy_from_import_min(tmp_path):
+    # the library on its own: below fermat.IMPORT_MIN points solve_ft_n runs
+    # its loops without numpy, and from there it loads numpy for its arrays
+    proc = run_python(["-c", LIBRARY_PROBE], cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [False, True]

@@ -24,6 +24,7 @@ from planarloc import (
     MaxIterationsExceeded,
     MixedSigns,
     NotOrthogonal,
+    PlanarLocError,
     VertexPreconditionFailed,
     WeightedConfiguration,
     addition_preserves,
@@ -420,12 +421,48 @@ def test_certificate_rejects_other_points():
 
 
 def _on_both_paths(monkeypatch, fn):
-    """fn() as it runs, then with the Python loops forced at every n."""
-    on_arrays = fn()
+    """fn() with the numpy arrays forced at every n, then the Python loops.
+
+    The forced loops fail the test if they reach the arrays, so the two
+    runs never compare one path with itself.
+    """
+
+    def touched(*args):
+        raise AssertionError("the Python loops reached the numpy arrays")
+
+    with monkeypatch.context() as m:
+        m.setattr(fermat, "ARRAY_MIN", 0)
+        on_arrays = fn()
     with monkeypatch.context() as m:
         m.setattr(fermat, "ARRAY_MIN", sys.maxsize)
+        m.setattr(fermat, "_as_arrays", touched)
+        m.setattr(WeightedConfiguration, "arrays", property(touched))
         on_loops = fn()
     return on_arrays, on_loops
+
+
+@pytest.mark.parametrize("n", [5, ARRAY_MIN - 1, ARRAY_MIN, 200, 2000])
+@pytest.mark.parametrize("family", MEDIAN_FAMILIES)
+def test_solver_paths_agree(monkeypatch, family, n):
+    config = _median_family(np.random.default_rng(n), family, n)
+
+    def solved():
+        try:
+            return solve_ft_n(config)
+        except PlanarLocError as e:
+            return type(e)
+
+    on_arrays, on_loops = _on_both_paths(monkeypatch, solved)
+    if isinstance(on_arrays, type) or isinstance(on_loops, type):
+        assert on_arrays is on_loops  # both refuse, with one error type
+        return
+    for res in (on_arrays, on_loops):
+        assert res.certificate.passed
+        assert ft_certificate(config, res.location, 1e-10).passed
+    vertices = set(config.points)
+    if on_arrays.location in vertices or on_loops.location in vertices:
+        assert on_arrays.location == on_loops.location
+    assert on_arrays.objective == pytest.approx(on_loops.objective, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, ARRAY_MIN + 1, 2000])
