@@ -27,9 +27,11 @@ certificate and the objective alike: on the arrays from ``ARRAY_MIN``
 points on when numpy is already loaded, in Python loops otherwise.
 Nothing on that path imports numpy, except that ``solve_ft_n`` loads it
 for a configuration of ``IMPORT_MIN`` or more points, where the loops of a
-whole solve cost more than the import.  So the closed forms, the covering
-circle, and every median below ``IMPORT_MIN`` points, with the command
-line on them, run without loading numpy.
+whole solve cost more than the import, and for one of ``ARRAY_MIN`` or
+more that is still iterating after its loops have visited ``LOOP_WORK``
+points.  So the closed forms, the covering circle, and every median below
+``IMPORT_MIN`` points that converges as usual, with the command line on
+them, run without loading numpy.
 """
 
 from __future__ import annotations
@@ -70,6 +72,13 @@ from .tolerances import EPS_CLASS, EPS_REL, spread
 # where they also pay for bringing it in.
 ARRAY_MIN = 32
 IMPORT_MIN = 10_000
+# IMPORT_MIN holds for solves of the usual 4-20 iterations.  Loops that
+# have visited LOOP_WORK points, 32 passes over IMPORT_MIN of them, have
+# spent about what loading numpy costs, so from there a solve of ARRAY_MIN
+# or more points moves to the arrays: a long solve, such as a refusal that
+# runs max_iter out, then costs at most about one numpy import more than on
+# the arrays from the start.
+LOOP_WORK = 32 * IMPORT_MIN
 
 
 def _on_arrays(n: int) -> bool:
@@ -202,10 +211,9 @@ def ft_certificate(
     go to ``build_l1_certificate`` as they are and no weight of any finite
     scale can make an entry overflow.  Where ``_on_arrays`` holds, the
     offsets and the band test are numpy array operations, and Python loops
-    otherwise; neither imports numpy.  ``tol`` is
-    relative and defaults to EPS_REL.  When w coincides with exactly one
-    configuration point the certificate's ``gamma`` is the free coefficient
-    spent there.  Raises ValueError when w is not finite, an offset's
+    otherwise; neither loads numpy.  ``tol`` is relative and defaults to
+    EPS_REL.  When w coincides with exactly one configuration point the
+    certificate's ``gamma`` is the free coefficient spent there.  Raises ValueError when w is not finite, an offset's
     modulus overflows, or tol is negative or not finite.
     """
     w = complex(w)
@@ -407,7 +415,9 @@ def solve_ft_n(
     common power-of-two factor the same location to the bit.  Its passes
     take the configuration's numpy arrays where ``_on_arrays`` holds, and
     Python loops otherwise, whose sums may differ from the arrays' in the
-    last digits; from ``IMPORT_MIN`` points on it loads numpy first.
+    last digits.  From ``IMPORT_MIN`` points on it loads numpy first; a
+    solve of ``ARRAY_MIN`` or more points on the loops loads it and moves
+    to the arrays once its passes have visited ``LOOP_WORK`` points.
     Raises ValueError unless tol is positive and finite and max_iter at
     least 1.
     """
@@ -420,28 +430,30 @@ def solve_ft_n(
     if config.n >= IMPORT_MIN:
         import numpy  # noqa: F401  (the loops would cost more than loading it)
     passes = (_ArrayPasses if _on_arrays(config.n) else _LoopPasses)(config)
-    shares, near_band = passes.shares, passes.band
+    near_band = passes.band
     target = tol
     tested = set()
     w = passes.centroid()
     best = (math.inf, w)
     for _ in range(max_iter):
+        if passes.work > LOOP_WORK and config.n >= ARRAY_MIN:
+            passes = _ArrayPasses(config)  # the loops have cost an import
         k, dk, pull, s0 = passes.field(w)
         if k not in tested or dk <= near_band:
             # the other points' pull at z_k, with z_k's own term dropped; it
             # does not depend on w, so one test per point settles z_k
             vpull, inv_sum = passes.vertex_pull(k)
-            r = abs(vpull)
+            r, a_k = abs(vpull), passes.shares[k]
             if k not in tested:
                 tested.add(k)
-                if r - shares[k] <= target:
+                if r - a_k <= target:
                     return _point_result(
                         config, config.points[k], FtCase.ITERATIVE, tol
                     )
             if dk <= near_band:
                 # modified Weiszfeld step z_k + (1 - a_k/r)(T - z_k), with T
                 # the other points' Weiszfeld average; r > a_k here
-                w = config.points[k] + complex((1.0 - shares[k] / r) * vpull / inv_sum)
+                w = config.points[k] + complex((1.0 - a_k / r) * vpull / inv_sum)
                 continue
         rn = abs(pull)
         if rn < best[0]:
@@ -499,6 +511,8 @@ class _ArrayPasses:
     iterate, which ``s2`` and ``weiszfeld`` then reuse.
     """
 
+    work = 0  # a solve moves from the loops to the arrays, never back
+
     def __init__(self, config: WeightedConfiguration):
         self.pts, wts = config.arrays
         self.shares = wts / config.total_weight  # shares of the total, which sum to 1
@@ -544,6 +558,7 @@ class _LoopPasses:
 
     A pass accumulates its sums in floats and complexes as it goes and
     builds no list; ``field`` sums s2 along with the pull, for ``s2``.
+    ``work`` counts the points the passes have visited.
     """
 
     def __init__(self, config: WeightedConfiguration):
@@ -551,11 +566,13 @@ class _LoopPasses:
         total = config.total_weight
         self.shares = [a / total for a in config.weights]
         self.band = EPS_CLASS * config.diameter
+        self.work = 0
 
     def centroid(self) -> complex:
         return sum(map(operator.mul, self.shares, self.pts), 0j)
 
     def field(self, w: complex):
+        self.work += len(self.pts)
         k, dk = 0, math.inf
         pull, s0, s2 = 0j, 0.0, 0j
         try:
@@ -580,6 +597,7 @@ class _LoopPasses:
         return self._s2
 
     def vertex_pull(self, k: int):
+        self.work += len(self.pts)
         zk, pts, shares = self.pts[k], self.pts, self.shares
         pull, inv_sum = 0j, 0.0
         for z, a in zip(pts[:k] + pts[k + 1:], shares[:k] + shares[k + 1:]):
@@ -590,6 +608,7 @@ class _LoopPasses:
         return pull, inv_sum
 
     def improves(self, cand: complex, rn: float) -> bool:
+        self.work += len(self.pts)
         dmin, pull = math.inf, 0j
         try:
             for z, a in zip(self.pts, self.shares):
@@ -603,6 +622,7 @@ class _LoopPasses:
         return dmin > self.band and abs(pull) < rn
 
     def weiszfeld(self, w: complex, s0: float) -> complex:
+        self.work += len(self.pts)
         num = 0j
         for z, a in zip(self.pts, self.shares):
             num += a / abs(z - w) * z

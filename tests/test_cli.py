@@ -888,3 +888,32 @@ def test_the_solver_loads_numpy_from_import_min(tmp_path):
     proc = run_python(["-c", LIBRARY_PROBE], cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == [False, True]
+
+
+SWITCH_PROBE = """
+import json, random, sys
+from planarloc import MaxIterationsExceeded, WeightedConfiguration, solve_ft_n
+gen = random.Random(0)
+n = 1000
+pts = [complex(gen.random(), gen.random()) for _ in range(n)]
+wts = [gen.uniform(0.5, 2.0) for _ in range(n)]
+# point 0 just short of the others' pull: no iterate certifies
+z0 = pts[0]
+wts[0] = abs(sum(a * (z - z0) / abs(z - z0) for z, a in zip(pts[1:], wts[1:]))) * (1 - 1e-9)
+config = WeightedConfiguration.of(pts, wts)
+loaded = []
+for max_iter in (2, 200):
+    try:
+        solve_ft_n(config, max_iter=max_iter)
+    except MaxIterationsExceeded:
+        loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+def test_a_long_solve_moves_to_the_arrays(tmp_path):
+    # two iterations stay on the loops; by 200 they have visited
+    # fermat.LOOP_WORK points, and the solve has moved to the arrays
+    proc = run_python(["-c", SWITCH_PROBE], cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [False, True]
