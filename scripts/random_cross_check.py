@@ -37,8 +37,9 @@ of flipping.  ``--kind paths`` solves each median twice with
 Python loops forced (by setting ``fermat.ARRAY_MIN``), on 5 to 3000
 points (log-uniform) drawn in turn uniform, in clusters, exactly on a
 line, within 1e-9 of one, and with a vertex optimum; both paths must
-certify, or both refuse.  Exits nonzero on the first disagreement, printing the
-offending instance so it can be frozen into a regression test.
+certify, or both refuse.  Exits nonzero on the first disagreement,
+printing the offending instance so it can be frozen into a regression
+test.
 
     python3 scripts/random_cross_check.py --count 200 --seed 7
     python3 scripts/random_cross_check.py --kind distinct --count 100
