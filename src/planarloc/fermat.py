@@ -25,13 +25,14 @@ weights converted once.  One rule, ``_on_arrays``, decides where a median
 takes its O(n) passes, for validation, the general solver, the
 certificate and the objective alike: on the arrays from ``ARRAY_MIN``
 points on when numpy is already loaded, in Python loops otherwise.
-Nothing on that path imports numpy, except that ``solve_ft_n`` loads it
-for a configuration of ``IMPORT_MIN`` or more points, where the loops of a
-whole solve cost more than the import, and for one of ``ARRAY_MIN`` or
-more that is still iterating after its loops have visited ``LOOP_WORK``
-points.  So the closed forms, the covering circle, and every median below
-``IMPORT_MIN`` points that converges as usual, with the command line on
-them, run without loading numpy.
+Building a configuration never imports numpy.  The solver, the
+certificate and the objective load it for ``IMPORT_MIN`` or more points,
+where the loops of a whole solve cost more than the import; and a solve
+of ``ARRAY_MIN`` or more points on the loops loads it and moves to the
+arrays when a Newton step is refused after all its halvings, the sign of
+a slow solve.  So the closed forms, the covering circle, and every median
+below ``IMPORT_MIN`` points whose Newton steps are taken, with the
+command line on them, run without loading numpy.
 """
 
 from __future__ import annotations
@@ -66,24 +67,28 @@ from .tolerances import EPS_CLASS, EPS_REL, spread
 # 0.06-0.15 s and 14 MB on top, which the loops only make up for at about
 # IMPORT_MIN points: on a 2-core Intel Xeon a `python -m planarloc solve`
 # child on a weighted median took as long with numpy as without at about
-# 1e4 near-collinear and 1.5e4 uniform points.  From there solve_ft_n, and
-# the command line for a median, load it.  One constant cannot stand for
-# both: the first is where arrays beat loops once numpy is there, the second
-# where they also pay for bringing it in.
+# 1e4 near-collinear and 1.5e4 uniform points.  From there solve_ft_n,
+# ft_certificate, ft_objective and the command line for a median load it.
+# One constant cannot stand for both: the first is where arrays beat loops
+# once numpy is there, the second where they also pay for bringing it in.
+# A lone certificate or objective in a fresh process breaks even later,
+# near 1e5 and 4e5 points, but takes the same rule: above IMPORT_MIN it
+# costs no more than when every median of ARRAY_MIN points loaded numpy,
+# and a solve or the command line has usually loaded it already.
 ARRAY_MIN = 32
 IMPORT_MIN = 10_000
-# IMPORT_MIN holds for solves of the usual 4-20 iterations.  Loops that
-# have visited LOOP_WORK points, 32 passes over IMPORT_MIN of them, have
-# spent about what loading numpy costs, so from there a solve of ARRAY_MIN
-# or more points moves to the arrays: a long solve, such as a refusal that
-# runs max_iter out, then costs at most about one numpy import more than on
-# the arrays from the start.
-LOOP_WORK = 32 * IMPORT_MIN
 
 
 def _on_arrays(n: int) -> bool:
     """Whether a median of n points takes its O(n) passes on numpy arrays."""
     return n >= ARRAY_MIN and "numpy" in sys.modules
+
+
+def _loaded_on_arrays(n: int) -> bool:
+    """``_on_arrays`` once numpy is loaded for ``IMPORT_MIN`` or more points."""
+    if n >= IMPORT_MIN:
+        import numpy  # noqa: F401  (the loops would cost more than loading it)
+    return _on_arrays(n)
 
 
 @dataclass(frozen=True)
@@ -179,10 +184,11 @@ def _as_arrays(points, weights):
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
     """Weighted distance sum at w, on the arrays where ``_on_arrays`` holds.
 
-    A sum beyond the doubles is inf on both paths, also when an offset's
-    modulus overflows.
+    numpy is loaded first for ``IMPORT_MIN`` or more points.  A sum beyond
+    the doubles is inf on both paths, also when an offset's modulus
+    overflows.
     """
-    if _on_arrays(config.n):
+    if _loaded_on_arrays(config.n):
         import numpy as np
 
         pts, wts = config.arrays
@@ -209,12 +215,14 @@ def ft_certificate(
     The functional depends on x = (alpha_i * (z_i - w)) only through the
     directions of its entries, which are those of z_i - w, so the offsets
     go to ``build_l1_certificate`` as they are and no weight of any finite
-    scale can make an entry overflow.  Where ``_on_arrays`` holds, the
+    scale can make an entry overflow.  numpy is loaded first for
+    ``IMPORT_MIN`` or more points.  Where ``_on_arrays`` then holds, the
     offsets and the band test are numpy array operations, and Python loops
-    otherwise; neither loads numpy.  ``tol`` is relative and defaults to
-    EPS_REL.  When w coincides with exactly one configuration point the
-    certificate's ``gamma`` is the free coefficient spent there.  Raises ValueError when w is not finite, an offset's
-    modulus overflows, or tol is negative or not finite.
+    otherwise.  ``tol`` is relative and defaults to EPS_REL.  When w
+    coincides with exactly one configuration point the certificate's
+    ``gamma`` is the free coefficient spent there.  Raises ValueError when
+    w is not finite, an offset's modulus overflows, or tol is negative or
+    not finite.
     """
     w = complex(w)
     geom.require_finite(w)
@@ -223,7 +231,7 @@ def ft_certificate(
     elif not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     band = EPS_CLASS * config.diameter
-    if _on_arrays(config.n):
+    if _loaded_on_arrays(config.n):
         import numpy as np
 
         pts, wts = config.arrays
@@ -415,11 +423,12 @@ def solve_ft_n(
     common power-of-two factor the same location to the bit.  Its passes
     take the configuration's numpy arrays where ``_on_arrays`` holds, and
     Python loops otherwise, whose sums may differ from the arrays' in the
-    last digits.  From ``IMPORT_MIN`` points on it loads numpy first; a
+    last digits.  From ``IMPORT_MIN`` points on it loads numpy first.  A
     solve of ``ARRAY_MIN`` or more points on the loops loads it and moves
-    to the arrays once its passes have visited ``LOOP_WORK`` points.
-    Raises ValueError unless tol is positive and finite and max_iter at
-    least 1.
+    to the arrays once a Newton step is refused after all its halvings:
+    each halving costs a pass, and the Weiszfeld steps that follow converge
+    slowly, so such a solve is about to run long.  Raises ValueError
+    unless tol is positive and finite and max_iter at least 1.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -427,17 +436,13 @@ def solve_ft_n(
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     if config.n == 1:
         return _point_result(config, config.points[0], FtCase.ITERATIVE, tol)
-    if config.n >= IMPORT_MIN:
-        import numpy  # noqa: F401  (the loops would cost more than loading it)
-    passes = (_ArrayPasses if _on_arrays(config.n) else _LoopPasses)(config)
+    passes = (_ArrayPasses if _loaded_on_arrays(config.n) else _LoopPasses)(config)
     near_band = passes.band
     target = tol
     tested = set()
     w = passes.centroid()
     best = (math.inf, w)
     for _ in range(max_iter):
-        if passes.work > LOOP_WORK and config.n >= ARRAY_MIN:
-            passes = _ArrayPasses(config)  # the loops have cost an import
         k, dk, pull, s0 = passes.field(w)
         if k not in tested or dk <= near_band:
             # the other points' pull at z_k, with z_k's own term dropped; it
@@ -465,6 +470,11 @@ def solve_ft_n(
             stepped = passes.weiszfeld(w, s0)
             if stepped == w:
                 break
+            # on the loops, a regular Hessian means the Newton step was
+            # refused after all its halvings: a slow solve, moved to the arrays
+            loops = isinstance(passes, _LoopPasses) and config.n >= ARRAY_MIN
+            if loops and abs(passes.s2()) < s0:
+                passes = _ArrayPasses(config)
         w = stepped
     else:
         w = best[1]
@@ -511,8 +521,6 @@ class _ArrayPasses:
     iterate, which ``s2`` and ``weiszfeld`` then reuse.
     """
 
-    work = 0  # a solve moves from the loops to the arrays, never back
-
     def __init__(self, config: WeightedConfiguration):
         self.pts, wts = config.arrays
         self.shares = wts / config.total_weight  # shares of the total, which sum to 1
@@ -558,7 +566,6 @@ class _LoopPasses:
 
     A pass accumulates its sums in floats and complexes as it goes and
     builds no list; ``field`` sums s2 along with the pull, for ``s2``.
-    ``work`` counts the points the passes have visited.
     """
 
     def __init__(self, config: WeightedConfiguration):
@@ -566,13 +573,11 @@ class _LoopPasses:
         total = config.total_weight
         self.shares = [a / total for a in config.weights]
         self.band = EPS_CLASS * config.diameter
-        self.work = 0
 
     def centroid(self) -> complex:
         return sum(map(operator.mul, self.shares, self.pts), 0j)
 
     def field(self, w: complex):
-        self.work += len(self.pts)
         k, dk = 0, math.inf
         pull, s0, s2 = 0j, 0.0, 0j
         try:
@@ -597,10 +602,11 @@ class _LoopPasses:
         return self._s2
 
     def vertex_pull(self, k: int):
-        self.work += len(self.pts)
-        zk, pts, shares = self.pts[k], self.pts, self.shares
+        zk = self.pts[k]
         pull, inv_sum = 0j, 0.0
-        for z, a in zip(pts[:k] + pts[k + 1:], shares[:k] + shares[k + 1:]):
+        for i, (z, a) in enumerate(zip(self.pts, self.shares)):
+            if i == k:
+                continue
             diff = z - zk
             inv = a / abs(diff)
             pull += inv * diff
@@ -608,7 +614,6 @@ class _LoopPasses:
         return pull, inv_sum
 
     def improves(self, cand: complex, rn: float) -> bool:
-        self.work += len(self.pts)
         dmin, pull = math.inf, 0j
         try:
             for z, a in zip(self.pts, self.shares):
@@ -622,7 +627,6 @@ class _LoopPasses:
         return dmin > self.band and abs(pull) < rn
 
     def weiszfeld(self, w: complex, s0: float) -> complex:
-        self.work += len(self.pts)
         num = 0j
         for z, a in zip(self.pts, self.shares):
             num += a / abs(z - w) * z

@@ -912,8 +912,8 @@ print(json.dumps(loaded), file=sys.stderr)
 
 
 def test_a_long_solve_moves_to_the_arrays(tmp_path):
-    # two iterations stay on the loops; by 200 they have visited
-    # fermat.LOOP_WORK points, and the solve has moved to the arrays
+    # two iterations stay on the loops; by 200 a Newton step has been
+    # refused after all its halvings, and the solve has moved to the arrays
     proc = run_python(["-c", SWITCH_PROBE], cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1]) == [False, True]
