@@ -465,6 +465,28 @@ def test_solver_paths_agree(monkeypatch, family, n):
     assert on_arrays.objective == pytest.approx(on_loops.objective, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "family, moves", [("near-collinear", True), ("collinear", False), ("uniform", False)]
+)
+def test_a_slow_solve_moves_from_the_loops_to_the_arrays(monkeypatch, family, moves):
+    # within 1e-9 of a line the Newton step is refused after all its
+    # halvings; on a line the Hessian is singular, which is no sign of a
+    # slow solve, and the uniform points take their Newton steps
+    config = _median_family(np.random.default_rng(201), family, 200)
+    array_field = fermat._ArrayPasses.field
+    on_arrays = []
+
+    def recorded(self, w):
+        on_arrays.append(w)
+        return array_field(self, w)
+
+    monkeypatch.setattr(fermat, "_on_arrays", lambda n: False)  # start on the loops
+    monkeypatch.setattr(fermat._ArrayPasses, "field", recorded)
+    res = solve_ft_n(config)
+    assert ft_certificate(config, res.location, 1e-10).passed
+    assert bool(on_arrays) is moves
+
+
 @pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, ARRAY_MIN + 1, 2000])
 def test_certificate_paths_agree(monkeypatch, n):
     gen = np.random.default_rng(n)
