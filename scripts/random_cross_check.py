@@ -5,7 +5,11 @@ solves each with the certified solver, and compares objective values with
 the oracle.  The median is checked twice: by the general solver on n
 points, drawn in turn uniform, in clusters, exactly on a horizontal line
 (where its Newton step is always refused) and within 1e-9 of one, and by
-the three-point closed form on a triangle.  ``--kind
+the three-point closed form on a triangle.  The grid oracle only bounds
+an optimum from above, so each objective, and the covering circle's
+radius, may exceed the oracle's by at most a small gap; the radius must
+also reach the largest pair bound a_i a_j |z_i - z_j| / (a_i + a_j),
+which holds at every center.  ``--kind
 distinct`` instead checks the duplicate test ``geom.ensure_distinct``,
 handed each instance once as a list (its Python passes) and once as a
 numpy array (its array passes), against a numpy brute-force pair test:
@@ -117,9 +121,17 @@ def check_circle(gen, n):
     weights = [float(gen.uniform(0.5, 2.0)) for _ in range(n)]
     res = pl.solve_chebyshev_weighted(pts, weights)
     _, oradius = pl.oracle_cheby(pts, weights)
-    gap = abs(res.radius - oradius)
+    # the oracle only bounds the optimum from above; a pair's weighted
+    # distance a_i a_j |z_i - z_j| / (a_i + a_j) bounds it from below at
+    # every center, so the two bound the radius from both sides
+    pair = max(
+        (a * b * abs(z - y) / (a + b) for (z, a), (y, b) in combinations(zip(pts, weights), 2)),
+        default=0.0,
+    )
+    gap = res.radius - oradius
     diam = max(abs(a - b) for a in pts for b in pts)
-    return gap <= 1e-5 * max(diam, 1.0), gap, (pts, weights)
+    ok = gap <= 1e-5 * max(diam, 1.0) and res.radius >= (1.0 - 1e-12) * pair
+    return ok, gap, (pts, weights)
 
 
 def brute_force_pair(pts, band):
@@ -552,7 +564,7 @@ def main():
         checks.append(("triangle", check_triangle))
     if args.kind in ("chebyshev", "both"):
         checks.append(("circle", check_circle))
-    worst = {name: 0.0 for name, _ in checks}
+    worst = {name: -math.inf for name, _ in checks}
     for trial in range(args.count):
         n = int(gen.integers(1, args.n_max + 1))
         for name, check in checks:

@@ -18,7 +18,10 @@ at the crossing of the diagonals.  The general solver takes damped Newton
 steps, O(n) each, with the Hessian built from two sums, and falls back to
 a reweighting (Weiszfeld) step where Newton is refused; it tests each
 point it comes nearest once as the optimum and steps out of a refused
-point by the modified Weiszfeld rule.
+point by the modified Weiszfeld rule.  It passes over the points once per
+location: a Newton candidate is tested by its own field (nearest point,
+pull and s0), which an accepted candidate hands on as the next iterate's,
+and the Weiszfeld point w + pull/s0 comes from the field already taken.
 
 numpy enters through ``WeightedConfiguration.arrays``, the points and
 weights converted once.  One rule, ``_on_arrays``, decides where a median
@@ -411,23 +414,25 @@ def solve_ft_n(
 
     Starts from the weighted centroid and tries a damped Newton step from
     the first iterate on; an inverse-distance reweighting (Weiszfeld) step
-    is taken only when the Newton step is refused.  Every iteration is
-    O(n).  The first time a configuration point is the one nearest the
-    iterate it gets the slack test, once, and passes it exactly when it is
-    the optimum.  An iterate inside the band of a point that failed steps
-    out by the modified Weiszfeld rule of Vardi and Zhang (2000).  The
-    returned location passes ft_certificate at the given relative
-    tolerance; otherwise MaxIterationsExceeded carries the best iterate
-    seen.  The iteration runs on the weights divided by their total, so
-    weights of any scale whose sum is finite give the same iterates, and a
-    common power-of-two factor the same location to the bit.  Its passes
-    take the configuration's numpy arrays where ``_on_arrays`` holds, and
-    Python loops otherwise, whose sums may differ from the arrays' in the
-    last digits.  From ``IMPORT_MIN`` points on it loads numpy first.  A
-    solve of ``ARRAY_MIN`` or more points on the loops loads it and moves
-    to the arrays once a Newton step is refused after all its halvings:
-    each halving costs a pass, and the Weiszfeld steps that follow converge
-    slowly, so such a solve is about to run long.  Raises ValueError
+    is taken only when the Newton step is refused.  Every iteration is O(n),
+    with one field pass per location: the field of an accepted Newton
+    candidate is the next iterate's, and the Weiszfeld point is w + pull/s0,
+    with the pull and s0 of the field at w.  The first time a configuration
+    point is the one nearest the iterate it gets the slack test, once, and
+    passes it exactly when it is the optimum.  An iterate inside the band of
+    a point that failed steps out by the modified Weiszfeld rule of Vardi
+    and Zhang (2000).  The returned location passes ft_certificate at the
+    given relative tolerance; otherwise MaxIterationsExceeded carries the
+    best iterate seen.  The iteration runs on the weights divided by their
+    total, so weights of any scale whose sum is finite give the same
+    iterates, and a common power-of-two factor the same location to the bit.
+    Its passes take the configuration's numpy arrays where ``_on_arrays``
+    holds, and Python loops otherwise, whose sums may differ from the
+    arrays' in the last digits.  From ``IMPORT_MIN`` points on it loads numpy
+    first.  A solve of ``ARRAY_MIN`` or more points on the loops loads it and
+    moves to the arrays once a Newton step is refused after all its
+    halvings: each halving costs a pass, and the Weiszfeld steps that follow
+    converge slowly, so such a solve is about to run long.  Raises ValueError
     unless tol is positive and finite and max_iter at least 1.
     """
     if not 0.0 < tol < math.inf:
@@ -440,10 +445,11 @@ def solve_ft_n(
     near_band = passes.band
     target = tol
     tested = set()
-    w = passes.centroid()
+    w, here = passes.centroid(), None
     best = (math.inf, w)
     for _ in range(max_iter):
-        k, dk, pull, s0 = passes.field(w)
+        k, dk, pull, s0 = here or passes.field(w)  # a Newton step's own field
+        here = None
         if k not in tested or dk <= near_band:
             # the other points' pull at z_k, with z_k's own term dropped; it
             # does not depend on w, so one test per point settles z_k
@@ -465,16 +471,18 @@ def solve_ft_n(
             best = (rn, w)
         if rn <= target:
             break
-        stepped = _newton_step(passes, w, s0, pull, rn)
-        if stepped is None:
-            stepped = passes.weiszfeld(w, s0)
-            if stepped == w:
-                break
-            # on the loops, a regular Hessian means the Newton step was
-            # refused after all its halvings: a slow solve, moved to the arrays
-            loops = isinstance(passes, _LoopPasses) and config.n >= ARRAY_MIN
-            if loops and abs(passes.s2()) < s0:
-                passes = _ArrayPasses(config)
+        s2 = passes.s2()
+        newton = _newton_step(passes, w, pull, s0, s2, rn)
+        if newton is not None:
+            w, here = newton
+            continue
+        stepped = w + pull / s0  # the Weiszfeld point
+        if stepped == w:
+            break
+        # on the loops, a regular Hessian means the Newton step was
+        # refused after all its halvings: a slow solve, moved to the arrays
+        if isinstance(passes, _LoopPasses) and config.n >= ARRAY_MIN and abs(s2) < s0:
+            passes = _ArrayPasses(config)
         w = stepped
     else:
         w = best[1]
@@ -493,23 +501,26 @@ def solve_ft_n(
     )
 
 
-def _newton_step(passes, w, s0, pull, rn) -> Optional[complex]:
+def _newton_step(passes, w, pull, s0, s2, rn) -> Optional[tuple]:
     """Damped Newton step, halved until the pull shrinks, or None.
 
     With u_i the unit vector from w to z_i, I - u_i u_i^T is half of I
     minus the reflection by u_i^2, so the Hessian acts on a step s as
     (s0 s - s2 conj(s))/2, where s2 = sum of a_i u_i^2/|z_i - w|.  It is
-    singular, as on a line of points, when |s2| reaches s0.
+    singular, as on a line of points, when |s2| reaches s0.  Each candidate
+    is tested by its own field: it is taken when it lies outside every
+    band and pulls less than rn, and comes back with that field, which is
+    the next iterate's.
     """
-    s2 = passes.s2()
     det = (s0 - abs(s2)) * (s0 + abs(s2))
     if not 0.0 < det < math.inf:
         return None
     step = 2.0 * (s0 * pull + s2 * pull.conjugate()) / det  # H step = pull
     for _ in range(8):
         cand = w + step
-        if passes.improves(cand, rn):
-            return cand
+        here = passes.field(cand)
+        if here[2] is not None and abs(here[2]) < rn:  # its pull, None in a band
+            return cand, here
         step *= 0.5
     return None
 
@@ -518,7 +529,7 @@ class _ArrayPasses:
     """The O(n) passes of ``solve_ft_n`` as numpy array operations.
 
     ``field`` keeps the offsets, distances and inverse distances at the
-    iterate, which ``s2`` and ``weiszfeld`` then reuse.
+    location it was last given, which ``s2`` then reuses.
     """
 
     def __init__(self, config: WeightedConfiguration):
@@ -551,21 +562,13 @@ class _ArrayPasses:
         inv = self.shares / dk
         return complex(inv @ diff), inv.sum()
 
-    def improves(self, cand: complex, rn: float) -> bool:
-        """Whether cand is outside every band and pulls less than rn."""
-        rel = self.pts - cand
-        dc = abs(rel)
-        return dc.min() > self.band and abs(complex((self.shares / dc) @ rel)) < rn
-
-    def weiszfeld(self, w: complex, s0: float) -> complex:
-        return complex(self.inv @ self.pts / s0)
-
 
 class _LoopPasses:
     """The same passes as Python loops, each one pass over the points.
 
     A pass accumulates its sums in floats and complexes as it goes and
-    builds no list; ``field`` sums s2 along with the pull, for ``s2``.
+    builds no list; ``field`` sums s2 along with the pull, for ``s2``.  A
+    location whose offset modulus overflows gets no pull, as one in a band.
     """
 
     def __init__(self, config: WeightedConfiguration):
@@ -593,6 +596,8 @@ class _LoopPasses:
                 s2 += inv * (u * u)
         except ZeroDivisionError:  # w is z_i
             return i, 0.0, None, None
+        except OverflowError:  # w is a Newton candidate far out
+            return k, dk, None, None
         self._s2 = s2
         if dk <= self.band:
             return k, dk, None, None
@@ -612,25 +617,6 @@ class _LoopPasses:
             pull += inv * diff
             inv_sum += inv
         return pull, inv_sum
-
-    def improves(self, cand: complex, rn: float) -> bool:
-        dmin, pull = math.inf, 0j
-        try:
-            for z, a in zip(self.pts, self.shares):
-                r = z - cand
-                d = abs(r)
-                if d < dmin:
-                    dmin = d
-                pull += a / d * r
-        except (ZeroDivisionError, OverflowError):  # cand on a point, or far out
-            return False
-        return dmin > self.band and abs(pull) < rn
-
-    def weiszfeld(self, w: complex, s0: float) -> complex:
-        num = 0j
-        for z, a in zip(self.pts, self.shares):
-            num += a / abs(z - w) * z
-        return num / s0
 
 
 # ---------------------------------------------------------------------------

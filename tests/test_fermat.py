@@ -465,6 +465,34 @@ def test_solver_paths_agree(monkeypatch, family, n):
     assert on_arrays.objective == pytest.approx(on_loops.objective, rel=1e-9)
 
 
+@pytest.mark.parametrize("family", ["uniform", "clustered", "offset", "near-collinear"])
+def test_a_solve_passes_over_each_location_once(monkeypatch, family):
+    # a Newton candidate is tested by its own field, which the next iterate
+    # takes over, and the Weiszfeld point comes from the field already taken
+    config = _median_family(np.random.default_rng(201), family, 200)
+    visits = []
+
+    def recording(method):
+        def recorded(self, w, *args):
+            visits.append(w)
+            return method(self, w, *args)
+
+        return recorded
+
+    for cls in (fermat._ArrayPasses, fermat._LoopPasses):
+        for name in ("field", "improves", "weiszfeld"):
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
+
+    def solved():
+        visits.clear()
+        return solve_ft_n(config), list(visits)
+
+    for res, seen in _on_both_paths(monkeypatch, solved):
+        assert ft_certificate(config, res.location, 1e-10).passed
+        assert len(set(seen)) == len(seen)
+
+
 @pytest.mark.parametrize(
     "family, moves", [("near-collinear", True), ("collinear", False), ("uniform", False)]
 )
