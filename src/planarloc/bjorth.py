@@ -51,7 +51,9 @@ class SupportCertificate:
     certificate passes when |forced| <= slack + tol.  For the max norm
     ``support`` lists the active entries and ``t`` the convex weights on
     them.  ``gamma`` reports the free coefficient spent at a location that
-    coincides with the query point, when there is exactly one.
+    coincides with the query point, when there is exactly one.  A sum-norm
+    functional assembled on numpy arrays keeps its array and builds the
+    ``d`` tuple only when it is first read.
     """
 
     space: str
@@ -64,6 +66,13 @@ class SupportCertificate:
     t: Optional[tuple[float, ...]] = None
     support: Optional[tuple[int, ...]] = None
     gamma: Optional[complex] = None
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: d, before its first read
+        if name != "d" or "_d" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d = self.__dict__["d"] = tuple(self.__dict__["_d"].tolist())
+        return d
 
 
 _X_OVERFLOWS = "the modulus of an entry of x overflows the doubles"
@@ -94,6 +103,8 @@ def build_l1_certificate(
     ``fermat.ft_certificate`` passes for a large configuration, take the
     O(n) passes as array operations, other sequences as Python loops; both
     give the same functional up to the order in which the sums are added.
+    On arrays the certificate keeps the functional as an array and builds
+    its ``d`` tuple when that is first read.
     """
     n = len(x)
     if hasattr(x, "dtype"):
@@ -107,7 +118,6 @@ def build_l1_certificate(
         np.divide(xs.conjugate(), abs(xs), out=d, where=~mask)
         slack = float(abs(ys[mask]).sum())
         forced = complex(d @ ys)
-        d = d.tolist()
     else:
         xs = tuple(map(complex, x))
         ys = tuple(map(complex, y))
@@ -127,16 +137,22 @@ def build_l1_certificate(
                 d[i] = di = direction * ratio * yi.conjugate() / abs(yi)
                 spent += di * yi
         residual = abs(forced + spent)
-    return SupportCertificate(
+    cert = SupportCertificate(
         space="l1",
-        d=tuple(d),
+        d=d,
         residual=residual,
         passed=need <= slack + tol,
         forced=forced,
         slack=slack,
         tol=tol,
-        gamma=d[free[0]] if len(free) == 1 else None,
+        gamma=complex(d[free[0]]) if len(free) == 1 else None,
     )
+    state = cert.__dict__
+    if isinstance(d, list):
+        state["d"] = tuple(d)
+    else:  # an array, kept until d is read
+        state["_d"] = state.pop("d")
+    return cert
 
 
 def is_bj_orthogonal_l1(

@@ -24,7 +24,7 @@ import sys
 from typing import Optional
 
 from . import chebyshev as cheby
-from . import documents, fermat, oracle, svgplot
+from . import documents, fermat, oracle
 from .errors import MaxIterationsExceeded, NotOrthogonal, PlanarLocError
 from .tolerances import EPS_REL
 
@@ -80,6 +80,8 @@ def _recheck(problem, payload: dict, source: str):
 def _write_svg(path: str, problem, kind: str, sol, cert) -> int:
     # only what the certificate just re-run checked is drawn: its support,
     # and a circle's radius about the checked center
+    from . import svgplot  # only an SVG needs it
+
     radius = cheby.chebyshev_radius(problem.config, None, sol[0]) if kind == "chebyshev" else 0.0
     svg = svgplot.render_svg(problem.points, kind, sol, cert.support, radius)
     try:

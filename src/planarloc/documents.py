@@ -21,7 +21,6 @@ certificate alone.  ``stated_check`` and ``solution_points`` read one back.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
 import operator
@@ -160,6 +159,8 @@ def _load_json_problem(text: str, kind_flag: Optional[str]) -> ProblemFile:
 
 
 def _load_csv_problem(text: str, kind_flag: Optional[str]) -> ProblemFile:
+    import csv  # only a CSV problem needs it
+
     points: list[complex] = []
     weights: list[float] = []
     widths: set[int] = set()

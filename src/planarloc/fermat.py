@@ -24,7 +24,10 @@ pull and s0), which an accepted candidate hands on as the next iterate's,
 and the Weiszfeld point w + pull/s0 comes from the field already taken.
 
 numpy enters through ``WeightedConfiguration.arrays``, the points and
-weights converted once.  One rule, ``_on_arrays``, decides where a median
+weights converted once, from the caller's values when the configuration
+is built on arrays; its ``points`` and ``weights`` tuples and a
+certificate's ``d`` are then built only when read, which a solve on the
+arrays never does.  One rule, ``_on_arrays``, decides where a median
 takes its O(n) passes, for validation, the general solver, the
 certificate and the objective alike: on the arrays from ``ARRAY_MIN``
 points on when numpy is already loaded, in Python loops otherwise.
@@ -99,46 +102,60 @@ class WeightedConfiguration:
     """Pairwise distinct planar points with positive weights.
 
     The one validated instance of the package: the solvers, their
-    certificates and the command line all take it as built.  ``diameter``
-    and ``total_weight`` are computed once, at construction; weights whose
-    sum overflows the doubles are refused, so every tolerance scaled by the
-    total weight stays finite.  Where ``_on_arrays`` holds (``ARRAY_MIN``
-    points or more, numpy already loaded), construction converts the points
-    and weights to the arrays that ``arrays`` returns and hands the point
-    array to ``geom.ensure_distinct``, which then takes array passes.
-    Construction never imports numpy itself: the command line loads it
-    first for a median of ``IMPORT_MIN`` points or more.
+    certificates and the command line all take it as built.  ``n``,
+    ``diameter`` and ``total_weight`` are computed once, at construction;
+    weights whose sum overflows the doubles are refused, so every tolerance
+    scaled by the total weight stays finite.  Where ``_on_arrays`` holds
+    (``ARRAY_MIN`` points or more, numpy already loaded), construction
+    converts the caller's points and weights once, to the arrays that
+    ``arrays`` returns, checks the weights and the points on them, and
+    builds the ``points`` and ``weights`` tuples only when they are first
+    read; a solve on the arrays reads neither.  Where a check on the arrays
+    fails, the tuples are built and checked as below the cut-off, so both
+    sides refuse the same input with the same error; the one input that
+    differs is a point given as the bytes of a number, which numpy reads
+    and ``complex`` refuses.  Construction never imports numpy itself: the
+    command line loads it first for a median of ``IMPORT_MIN`` points or
+    more.
     """
 
     points: tuple[complex, ...]
     weights: tuple[float, ...]
+    n: int = field(init=False, repr=False, compare=False)
     diameter: float = field(init=False, repr=False, compare=False)
     total_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = tuple(map(complex, self.points))
-        wts = tuple(map(float, self.weights))
-        if not pts:
-            raise EmptyInput("a configuration needs at least one point")
-        if len(pts) != len(wts):
-            raise LengthMismatch("one weight per point")
-        total = sum(wts)
-        # min may pass over a NaN, but the sum is then NaN; with an inf it is inf
-        if not (min(wts) > 0.0 and total < math.inf):
-            for a in wts:
-                if not (math.isfinite(a) and a > 0.0):
-                    raise ValueError(f"weights must be positive and finite, got {a!r}")
-            raise ValueError("weights must have a finite sum, got one beyond the doubles")
-        if _on_arrays(len(pts)):
-            arrays = _as_arrays(pts, wts)
-            object.__setattr__(self, "_arrays", arrays)
-            diameter = geom.ensure_distinct(arrays[0])
+        raw_points, state = self.points, self.__dict__
+        checked = _checked_arrays(raw_points, self.weights)
+        if checked is None:
+            pts, wts, total = _checked_tuples(raw_points, self.weights)
+            state.update(points=pts, weights=wts)
+            if _on_arrays(len(pts)):
+                state["_arrays"] = _as_arrays(pts, wts)
         else:
-            diameter = geom.ensure_distinct(pts)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "diameter", diameter)
-        object.__setattr__(self, "total_weight", total)
+            # the tuples are built from the arrays on first read, by __getattr__
+            del state["points"], state["weights"]
+            state["_arrays"], total = checked
+        arrays = state.get("_arrays")
+        points = state["points"] if arrays is None else arrays[0]
+        try:
+            diameter = geom.ensure_distinct(points)
+        except ValueError:
+            if checked is not None:  # numpy reads None as NaN, where complex() refuses it
+                tuple(map(complex, raw_points))
+            raise
+        state.update(n=len(points), diameter=diameter, total_weight=total)
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the points or weights of a
+        # configuration built on arrays, before their first read
+        arrays = self.__dict__.get("_arrays")
+        if arrays is None or name not in ("points", "weights"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        array = arrays[0] if name == "points" else arrays[1]
+        value = self.__dict__[name] = tuple(array.tolist())
+        return value
 
     @classmethod
     def of(cls, points, weights=None) -> "WeightedConfiguration":
@@ -154,10 +171,6 @@ class WeightedConfiguration:
             return points
         pts = tuple(points)
         return cls(pts, (1.0,) * len(pts) if weights is None else tuple(weights))
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
 
     @property
     def arrays(self):
@@ -182,6 +195,51 @@ def _as_arrays(points, weights):
     wts = np.fromiter(weights, dtype=float, count=len(weights))
     pts.flags.writeable = wts.flags.writeable = False
     return pts, wts
+
+
+def _checked_arrays(points, weights):
+    """The caller's points and weights as arrays, with the total weight.
+
+    None unless ``_on_arrays`` holds and the conversion, the lengths and
+    the weights pass; ``_checked_tuples`` then decides, and raises, as
+    below ``ARRAY_MIN``.  The total is added left to right, as ``sum``
+    adds it, so both give the same double.
+    """
+    try:
+        if not _on_arrays(len(points)):
+            return None
+        arrays = _as_arrays(points, weights)
+    except (TypeError, ValueError, OverflowError):  # no len, or numpy refused an entry
+        return None
+    import numpy as np
+
+    wts = arrays[1]
+    if len(wts) != len(arrays[0]):
+        return None
+    with np.errstate(over="ignore"):  # a sum beyond the doubles is inf, refused below
+        total = float(np.add.accumulate(wts)[-1])
+    # a NaN weight makes the min NaN, which fails the test as well
+    if not (wts.min() > 0.0 and total < math.inf):
+        return None
+    return arrays, total
+
+
+def _checked_tuples(points, weights):
+    """The points and weights as tuples, with the total weight; raises on bad input."""
+    pts = tuple(map(complex, points))
+    wts = tuple(map(float, weights))
+    if not pts:
+        raise EmptyInput("a configuration needs at least one point")
+    if len(pts) != len(wts):
+        raise LengthMismatch("one weight per point")
+    total = sum(wts)
+    # min may pass over a NaN, but the sum is then NaN; with an inf it is inf
+    if not (min(wts) > 0.0 and total < math.inf):
+        for a in wts:
+            if not (math.isfinite(a) and a > 0.0):
+                raise ValueError(f"weights must be positive and finite, got {a!r}")
+        raise ValueError("weights must have a finite sum, got one beyond the doubles")
+    return pts, wts, total
 
 
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
@@ -455,16 +513,15 @@ def solve_ft_n(
             # does not depend on w, so one test per point settles z_k
             vpull, inv_sum = passes.vertex_pull(k)
             r, a_k = abs(vpull), passes.shares[k]
+            z_k = complex(passes.pts[k])
             if k not in tested:
                 tested.add(k)
                 if r - a_k <= target:
-                    return _point_result(
-                        config, config.points[k], FtCase.ITERATIVE, tol
-                    )
+                    return _point_result(config, z_k, FtCase.ITERATIVE, tol)
             if dk <= near_band:
                 # modified Weiszfeld step z_k + (1 - a_k/r)(T - z_k), with T
                 # the other points' Weiszfeld average; r > a_k here
-                w = config.points[k] + complex((1.0 - a_k / r) * vpull / inv_sum)
+                w = z_k + complex((1.0 - a_k / r) * vpull / inv_sum)
                 continue
         rn = abs(pull)
         if rn < best[0]:

@@ -798,6 +798,23 @@ def test_overflowing_spread_is_a_format_error(tmp_path, capsys):
 
 # ------------------------------------------------------------------- numpy
 
+MODULES_PROBE = """
+import json, sys
+from planarloc.cli import main
+if main(["solve", sys.argv[1]]) != 0:
+    raise SystemExit("solve failed")
+print(json.dumps([m in sys.modules for m in ("planarloc.svgplot", "csv")]), file=sys.stderr)
+"""
+
+
+def test_a_json_median_loads_neither_svg_nor_csv(tmp_path):
+    # the SVG writer and the CSV reader are imported only when used
+    path = _problem(tmp_path, "five.json", "fermat", FIVE)
+    proc = run_python(["-c", MODULES_PROBE, path], cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [False, False]
+
+
 NUMPY_PROBE = """
 import json, sys
 from planarloc.cli import main

@@ -262,6 +262,11 @@ MEDIAN_FAMILIES = [
 
 
 def _median_family(gen, family, n):
+    return WeightedConfiguration(*_median_data(gen, family, n))
+
+
+def _median_data(gen, family, n):
+    """The raw points and weights of one median family, as tuples."""
     xy = gen.uniform(0.0, 1.0, (n, 2))
     wts = [float(a) for a in gen.uniform(0.5, 2.0, n)]
     if family == "clustered":
@@ -284,7 +289,7 @@ def _median_family(gen, family, n):
         z0 = pts[0]
         pull = abs(sum(a * (z - z0) / abs(z - z0) for z, a in zip(pts[1:], wts[1:])))
         wts[0] = pull * (1.0 + 1e-3)
-    return WeightedConfiguration(tuple(pts), tuple(wts))
+    return tuple(pts), tuple(wts)
 
 
 @pytest.mark.parametrize("n", [5, 8, 40, 400])
@@ -582,6 +587,38 @@ def test_certificate_paths_agree(monkeypatch, n):
 
     # the objective reports such an offset as the inf its sum is
     assert _on_both_paths(monkeypatch, far_objective) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("n", [ARRAY_MIN, 2000])
+@pytest.mark.parametrize("family", ["uniform", "clustered", "offset", "vertex"])
+def test_a_solve_on_arrays_builds_no_tuples(monkeypatch, family, n):
+    # a configuration built on arrays and its certificate keep the arrays;
+    # the per-point tuples are built on first read, equal to a conversion
+    # of the raw values, and a twin whose tuples were read first compares
+    # and hashes alike
+    pts, wts = _median_data(np.random.default_rng(n), family, n)
+    config, twin = WeightedConfiguration(pts, wts), WeightedConfiguration(pts, wts)
+    twin.points, twin.weights  # read before solving
+    res = solve_ft_n(config)
+    cert = res.certificate
+    assert cert.passed
+    assert not {"points", "weights"} & set(vars(config)) and "d" not in vars(cert)
+    assert "_arrays" in vars(config) and "_d" in vars(cert)
+    twin_res = solve_ft_n(twin)
+    twin_res.certificate.d
+    assert config.points == tuple(map(complex, pts))
+    assert config.weights == tuple(map(float, wts))
+    assert type(config.points[0]) is complex and type(config.weights[0]) is float
+    assert (config, cert, res) == (twin, twin_res.certificate, twin_res)
+    assert hash((config, cert, res)) == hash((twin, twin_res.certificate, twin_res))
+    assert repr(config) == repr(twin)
+    with monkeypatch.context() as m:
+        m.setattr(fermat, "ARRAY_MIN", sys.maxsize)
+        on_loops = ft_certificate(WeightedConfiguration(pts, wts), res.location)
+    assert type(cert.d) is tuple and len(cert.d) == n
+    assert all(
+        cmath.isclose(u, v, rel_tol=1e-14, abs_tol=1e-14) for u, v in zip(cert.d, on_loops.d)
+    )
 
 
 # ------------------------------------------------------------ perturbation

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from planarloc import chebyshev, cli, documents, fermat, geom
+from planarloc.fermat import ARRAY_MIN, WeightedConfiguration, solve_ft_n
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 MODULES = {
@@ -23,11 +24,15 @@ MODULES = {
 }
 
 
-def _boundaries():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.BOUNDARIES
+    return module
+
+
+def _boundaries():
+    return _tracing().BOUNDARIES
 
 
 @pytest.mark.parametrize("path", sorted({path for _, path, _ in _boundaries()}))
@@ -37,3 +42,21 @@ def test_boundary_resolves_to_a_callable(path):
     for part in rest:
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, 2000])
+def test_a_configuration_is_one_config_span(monkeypatch, n):
+    # the traced run wraps the class attribute __post_init__; on the tuples
+    # and on the arrays alike each construction is one call, and the solve
+    # builds no configuration of its own
+    tracer = _tracing().Tracer()
+    traced = tracer.span("fermat.config", WeightedConfiguration.__post_init__)
+    monkeypatch.setattr(WeightedConfiguration, "__post_init__", traced)
+    tracer.solve_id = 0  # record, as inside a solve
+    points = [complex(k % 8, k // 8 + 0.1 * k) for k in range(n)]
+    weights = [1.0 + 0.01 * k for k in range(n)]
+    configs = [WeightedConfiguration(points, weights) for _ in range(3)]
+    assert tracer.calls["fermat.config"] == 3
+    assert all(("_arrays" in vars(c)) is (n >= ARRAY_MIN) for c in configs)
+    assert solve_ft_n(configs[0]).certificate.passed
+    assert tracer.calls["fermat.config"] == 3

@@ -10,6 +10,7 @@ closed-form solve certifies its answer once and nothing else.
 import cmath
 import json
 import math
+import sys
 
 import pytest
 
@@ -17,6 +18,9 @@ import planarloc.chebyshev
 import planarloc.fermat
 import planarloc.geom
 from planarloc import (
+    DuplicatePoints,
+    EmptyInput,
+    LengthMismatch,
     FtCase,
     WeightedConfiguration,
     cheby_certificate,
@@ -199,3 +203,58 @@ def test_configuration_passes_through_unchanged(distinct_calls):
     assert len(distinct_calls) == 1
     with pytest.raises(ValueError, match="carries its own weights"):
         WeightedConfiguration.of(config, SIX_W)
+
+
+def _put(seq, value, at=5):
+    return [*seq[:at], value, *seq[at + 1:]]
+
+
+# how each input is spoiled, and the error both sides of ARRAY_MIN raise
+REFUSALS = {
+    "none-point": (lambda p, w: (_put(p, None), w), TypeError),
+    "string-point": (lambda p, w: (_put(p, "abc"), w), ValueError),
+    "huge-int-point": (lambda p, w: (_put(p, 10**400), w), OverflowError),
+    "nan-point": (lambda p, w: (_put(p, complex(math.nan, 1.0)), w), ValueError),
+    "inf-point": (lambda p, w: (_put(p, complex(1.0, math.inf)), w), ValueError),
+    "pair-point": (lambda p, w: (_put(p, [1.0, 2.0]), w), TypeError),
+    "duplicate-points": (lambda p, w: (_put(p, p[3]), w), DuplicatePoints),
+    "zero-weight": (lambda p, w: (p, _put(w, 0.0)), ValueError),
+    "negative-weight": (lambda p, w: (p, _put(w, -1.0)), ValueError),
+    "nan-weight": (lambda p, w: (p, _put(w, math.nan)), ValueError),
+    "none-weight": (lambda p, w: (p, _put(w, None)), TypeError),
+    "sum-past-the-doubles": (lambda p, w: (p, [1e307] * len(w)), ValueError),
+    "none-point-zero-weight": (lambda p, w: (_put(p, None), _put(w, 0.0)), TypeError),
+    "short-weights": (lambda p, w: (p, w[:-1]), LengthMismatch),
+    "short-points": (lambda p, w: (p[:-1], w), LengthMismatch),
+    "empty": (lambda p, w: ((), ()), EmptyInput),
+}
+
+
+@pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, 200])
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_both_sides_of_array_min_refuse_alike(monkeypatch, case, n):
+    # with numpy loaded, a configuration of ARRAY_MIN points or more is
+    # converted to arrays first; whatever the arrays refuse (numpy reads
+    # None as NaN) is refused with the error and message of the tuples
+    spoil, error = REFUSALS[case]
+    points, weights = spoil(
+        [complex(k % 8, k // 8 + 0.1 * k) for k in range(n)], [1.0 + 0.01 * k for k in range(n)]
+    )
+    converted = []
+    convert = planarloc.fermat._as_arrays
+
+    def spy_convert(points, weights):
+        converted.append(1)
+        return convert(points, weights)
+
+    def refusal():
+        with pytest.raises(Exception) as info:
+            WeightedConfiguration(points, weights)
+        return type(info.value), str(info.value)
+
+    monkeypatch.setattr(planarloc.fermat, "_as_arrays", spy_convert)
+    seen = refusal()
+    assert seen[0] is error, seen
+    assert bool(converted) is (len(points) >= ARRAY_MIN)
+    monkeypatch.setattr(planarloc.fermat, "ARRAY_MIN", sys.maxsize)  # the tuples only
+    assert refusal() == seen
