@@ -137,9 +137,10 @@ def build_l1_certificate(
                 d[i] = di = direction * ratio * yi.conjugate() / abs(yi)
                 spent += di * yi
         residual = abs(forced + spent)
+    on_arrays = not isinstance(d, list)
     cert = SupportCertificate(
         space="l1",
-        d=d,
+        d=d if on_arrays else tuple(d),
         residual=residual,
         passed=need <= slack + tol,
         forced=forced,
@@ -147,11 +148,8 @@ def build_l1_certificate(
         tol=tol,
         gamma=complex(d[free[0]]) if len(free) == 1 else None,
     )
-    state = cert.__dict__
-    if isinstance(d, list):
-        state["d"] = tuple(d)
-    else:  # an array, kept until d is read
-        state["_d"] = state.pop("d")
+    if on_arrays:  # the array is kept until d is first read
+        cert.__dict__["_d"] = cert.__dict__.pop("d")
     return cert
 
 

@@ -126,26 +126,27 @@ class WeightedConfiguration:
     total_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        raw_points, state = self.points, self.__dict__
-        checked = _checked_arrays(raw_points, self.weights)
+        state = self.__dict__
+        raw_points, raw_weights = state["points"], state["weights"]
+        checked = _checked_arrays(raw_points, raw_weights)
         if checked is None:
-            pts, wts, total = _checked_tuples(raw_points, self.weights)
-            state.update(points=pts, weights=wts)
-            if _on_arrays(len(pts)):
-                state["_arrays"] = _as_arrays(pts, wts)
+            points, wts, total = _checked_tuples(raw_points, raw_weights)
+            state["points"], state["weights"] = points, wts
+            if _on_arrays(len(points)):
+                state["_arrays"] = arrays = _as_arrays(points, wts)
+                points = arrays[0]
         else:
             # the tuples are built from the arrays on first read, by __getattr__
             del state["points"], state["weights"]
             state["_arrays"], total = checked
-        arrays = state.get("_arrays")
-        points = state["points"] if arrays is None else arrays[0]
+            points = checked[0][0]
         try:
             diameter = geom.ensure_distinct(points)
         except ValueError:
             if checked is not None:  # numpy reads None as NaN, where complex() refuses it
                 tuple(map(complex, raw_points))
             raise
-        state.update(n=len(points), diameter=diameter, total_weight=total)
+        state["n"], state["diameter"], state["total_weight"] = len(points), diameter, total
 
     def __getattr__(self, name):
         # reached only for an attribute not set: the points or weights of a
@@ -425,13 +426,14 @@ def _interior_ft3(config: WeightedConfiguration) -> complex:
     scaled by twice the area, and the average is taken relative to z1 so a
     triangle far from the origin keeps its digits.
     """
-    z1 = config.points[0]
-    p = [z - z1 for z in config.points]
+    zs, ws = config.points, config.weights
+    z1 = zs[0]
+    p = [z - z1 for z in zs]
     area2 = abs((p[1].conjugate() * p[2]).imag)
     lam = []
     for i in range(3):
         j, k = [m for m in range(3) if m != i]
-        t = _angle_threshold(config.weights[i], config.weights[j], config.weights[k])
+        t = _angle_threshold(ws[i], ws[j], ws[k])
         dot = ((p[j] - p[i]).conjugate() * (p[k] - p[i])).real
         lam.append(1.0 / (dot - area2 * t / math.sqrt((1.0 - t) * (1.0 + t))))
     return z1 + (lam[1] * p[1] + lam[2] * p[2]) / sum(lam)
