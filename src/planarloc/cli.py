@@ -83,7 +83,7 @@ def _write_svg(path: str, problem, kind: str, sol, cert) -> int:
     from . import svgplot  # only an SVG needs it
 
     radius = cheby.chebyshev_radius(problem.config, None, sol[0]) if kind == "chebyshev" else 0.0
-    svg = svgplot.render_svg(problem.points, kind, sol, cert.support, radius)
+    svg = svgplot.render_svg(problem.config.points, kind, sol, cert.support, radius)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -24,7 +24,7 @@ import cmath
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -40,24 +40,15 @@ FORMAT = 3
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """A parsed problem and its validated configuration.
+    """A parsed problem: its kind and its validated configuration.
 
-    ``config`` is built once, here, with unit weights when the file gives
-    none; building it raises DuplicatePoints for coinciding points and
-    ProblemFormatError for points whose spread overflows.
+    The parser builds ``config`` once, with unit weights when the file
+    gives none; building it raises DuplicatePoints for coinciding points
+    and ProblemFormatError for points whose spread overflows.
     """
 
     kind: Optional[str]
-    points: tuple[complex, ...]
-    weights: Optional[tuple[float, ...]]
-    config: WeightedConfiguration = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        try:
-            config = WeightedConfiguration.of(self.points, self.weights)
-        except ValueError as e:
-            raise ProblemFormatError(f"points: {e}") from e
-        object.__setattr__(self, "config", config)
+    config: WeightedConfiguration
 
 
 def _float_or_inf(a) -> float:
@@ -120,11 +111,10 @@ def _validate(kind, points, weights) -> ProblemFile:
             raise ProblemFormatError("weights: their sum is beyond the doubles")
     if kind == "fermat" and len(points) >= IMPORT_MIN:
         import numpy  # noqa: F401  (the configuration then validates on arrays)
-    return ProblemFile(
-        kind=kind,
-        points=tuple(points),
-        weights=None if weights is None else tuple(weights),
-    )
+    try:
+        return ProblemFile(kind, WeightedConfiguration.of(points, weights))
+    except ValueError as e:
+        raise ProblemFormatError(f"points: {e}") from e
 
 
 def _load_json_problem(text: str, kind_flag: Optional[str]) -> ProblemFile:

@@ -110,13 +110,13 @@ class WeightedConfiguration:
     converts the caller's points and weights once, to the arrays that
     ``arrays`` returns, checks the weights and the points on them, and
     builds the ``points`` and ``weights`` tuples only when they are first
-    read; a solve on the arrays reads neither.  Where a check on the arrays
-    fails, the tuples are built and checked as below the cut-off, so both
-    sides refuse the same input with the same error; the one input that
-    differs is a point given as the bytes of a number, which numpy reads
-    and ``complex`` refuses.  Construction never imports numpy itself: the
-    command line loads it first for a median of ``IMPORT_MIN`` points or
-    more.
+    read; a solve on the arrays reads neither.  The arrays only decide:
+    every refusal, a duplicate pair included, is stated as the tuples state
+    it, so both sides refuse the same input with the same error.  The one
+    input that differs is a point given as the bytes of a number, which
+    numpy reads and ``complex`` refuses.  Construction never imports numpy
+    itself: the command line loads it first for a median of ``IMPORT_MIN``
+    points or more.
     """
 
     points: tuple[complex, ...]
@@ -127,25 +127,16 @@ class WeightedConfiguration:
 
     def __post_init__(self):
         state = self.__dict__
-        raw_points, raw_weights = state["points"], state["weights"]
-        checked = _checked_arrays(raw_points, raw_weights)
+        checked = _checked_arrays(state["points"], state["weights"])
         if checked is None:
-            points, wts, total = _checked_tuples(raw_points, raw_weights)
+            points, wts, total = _checked_tuples(state["points"], state["weights"])
             state["points"], state["weights"] = points, wts
-            if _on_arrays(len(points)):
-                state["_arrays"] = arrays = _as_arrays(points, wts)
-                points = arrays[0]
+            diameter = geom.ensure_distinct(points)
         else:
             # the tuples are built from the arrays on first read, by __getattr__
             del state["points"], state["weights"]
-            state["_arrays"], total = checked
+            state["_arrays"], total, diameter = checked
             points = checked[0][0]
-        try:
-            diameter = geom.ensure_distinct(points)
-        except ValueError:
-            if checked is not None:  # numpy reads None as NaN, where complex() refuses it
-                tuple(map(complex, raw_points))
-            raise
         state["n"], state["diameter"], state["total_weight"] = len(points), diameter, total
 
     def __getattr__(self, name):
@@ -199,12 +190,14 @@ def _as_arrays(points, weights):
 
 
 def _checked_arrays(points, weights):
-    """The caller's points and weights as arrays, with the total weight.
+    """The caller's points and weights as arrays, with the total weight and the spread.
 
-    None unless ``_on_arrays`` holds and the conversion, the lengths and
-    the weights pass; ``_checked_tuples`` then decides, and raises, as
-    below ``ARRAY_MIN``.  The total is added left to right, as ``sum``
-    adds it, so both give the same double.
+    None unless ``_on_arrays`` holds and every check on the arrays passes:
+    the conversion, the lengths, the weights and the duplicate check.  The
+    tuples and the list check then decide, and raise, as below
+    ``ARRAY_MIN``; the arrays only raise DuplicatePoints, for the pair the
+    list check names.  The total is added left to right, as ``sum`` adds
+    it, so both give the same double.
     """
     try:
         if not _on_arrays(len(points)):
@@ -222,7 +215,10 @@ def _checked_arrays(points, weights):
     # a NaN weight makes the min NaN, which fails the test as well
     if not (wts.min() > 0.0 and total < math.inf):
         return None
-    return arrays, total
+    try:
+        return arrays, total, geom.ensure_distinct(arrays[0])
+    except ValueError:  # a point not finite, or a spread beyond the doubles
+        return None
 
 
 def _checked_tuples(points, weights):
@@ -499,8 +495,6 @@ def solve_ft_n(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    if config.n == 1:
-        return _point_result(config, config.points[0], FtCase.ITERATIVE, tol)
     passes = (_ArrayPasses if _loaded_on_arrays(config.n) else _LoopPasses)(config)
     near_band = passes.band
     target = tol

@@ -108,14 +108,18 @@ def ensure_distinct(points: Sequence[complex], scale: Optional[float] = None) ->
     corner of their bounding box, and each is compared only with the
     earlier ones in its 3x3 block of cells: a pair within the band never
     lies farther apart than neighbouring cells.  So the decision is that of
-    testing every pair, in O(n log n).  Raises ValueError when the band is
-    not finite, which happens when the spread overflows.
+    testing every pair, in O(n log n).  The pair named is the smallest j
+    that has an earlier point within the band, with the smallest such i.
+    Raises ValueError when the band is not finite, which happens when the
+    spread overflows.
 
     A numpy array of two or more points takes the same steps as array
     passes (``_distinct_array``), the rule ``bjorth.build_l1_certificate``
-    follows; ``fermat.WeightedConfiguration`` hands one over from
-    ``fermat.ARRAY_MIN`` points on when numpy is already loaded.  Any other
-    sequence takes the Python passes, so validation never imports numpy.
+    follows, and refuses every input as the Python passes refuse it, a
+    duplicate pair named alike; ``fermat.WeightedConfiguration`` hands one
+    over from ``fermat.ARRAY_MIN`` points on when numpy is already loaded.
+    Any other sequence takes the Python passes, so validation never imports
+    numpy.
     """
     if hasattr(points, "dtype") and len(points) > 1:
         return _distinct_array(points, scale)
@@ -132,12 +136,15 @@ def ensure_distinct(points: Sequence[complex], scale: Optional[float] = None) ->
         raise ValueError(f"coincidence band overflows: scale {scale!r} is not finite")
     idx = _screen(xs, ys, band)
     if len(idx) > 1:
-        sub = pts if len(idx) == len(pts) else list(map(pts.__getitem__, idx))
-        pair = _grid_pair(sub, band)
-        if pair is not None:
-            i, j = idx[pair[0]], idx[pair[1]]
-            raise DuplicatePoints(f"points {i} and {j} coincide within tolerance")
+        _refuse_pair(pts if len(idx) == len(pts) else list(map(pts.__getitem__, idx)), idx, band)
     return diameter
+
+
+def _refuse_pair(pts: Sequence[complex], idx: Sequence[int], band: float) -> None:
+    """Raise DuplicatePoints for the pair ``_grid_pair`` names, as indices ``idx`` of ``pts``."""
+    pair = _grid_pair(pts, band)
+    if pair is not None:
+        raise DuplicatePoints(f"points {idx[pair[0]]} and {idx[pair[1]]} coincide within tolerance")
 
 
 def _screen(xs: list[float], ys: list[float], band: float) -> Sequence[int]:
@@ -176,11 +183,12 @@ def _near_on_axis(coords: list[float], band: float) -> Optional[set[int]]:
 
 
 def _grid_pair(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]:
-    # Halved coordinates: no difference of two of them overflows, and a cell
-    # 2*band wide in the plane is band wide here.  A cell is never narrower
-    # than the extent times 2**-40, so no index exceeds 2**40 however small
-    # the band.  It comes out zero only when all points are one point, and
-    # any width then puts them in one cell.
+    # Names the smallest j with an earlier point within the band, then the
+    # smallest such i.  Halved coordinates: no difference of two of them
+    # overflows, and a cell 2*band wide in the plane is band wide here.  A
+    # cell is never narrower than the extent times 2**-40, so no index
+    # exceeds 2**40 however small the band.  It comes out zero only when all
+    # points are one point, and any width then puts them in one cell.
     xs = [0.5 * z.real for z in pts]
     ys = [0.5 * z.imag for z in pts]
     x0, y0 = min(xs), min(ys)
@@ -191,12 +199,16 @@ def _grid_pair(pts: Sequence[complex], band: float) -> Optional[tuple[int, int]]
     keys = [int((x - x0) / cell) * stride + int((y - y0) / cell) for x, y in zip(xs, ys)]
     cells: dict[int, list[int]] = {}
     for j, key in enumerate(keys):
+        first = j
         for off in block:
             if key + off in cells:
                 for i in cells[key + off]:
                     d = pts[i] - pts[j]
                     if abs(d.real) <= band and abs(d.imag) <= band and abs(d) <= band:
-                        return i, j
+                        first = min(first, i)
+                        break  # a cell's indices ascend
+        if first < j:
+            return first, j
         cells.setdefault(key, []).append(j)
     return None
 
@@ -208,7 +220,8 @@ def _distinct_array(points, scale: Optional[float]) -> float:
     Python passes, taken on arrays: the spread from the extremes of each
     axis, the screen from each axis sorted by ``np.sort``.  Both axes always
     narrow, since a mask costs the same however many points it keeps.  The
-    survivors go to ``_array_pair`` in place of the dict grid.
+    survivors go to ``_array_pair``, which decides in place of the dict
+    grid; a pair found there is named by the grid on the same survivors.
     """
     import numpy as np
 
@@ -231,10 +244,8 @@ def _distinct_array(points, scale: Optional[float]) -> float:
         near_y = None if near_x is None else _near_on_axis_array(ys, np.sort(ys), band)
     if near_y is not None:
         idx = np.flatnonzero(near_x & near_y)
-        pair = _array_pair(pts[idx], band) if len(idx) > 1 else None
-        if pair is not None:
-            i, j = sorted(int(idx[k]) for k in pair)
-            raise DuplicatePoints(f"points {i} and {j} coincide within tolerance")
+        if len(idx) > 1 and _array_pair(pts[idx], band):
+            _refuse_pair(pts[idx].tolist(), idx.tolist(), band)
     return diameter
 
 
@@ -258,12 +269,12 @@ def _near_on_axis_array(coords, vals, band: float):
     return ends[at] == coords
 
 
-def _array_pair(pts, band: float) -> Optional[tuple[int, int]]:
-    """Indices of two points of the array ``pts`` within the band, or None.
+def _array_pair(pts, band: float) -> bool:
+    """Whether two points of the array ``pts`` lie within the band.
 
-    ``_grid_pair`` as array passes.  The cells are the same, except that one
-    is never narrower than the extent times 2**-21, so a key, column times
-    stride plus row, stays below 2**43 and fits int64.  With the points
+    ``_grid_pair``'s decision as array passes.  The cells are the same,
+    except that one is never narrower than the extent times 2**-21, so a
+    key, column times stride plus row, stays below 2**43 and fits int64.  With the points
     sorted by key, each one meets the later points of its own cell and
     every point of the 4 neighbouring cells that come after its cell (up,
     and the three of the next column), so each pair of neighbouring cells
@@ -292,12 +303,11 @@ def _array_pair(pts, band: float) -> Optional[tuple[int, int]]:
             with np.errstate(over="ignore"):
                 close = abs(zs[live] - zs[mate]) <= band
             if close.any():
-                k = int(np.argmax(close))
-                return int(order[live[k]]), int(order[mate[k]])
+                return True
             mate += 1
             keep = mate < hi[live]
             live, mate = live[keep], mate[keep]
-    return None
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,16 @@ def test_single_point_configuration():
     res = solve_ft_n(WeightedConfiguration((2 + 3j,), (4.0,)))
     assert res.solution.location == 2 + 3j
     assert res.objective == 0.0
+    # the iteration returns a lone point itself: its first field lies in the
+    # point's band and the point passes its slack test, at any scale,
+    # weight, tolerance and iteration budget
+    for z in (0j, 3 + 4j, 1e300 * (1 + 1j), -2.5e-300j, 5e-324):
+        for a in (1e-300, 1.0, 1e300):
+            for tol, max_iter in ((1e-10, 10000), (1e-300, 1), (0.5, 2)):
+                config = WeightedConfiguration((z,), (a,))
+                res = solve_ft_n(config, tol=tol, max_iter=max_iter)
+                assert res.solution.location == z and res.case is FtCase.ITERATIVE
+                assert res.objective == 0.0 and res.certificate.passed
 
 
 def test_fifth_roots():

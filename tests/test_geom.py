@@ -488,16 +488,18 @@ def test_similarity_equivariance(rng):
 
 
 def _pair_loop_decision(points, scale):
-    # the reference: every pair, the same exact test as ensure_distinct
+    # the reference: every pair, the same exact test as ensure_distinct, and
+    # the pair it must name: the smallest j with an earlier point within the
+    # band, then the smallest such i; None when no pair is within it
     band = EPS_CLASS * scale
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
+    for j in range(len(points)):
+        for i in range(j):
             try:
                 if abs(points[i] - points[j]) <= band:
-                    return True
+                    return i, j
             except OverflowError:  # a modulus beyond every double: not within the band
                 pass
-    return False
+    return None
 
 
 def _near_on_axis_array(coords, band):
@@ -511,9 +513,10 @@ def _both_paths(points):
 
 
 def _check_against_pair_loop(points, scale=None, reference=_pair_loop_decision):
-    """ensure_distinct must decide like the pair loop and name a true pair.
+    """ensure_distinct must decide like the pair loop and name the pair it names.
 
     Checked on both paths: the points handed over as a list and as an array.
+    Returns whether a pair is within the band.
     """
     scale = spread(points) if scale is None else scale
     expected = reference(points, scale)
@@ -522,13 +525,11 @@ def _check_against_pair_loop(points, scale=None, reference=_pair_loop_decision):
             geom.ensure_distinct(handed, scale)
         except DuplicatePoints as e:
             named = re.fullmatch(r"points (\d+) and (\d+) coincide within tolerance", str(e))
-            i, j = (int(t) for t in named.groups())
-            assert i != j
-            assert abs(points[i] - points[j]) <= EPS_CLASS * scale
             assert expected, "grid reports a pair the pair loop does not"
+            assert tuple(int(t) for t in named.groups()) == expected
         else:
             assert not expected, "grid misses a pair the pair loop finds"
-    return expected
+    return expected is not None
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 31, 32, 33, 60, 150])
@@ -649,17 +650,20 @@ def test_duplicate_check_returns_the_spread(rng, shape):
 
 
 def _block_pair_decision(points, scale):
-    # the pair loop's test, a block of rows at a time in numpy: the same
-    # differences and the same hypot, fast enough for 1e4 points
+    # the pair loop's test and pair, a block of columns j at a time in numpy
+    # against every row i < j: the same differences and the same hypot,
+    # fast enough for 1e4 points
     z = np.asarray(points, dtype=complex)
     band = EPS_CLASS * scale
-    for i0 in range(0, len(z), 128):
-        rows = z[i0 : i0 + 128, None]
-        close = np.abs(rows - z[None, i0:]) <= band
-        close &= np.arange(i0, len(z))[None, :] > np.arange(i0, i0 + len(rows))[:, None]
+    k = np.arange(len(z))
+    for j0 in range(0, len(z), 128):
+        j1 = min(j0 + 128, len(z))
+        close = np.abs(z[:j1, None] - z[None, j0:j1]) <= band
+        close &= k[:j1, None] < k[None, j0:j1]
         if close.any():
-            return True
-    return False
+            j = int(np.flatnonzero(close.any(axis=0))[0])
+            return int(np.argmax(close[:, j])), j0 + j
+    return None
 
 
 @pytest.mark.parametrize("n", [2, 32, 33, 2000, 10_000])
@@ -677,7 +681,7 @@ def test_screen_keeps_every_pair_within_the_band(rng, n, offset):
             points[j] = points[i] + factor * EPS_CLASS * scale * direction
             found = _check_against_pair_loop(points, scale, _block_pair_decision)
             if n <= 2000:
-                assert _pair_loop_decision(points, scale) is found
+                assert _pair_loop_decision(points, scale) == _block_pair_decision(points, scale)
             if offset == 0.0:
                 assert found is (factor < 1.0)
 

@@ -218,6 +218,7 @@ REFUSALS = {
     "inf-point": (lambda p, w: (_put(p, complex(1.0, math.inf)), w), ValueError),
     "pair-point": (lambda p, w: (_put(p, [1.0, 2.0]), w), TypeError),
     "duplicate-points": (lambda p, w: (_put(p, p[3]), w), DuplicatePoints),
+    "two-duplicate-pairs": (lambda p, w: (_put(_put(p, p[3]), p[0], at=30), w), DuplicatePoints),
     "zero-weight": (lambda p, w: (p, _put(w, 0.0)), ValueError),
     "negative-weight": (lambda p, w: (p, _put(w, -1.0)), ValueError),
     "nan-weight": (lambda p, w: (p, _put(w, math.nan)), ValueError),
@@ -234,8 +235,8 @@ REFUSALS = {
 @pytest.mark.parametrize("case", list(REFUSALS))
 def test_both_sides_of_array_min_refuse_alike(monkeypatch, case, n):
     # with numpy loaded, a configuration of ARRAY_MIN points or more is
-    # converted to arrays first; whatever the arrays refuse (numpy reads
-    # None as NaN) is refused with the error and message of the tuples
+    # converted to arrays first; whatever the arrays refuse is refused with
+    # the error and message of the tuples, a duplicate pair named alike
     spoil, error = REFUSALS[case]
     points, weights = spoil(
         [complex(k % 8, k // 8 + 0.1 * k) for k in range(n)], [1.0 + 0.01 * k for k in range(n)]
