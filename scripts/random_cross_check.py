@@ -43,7 +43,18 @@ of flipping.  ``--kind paths`` solves each median twice with
 Python loops forced (by setting ``fermat.ARRAY_MIN``), on 5 to 3000
 points (log-uniform) drawn in turn uniform, in clusters, exactly on a
 line, within 1e-9 of one, and with a vertex optimum; both paths must
-certify, or both refuse.  Exits nonzero on the first disagreement,
+certify, or both refuse.  ``--kind perturb`` draws certified optima clear
+of every point of 3 to 40 points and hands the five perturbation
+functions, as new point and as query point, points on the ray from the
+optimum through a configuration point and rotated off it (1e-10 to 1e-1
+rad), the optimum and that configuration point themselves, points 1e6,
+1e12 and 1e300 diameters out, 1.7e308(1 + i), inf and nan;
+``scaled_configuration`` also
+gets scales of 1e6, 1e12, 1e300, inf and nan.  Each call must answer or
+raise ValueError or a PlanarLocError, and ``replacement_preserves`` must
+answer as the certificate of the moved configuration at the optimum, or
+raise where building or certifying that configuration raises.  Exits
+nonzero on the first disagreement,
 printing the offending instance so it can be frozen into a regression
 test.
 
@@ -53,6 +64,7 @@ test.
     python3 scripts/random_cross_check.py --kind closed --count 3000
     python3 scripts/random_cross_check.py --kind l1 --count 300
     python3 scripts/random_cross_check.py --kind paths --count 200
+    python3 scripts/random_cross_check.py --kind perturb --count 200
 """
 
 import argparse
@@ -540,6 +552,120 @@ def main_paths(count, seed):
     return 0
 
 
+TYPED = (ValueError, pl.PlanarLocError)
+
+
+def draw_interior(gen):
+    """A configuration of 3 to 40 points and its certified optimum clear of every point."""
+    while True:
+        n = int(gen.integers(3, 41))
+        weights = tuple(float(a) for a in gen.uniform(0.5, 2.0, n))
+        config = pl.WeightedConfiguration(tuple(draw_points(gen, n)), weights)
+        res = pl.solve_ft_n(config)
+        if res.certificate.slack == 0.0:
+            return config, res.location
+
+
+def perturb_probes(gen, config, w, i):
+    """Named points to hand the perturbation functions, as new and as query points."""
+    ray = config.points[i] - w
+    c = float(gen.uniform(0.05, 3.0))
+    theta = float(gen.choice([-1.0, 1.0])) * 10.0 ** gen.uniform(-10.0, -1.0)
+    probes = {
+        "ray": w + c * ray,
+        "rotated": w + c * ray * cmath.exp(1j * theta),
+        "at-w": w,
+        "point": config.points[i],
+    }
+    far = config.diameter * complex(np.exp(1j * gen.uniform(0.0, 2.0 * np.pi)))
+    for k in (1e6, 1e12, 1e300):
+        probes[f"{k:.0e}-out"] = w + k * far
+    probes["largest"] = complex(1.7e308, 1.7e308)  # its offsets' moduli overflow
+    probes["inf"], probes["nan"] = complex(math.inf, 0.0), complex(math.nan, 0.0)
+    return probes
+
+
+def moved_passes(config, w, i, s):
+    """The certificate of the configuration with point i moved to s, at w."""
+    points = list(config.points)
+    points[i] = s
+    return pl.ft_certificate(pl.WeightedConfiguration(tuple(points), config.weights), w).passed
+
+
+def perturb_calls(config, w, i, p, alpha):
+    """The calls that take p as new point or as query point, by name."""
+
+    def alone():
+        return pl.WeightedConfiguration((p,), (alpha,))
+
+    ones = (1.0,) * config.n
+    return {
+        "addition_preserves(new)": lambda: pl.addition_preserves(config, w, p, alpha),
+        "addition_preserves(query)": lambda: pl.addition_preserves(config, p, w, alpha),
+        "replacement_preserves(new)": lambda: pl.replacement_preserves(config, w, i, p),
+        "replacement_preserves(query)": lambda: pl.replacement_preserves(config, p, i, w),
+        "decomposition_equivalence(new)": lambda: pl.decomposition_equivalence(config, w, alone()),
+        "decomposition_equivalence(query)": lambda: pl.decomposition_equivalence(
+            config, p, alone()
+        ),
+        "scaled_configuration(query)": lambda: pl.scaled_configuration(config, p, ones),
+        "extend_at_vertex(query)": lambda: pl.extend_at_vertex(config, p, alpha),
+    }
+
+
+def outcome(call):
+    """The call's answer, or the type of the ValueError or PlanarLocError it raised."""
+    try:
+        return call()
+    except TYPED as e:
+        return type(e)
+
+
+def check_perturb(gen):
+    """The instance, and None when every call answers as it must, else a line on the first."""
+    config, w = draw_interior(gen)
+    i = int(gen.integers(0, config.n))
+    alpha = float(gen.uniform(0.5, 2.0))
+    instance = (config, w, i, alpha)
+    for name, p in perturb_probes(gen, config, w, i).items():
+        got = {}
+        for call_name, call in perturb_calls(config, w, i, p, alpha).items():
+            try:
+                got[call_name] = outcome(call)
+            except Exception as e:
+                return instance, f"{call_name} at the {name} point {p!r} raised {e!r}"
+        got = got["replacement_preserves(new)"]
+        expected = outcome(lambda: moved_passes(config, w, i, p))
+        if got != expected:
+            return instance, (
+                f"replacement_preserves at the {name} point {p!r} gave {got!r}, "
+                f"the certificate of the moved configuration {expected!r}"
+            )
+    for scale in (float(gen.uniform(0.5, 2.0)), -1.0, 1e6, 1e12, 1e300, math.inf, math.nan):
+        try:
+            outcome(lambda: pl.scaled_configuration(config, w, (scale,) * config.n))
+        except Exception as e:
+            return instance, f"scaled_configuration by {scale!r} raised {e!r}"
+    return instance, None
+
+
+def main_perturb(count, seed):
+    gen = np.random.default_rng(seed)
+    for trial in range(count):
+        (config, w, i, alpha), failure = check_perturb(gen)
+        if failure is not None:
+            print(f"perturb fails on trial {trial}: {failure}")
+            print(f"  w = {w!r}, index = {i}, alpha = {alpha!r}")
+            print(f"  points  = {config.points!r}")
+            print(f"  weights = {config.weights!r}")
+            return 1
+    print(
+        f"perturb: {count} certified optima, every call answered or raised a typed "
+        f"error, every replacement as the moved certificate"
+    )
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=200)
@@ -547,7 +673,9 @@ def main():
     ap.add_argument("--n-max", type=int, default=12)
     ap.add_argument(
         "--kind",
-        choices=("fermat", "chebyshev", "both", "distinct", "linf", "closed", "l1", "paths"),
+        choices=(
+            "fermat", "chebyshev", "both", "distinct", "linf", "closed", "l1", "paths", "perturb"
+        ),
         default="both",
     )
     args = ap.parse_args()
@@ -561,6 +689,8 @@ def main():
         return main_l1(args.count, args.seed)
     if args.kind == "paths":
         return main_paths(args.count, args.seed)
+    if args.kind == "perturb":
+        return main_perturb(args.count, args.seed)
     gen = np.random.default_rng(args.seed)
     checks = []
     if args.kind in ("fermat", "both"):

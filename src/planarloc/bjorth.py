@@ -163,6 +163,12 @@ def is_bj_orthogonal_l1(
     doubles, or the moduli of y sum past the largest double, where the
     forced part and the default tolerance would be inf.
     """
+    cert, _ = _l1_test(x, y, tol)
+    return cert if cert.passed else None
+
+
+def _l1_test(x, y, tol):
+    """The sum-norm certificate of ``is_bj_orthogonal_l1``, and the entries it counts nonzero."""
     xs = _entries(x, "x")
     ys = _entries(y, "y")
     if len(xs) != len(ys):
@@ -180,8 +186,8 @@ def is_bj_orthogonal_l1(
     if tol is None:
         tol = EPS_REL * total
     mask = [m <= EPS_CLASS * top for m in mods]
-    cert = build_l1_certificate(xs, ys, mask, tol)
-    return cert if cert.passed else None
+    nonzero = tuple(i for i, zero in enumerate(mask) if not zero)
+    return build_l1_certificate(xs, ys, mask, tol), nonzero
 
 
 def linf_support(moduli: Sequence[float]) -> list[int]:
@@ -286,11 +292,21 @@ class OrthogonalityType:
         return f"{self.tag}({'abcdef'[pool.index(self.slots)]})"
 
 
-def _slot_split(c: Sequence[complex]) -> tuple[list[int], list[int]]:
-    top = max(abs(v) for v in c)
-    zero = [i for i, v in enumerate(c) if abs(v) <= EPS_CLASS * top]
-    nonzero = [i for i in range(len(c)) if i not in zero]
-    return nonzero, zero
+def _orthogonality_type(c: Sequence[complex], weights: Sequence[float]) -> OrthogonalityType:
+    """The type of c by its slots, from one sum-norm test against the weights.
+
+    The slots are the entries the test counts nonzero, and the tag is their
+    number in Roman numerals.  Raises NotOrthogonal when the test fails;
+    the callers check the conditions each type puts on its directions.
+    """
+    cert, slots = _l1_test(c, weights, None)
+    if not cert.passed:
+        raise NotOrthogonal("vector is not orthogonal to the weights")
+    mods = [abs(c[i]) for i in slots]
+    scale = sum(mods)
+    units = tuple(c[i] / m for i, m in zip(slots, mods))
+    tag = ("I", "II", "III", "IV")[len(slots) - 1]
+    return OrthogonalityType(tag, slots, units, tuple(m / scale for m in mods), scale, len(c))
 
 
 def _angle_threshold(a_i: float, a_j: float, a_k: float) -> float:
@@ -325,28 +341,21 @@ def classify_l1_orthogonal_3(
             raise WeightConditionViolated(
                 "weights must satisfy the strict triangle condition"
             )
-    if is_bj_orthogonal_l1(cs, ws) is None:
-        raise NotOrthogonal("vector is not orthogonal to the weights")
-    nonzero, _ = _slot_split(cs)
-    scale = sum(abs(cs[i]) for i in nonzero)
-    units = tuple(cs[i] / abs(cs[i]) for i in nonzero)
-    mixing = tuple(abs(cs[i]) / scale for i in nonzero)
-    if len(nonzero) == 1:
-        return OrthogonalityType("I", tuple(nonzero), units, mixing, scale, 3)
-    if len(nonzero) == 2:
-        i, j = nonzero
-        k = [m for m in range(3) if m not in nonzero][0]
+    typ = _orthogonality_type(cs, ws)
+    units = typ.directions
+    if len(units) == 2:
+        i, j = typ.slots
         cos_angle = (units[0] * units[1].conjugate()).real
-        if cos_angle > _angle_threshold(ws[k], ws[i], ws[j]) + EPS_CLASS:
+        if cos_angle > _angle_threshold(ws[3 - i - j], ws[i], ws[j]) + EPS_CLASS:
             raise NotOrthogonal("two-slot vector fails its angle bound")
-        return OrthogonalityType("II", tuple(nonzero), units, mixing, scale, 3)
-    cos_12 = (units[0] * units[1].conjugate()).real
-    cos_13 = (units[0] * units[2].conjugate()).real
-    if abs(cos_12 - _angle_threshold(ws[2], ws[0], ws[1])) > EPS_CLASS or abs(
-        cos_13 - _angle_threshold(ws[1], ws[0], ws[2])
-    ) > EPS_CLASS:
-        raise NotOrthogonal("three-slot vector fails its angle equalities")
-    return OrthogonalityType("III", tuple(nonzero), units, mixing, scale, 3)
+    elif len(units) == 3:
+        cos_12 = (units[0] * units[1].conjugate()).real
+        cos_13 = (units[0] * units[2].conjugate()).real
+        if abs(cos_12 - _angle_threshold(ws[2], ws[0], ws[1])) > EPS_CLASS or abs(
+            cos_13 - _angle_threshold(ws[1], ws[0], ws[2])
+        ) > EPS_CLASS:
+            raise NotOrthogonal("three-slot vector fails its angle equalities")
+    return typ
 
 
 def classify_l1_orthogonal_4(c: Sequence[complex]) -> OrthogonalityType:
@@ -359,21 +368,10 @@ def classify_l1_orthogonal_4(c: Sequence[complex]) -> OrthogonalityType:
     cs = _entries(c, "c")
     if len(cs) != 4:
         raise LengthMismatch("expected a quadruple")
-    ones = (1.0, 1.0, 1.0, 1.0)
-    if is_bj_orthogonal_l1(cs, ones) is None:
-        raise NotOrthogonal("vector is not orthogonal to the unit weights")
-    nonzero, _ = _slot_split(cs)
-    scale = sum(abs(cs[i]) for i in nonzero)
-    units = tuple(cs[i] / abs(cs[i]) for i in nonzero)
-    mixing = tuple(abs(cs[i]) / scale for i in nonzero)
-    if len(nonzero) == 1:
-        return OrthogonalityType("I", tuple(nonzero), units, mixing, scale, 4)
-    if len(nonzero) == 2:
-        return OrthogonalityType("II", tuple(nonzero), units, mixing, scale, 4)
-    if len(nonzero) == 3:
-        if geom.convex_hull_membership(0j, units) is None:
-            raise NotOrthogonal("three-slot directions do not surround the origin")
-        return OrthogonalityType("III", tuple(nonzero), units, mixing, scale, 4)
-    if abs(sum(units)) > 4.0 * EPS_CLASS:
+    typ = _orthogonality_type(cs, (1.0, 1.0, 1.0, 1.0))
+    units = typ.directions
+    if len(units) == 3 and geom.convex_hull_membership(0j, units) is None:
+        raise NotOrthogonal("three-slot directions do not surround the origin")
+    if len(units) == 4 and abs(sum(units)) > 4.0 * EPS_CLASS:
         raise NotOrthogonal("four-slot directions do not sum to zero")
-    return OrthogonalityType("IV", tuple(nonzero), units, mixing, scale, 4)
+    return typ

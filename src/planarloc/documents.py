@@ -5,14 +5,11 @@ Problems arrive as JSON ({"kind": ..., "points": [[x, y], ...],
 malformed fields as ProblemFormatError; the point set itself is validated
 once, by the ``fermat.WeightedConfiguration`` that every ProblemFile
 carries as ``config`` and that the solvers and certificates then share.
-A median of ``fermat.IMPORT_MIN`` or more points, which ``solve_ft_n``
-solves on numpy arrays, loads numpy first so that it validates on arrays
-too; a smaller median, and every covering circle, is validated, solved
-and certified in Python loops without loading it (``fermat`` states the
-one rule and its two constants).  This is the one module that knows the
-result format: results leave as JSON through ``json.dumps``, whose floats
-are the shortest text that reads back as the same double;
-parse(serialize(doc)) equals doc.  A result document holds only what a
+A median of ``fermat.IMPORT_MIN`` or more points loads numpy first, so
+that it validates on arrays, by the rule stated at ``fermat.ARRAY_MIN``.
+This is the one module that knows the result format: results leave as
+JSON through ``json.dumps``, whose floats are the shortest text that reads
+back as the same double; parse(serialize(doc)) equals doc.  A result document holds only what a
 verifier cannot recompute from the problem and the location, and each
 fact once: the verdict, the support and its weights live in the
 certificate alone.  ``stated_check`` and ``solution_points`` read one back.

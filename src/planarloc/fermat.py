@@ -24,21 +24,9 @@ pull and s0), which an accepted candidate hands on as the next iterate's,
 and the Weiszfeld point w + pull/s0 comes from the field already taken.
 
 numpy enters through ``WeightedConfiguration.arrays``, the points and
-weights converted once, from the caller's values when the configuration
-is built on arrays; its ``points`` and ``weights`` tuples and a
-certificate's ``d`` are then built only when read, which a solve on the
-arrays never does.  One rule, ``_on_arrays``, decides where a median
-takes its O(n) passes, for validation, the general solver, the
-certificate and the objective alike: on the arrays from ``ARRAY_MIN``
-points on when numpy is already loaded, in Python loops otherwise.
-Building a configuration never imports numpy.  The solver, the
-certificate and the objective load it for ``IMPORT_MIN`` or more points,
-where the loops of a whole solve cost more than the import; and a solve
-of ``ARRAY_MIN`` or more points on the loops loads it and moves to the
-arrays when a Newton step is refused after all its halvings, the sign of
-a slow solve.  So the closed forms, the covering circle, and every median
-below ``IMPORT_MIN`` points whose Newton steps are taken, with the
-command line on them, run without loading numpy.
+weights converted once.  One rule, ``_on_arrays``, decides where a median
+takes its O(n) passes and when numpy is loaded; the comment at its two
+constants, ``ARRAY_MIN`` and ``IMPORT_MIN``, states it.
 """
 
 from __future__ import annotations
@@ -63,24 +51,29 @@ from .errors import (
     NotOrthogonal,
     VertexPreconditionFailed,
 )
-from .tolerances import EPS_CLASS, EPS_REL, spread
+from .tolerances import EPS_CLASS, EPS_REL
 
-# Where a median's O(n) passes run.  With numpy loaded, a configuration of
-# ARRAY_MIN or more points takes them on arrays: the certificate and the
-# objective cost the same either way at about 24 points (Intel Xeon, numpy
-# 2.4), and from 32 on the arrays are ahead by a quarter; the duplicate check
-# and a whole solve break even near the same size.  Loading numpy costs
-# 0.06-0.15 s and 14 MB on top, which the loops only make up for at about
-# IMPORT_MIN points: on a 2-core Intel Xeon a `python -m planarloc solve`
-# child on a weighted median took as long with numpy as without at about
-# 1e4 near-collinear and 1.5e4 uniform points.  From there solve_ft_n,
-# ft_certificate, ft_objective and the command line for a median load it.
-# One constant cannot stand for both: the first is where arrays beat loops
-# once numpy is there, the second where they also pay for bringing it in.
-# A lone certificate or objective in a fresh process breaks even later,
-# near 1e5 and 4e5 points, but takes the same rule: above IMPORT_MIN it
-# costs no more than when every median of ARRAY_MIN points loaded numpy,
-# and a solve or the command line has usually loaded it already.
+# Where a median's O(n) passes run, for validation, the general solver, the
+# certificate and the objective alike: on the configuration's numpy arrays
+# from ARRAY_MIN points on when numpy is already loaded (``_on_arrays``), in
+# Python loops otherwise.  Building a configuration never imports numpy.
+# solve_ft_n, ft_certificate, ft_objective and the command line load it for
+# a median of IMPORT_MIN or more points, and a solve of ARRAY_MIN or more
+# points on the loops loads it and moves to the arrays when a Newton step is
+# refused after all its halvings, the sign of a slow solve.  So the closed
+# forms, the covering circle and every median below IMPORT_MIN points whose
+# Newton steps are taken run without numpy.  The two constants answer two
+# questions.  ARRAY_MIN is where arrays beat loops once numpy is there: the
+# certificate and the objective cost the same either way at about 24 points
+# (Intel Xeon, numpy 2.4), and from 32 on the arrays are ahead by a quarter;
+# the duplicate check and a whole solve break even near the same size.
+# IMPORT_MIN is where they also pay for loading it, 0.06-0.15 s and 14 MB: on
+# a 2-core Intel Xeon a `python -m planarloc solve` child on a weighted
+# median took as long with numpy as without at about 1e4 near-collinear and
+# 1.5e4 uniform points.  A lone certificate or objective in a fresh process
+# breaks even later, near 1e5 and 4e5 points, but takes the same rule: above
+# IMPORT_MIN it costs no more than when every median of ARRAY_MIN points
+# loaded numpy, and a solve or the command line has usually loaded it.
 ARRAY_MIN = 32
 IMPORT_MIN = 10_000
 
@@ -106,17 +99,15 @@ class WeightedConfiguration:
     ``diameter`` and ``total_weight`` are computed once, at construction;
     weights whose sum overflows the doubles are refused, so every tolerance
     scaled by the total weight stays finite.  Where ``_on_arrays`` holds
-    (``ARRAY_MIN`` points or more, numpy already loaded), construction
-    converts the caller's points and weights once, to the arrays that
-    ``arrays`` returns, checks the weights and the points on them, and
-    builds the ``points`` and ``weights`` tuples only when they are first
-    read; a solve on the arrays reads neither.  The arrays only decide:
+    (the rule stated at ``ARRAY_MIN``), construction converts the caller's
+    points and weights once, to the arrays that ``arrays`` returns, checks
+    the weights and the points on them, and builds the ``points`` and
+    ``weights`` tuples only when they are first read; a solve on the arrays
+    reads neither.  The arrays only decide:
     every refusal, a duplicate pair included, is stated as the tuples state
     it, so both sides refuse the same input with the same error.  The one
     input that differs is a point given as the bytes of a number, which
-    numpy reads and ``complex`` refuses.  Construction never imports numpy
-    itself: the command line loads it first for a median of ``IMPORT_MIN``
-    points or more.
+    numpy reads and ``complex`` refuses.
     """
 
     points: tuple[complex, ...]
@@ -196,7 +187,7 @@ def _checked_arrays(points, weights):
     the conversion, the lengths, the weights and the duplicate check.  The
     tuples and the list check then decide, and raise, as below
     ``ARRAY_MIN``; the arrays only raise DuplicatePoints, for the pair the
-    list check names.  The total is added left to right, as ``sum`` adds
+    list check names.  The total is added left to right, as the tuples add
     it, so both give the same double.
     """
     try:
@@ -229,7 +220,7 @@ def _checked_tuples(points, weights):
         raise EmptyInput("a configuration needs at least one point")
     if len(pts) != len(wts):
         raise LengthMismatch("one weight per point")
-    total = sum(wts)
+    total = functools.reduce(operator.add, wts)  # left to right, as the arrays add
     # min may pass over a NaN, but the sum is then NaN; with an inf it is inf
     if not (min(wts) > 0.0 and total < math.inf):
         for a in wts:
@@ -677,11 +668,14 @@ class _LoopPasses:
 
 
 def _require_certified_interior(config: WeightedConfiguration, w: complex) -> None:
-    w = complex(w)
-    band = EPS_CLASS * config.diameter
-    if any(abs(z - w) <= band for z in config.points):
+    """CertificatePreconditionFailed unless w is a certified optimum clear of every point.
+
+    The slack is the weight of the points within the band of w.
+    """
+    cert = ft_certificate(config, w)
+    if cert.slack > 0.0:
         raise CertificatePreconditionFailed("the optimum must avoid every point")
-    if not ft_certificate(config, w).passed:
+    if not cert.passed:
         raise CertificatePreconditionFailed("w is not a certified optimum")
 
 
@@ -690,8 +684,10 @@ def addition_preserves(
 ) -> bool:
     """Whether w stays optimal after adding (z_new, alpha_new).
 
-    Happens exactly when the new point lands on w itself, since any other
-    placement tilts the balanced direction sum.
+    The certificate of the extended configuration at w decides: it passes
+    when the new point lands on w itself, since any other placement tilts
+    the balanced direction sum.  Raises ValueError for a w or z_new not
+    finite or too far out.
     """
     _require_certified_interior(config, w)
     if not (alpha_new > 0.0):
@@ -707,19 +703,20 @@ def replacement_preserves(
 ) -> bool:
     """Whether moving point ``index`` to s keeps w optimal.
 
-    True exactly when s sits on the closed ray from w through the point it
-    replaces, so its unit direction (and hence the direction sum) does not
-    change.
+    The certificate of the moved configuration at w decides: it passes
+    when s sits on the closed ray from w through the point it replaces, so
+    its unit direction (and hence the direction sum) does not change.
+    Raises ValueError for a w or s not finite or too far out, and
+    DuplicatePoints for an s on another point or so far out that the new
+    band swallows the others.
     """
     _require_certified_interior(config, w)
     if not (0 <= index < config.n):
         raise IndexError("index out of range")
-    w = complex(w)
-    s = complex(s)
-    ray = config.points[index] - w
-    band = EPS_CLASS * spread(list(config.points) + [w, s])
-    t = max(0.0, ((s - w).real * ray.real + (s - w).imag * ray.imag) / abs(ray) ** 2)
-    return abs(s - (w + t * ray)) <= band
+    points = list(config.points)
+    points[index] = complex(s)
+    moved = WeightedConfiguration(tuple(points), config.weights)
+    return ft_certificate(moved, w).passed
 
 
 def decomposition_equivalence(
@@ -727,8 +724,10 @@ def decomposition_equivalence(
 ) -> bool:
     """Whether w solves the concatenation of two configurations.
 
-    With w already optimal for the first part, this holds exactly when w
-    also solves the second part alone; the direction sums add.
+    The certificate of the merged configuration at w decides: with w
+    already optimal for the first part, it passes exactly when w also
+    solves the second part alone; the direction sums add.  Raises
+    ValueError for a w not finite or too far out.
     """
     _require_certified_interior(config_a, w)
     merged = WeightedConfiguration(
@@ -743,8 +742,9 @@ def scaled_configuration(
     """Slide each point along its ray from w by a same-sign factor.
 
     Unit directions are preserved (or all flipped), so w stays optimal for
-    the result; the returned configuration is re-certified before handing
-    it back.
+    the result; its certificate at w decides before it is handed back.
+    Raises ValueError for a w not finite or too far out, or scales that
+    move a point beyond the doubles.
     """
     _require_certified_interior(config, w)
     cs = [float(c) for c in scales]
@@ -781,27 +781,26 @@ def extend_at_vertex(
 
     With w sitting on configuration point i0, a new weight up to the weight
     at i0 can always be placed so that w stays optimal; the construction
-    spends the free coefficient gamma reported by the certificate.  Weights
-    above twice the vertex weight are impossible (returns None) and the
-    band in between is reported as UNDETERMINED rather than guessed.
+    spends the free coefficient gamma reported by the certificate at w,
+    whose slack is the weight at i0.  Weights above twice the vertex weight
+    are impossible (returns None) and the band in between is reported as
+    UNDETERMINED rather than guessed.  The certificate of the extended
+    configuration decides the point returned.  Raises ValueError for a w
+    not finite or too far out.
     """
-    w = complex(w)
     if not (alpha_new > 0.0):
         raise ValueError("alpha_new must be positive")
-    band = EPS_CLASS * config.diameter
-    hits = [i for i, z in enumerate(config.points) if abs(z - w) <= band]
-    if len(hits) != 1:
-        raise VertexPreconditionFailed("w must equal exactly one configuration point")
-    i0 = hits[0]
-    a0 = config.weights[i0]
     cert = ft_certificate(config, w)
+    # gamma is set exactly when one point lies within the band of w
+    if cert.gamma is None:
+        raise VertexPreconditionFailed("w must equal exactly one configuration point")
     if not cert.passed:
         raise VertexPreconditionFailed("w is not a certified optimum")
+    a0, gamma = cert.slack, cert.gamma
     if alpha_new > 2.0 * a0 * (1.0 + EPS_CLASS):
         return None
     if alpha_new > a0 * (1.0 + EPS_CLASS):
         return UNDETERMINED
-    gamma = cert.gamma if cert.gamma is not None else 0j
     ratio = alpha_new / a0
     if abs(gamma) > EPS_REL:
         delta = gamma * (1.0 - ratio / abs(gamma))

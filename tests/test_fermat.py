@@ -48,6 +48,7 @@ from conftest import (
     FAR_TRIANGLE,
     FAR_WEIGHTS,
     distinct_points,
+    interior_instance,
     light_vertex_instance,
     triangle_weights,
     unit,
@@ -349,6 +350,31 @@ def test_median_iteration_is_linear_in_n():
     res = solve_ft_n(config)
     assert time.perf_counter() - t0 < 5.0
     assert res.certificate.passed
+
+
+# the weighted centroid is point 0 (on the arrays within rounding), and
+# point 0 fails its slack test
+STEP_OUT = WeightedConfiguration((0, 2, -1, 5j, -5j), (0.1, 1.0, 2.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("passes", ["_LoopPasses", "_ArrayPasses"])
+def test_iterate_steps_out_of_a_refused_point(monkeypatch, passes):
+    # the modified Weiszfeld step from z_0 lands at (1 - a_0/r) T = -0.9/2.9,
+    # with r the other points' pull and T their Weiszfeld average
+    if passes == "_ArrayPasses":
+        monkeypatch.setattr(fermat, "ARRAY_MIN", 1)
+    cls = getattr(fermat, passes)
+    field = cls.field
+    seen = []
+
+    def spy(self, w):
+        seen.append(complex(w))
+        return field(self, w)
+
+    monkeypatch.setattr(cls, "field", spy)
+    res = solve_ft_n(STEP_OUT)
+    assert seen[:2] == [pytest.approx(0, abs=1e-15), pytest.approx(-0.9 / 2.9, abs=1e-12)]
+    assert res.location == -1 and res.certificate.passed
 
 
 def test_iteration_budget_is_enforced():
@@ -675,6 +701,57 @@ def test_scaling_preserves_the_optimum():
         scaled_configuration(EQUILATERAL, 0, (1.0, 0.0, 1.0))
     with pytest.raises(LengthMismatch):
         scaled_configuration(EQUILATERAL, 0, (1.0, 1.0))
+
+
+def test_replacement_follows_the_certificate():
+    # a turn of 1e-8 rad moves the direction sum by a third of 1e-8 of the
+    # total weight, past the certificate's tolerance of 1e-9
+    tri = WeightedConfiguration((0, 2, 1 + 1.5j), (1.0, 1.0, 1.0))
+    w = solve_ft3_weighted(*tri.points, tri.weights).location
+    s = w + 2 * (tri.points[0] - w) * cmath.exp(1e-8j)
+    moved = WeightedConfiguration((s,) + tri.points[1:], tri.weights)
+    assert not ft_certificate(moved, w).passed
+    assert replacement_preserves(tri, w, 0, s) is False
+    assert replacement_preserves(tri, w, 0, w) is True  # the ray is closed
+    for far in (complex(math.inf, 0.0), -1.7e308 * (1 + 1j), complex(math.nan, 0.0)):
+        with pytest.raises(ValueError):
+            replacement_preserves(tri, w, 0, far)
+    with pytest.raises(DuplicatePoints):
+        replacement_preserves(tri, w, 0, 2)
+
+
+def test_replacement_agrees_with_the_moved_certificate():
+    # turns log-uniform in 1e-10 to 1e-6 rad straddle the tolerance
+    gen = np.random.default_rng(5)
+    answers = []
+    for n in range(3, 9):
+        for _ in range(30):
+            config, w = interior_instance(gen, n)
+            i = int(gen.integers(0, n))
+            theta = float(gen.choice([-1.0, 1.0])) * 10.0 ** gen.uniform(-10.0, -6.0)
+            s = w + float(gen.uniform(0.5, 2.0)) * (config.points[i] - w) * cmath.exp(1j * theta)
+            points = config.points[:i] + (s,) + config.points[i + 1:]
+            expected = ft_certificate(WeightedConfiguration(points, config.weights), w).passed
+            assert replacement_preserves(config, w, i, s) is expected, (n, theta)
+            answers.append(expected)
+    assert any(answers) and not all(answers)
+
+
+@pytest.mark.parametrize("w", [1.7e308 * (1 + 1j), complex(math.nan, 0.0)])
+def test_perturbations_refuse_a_far_or_nan_optimum(w):
+    # an offset modulus that overflows, or a NaN, is a ValueError from the
+    # certificate each function builds first
+    config = WeightedConfiguration((0, 1, 1j), (1.0, 1.0, 1.0))
+    calls = [
+        lambda: extend_at_vertex(config, w, 1.0),
+        lambda: addition_preserves(config, w, 0, 1.0),
+        lambda: replacement_preserves(config, w, 0, 0),
+        lambda: scaled_configuration(config, w, (1.0, 1.0, 1.0)),
+        lambda: decomposition_equivalence(config, w, config),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_perturbation_preconditions():

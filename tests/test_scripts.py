@@ -7,7 +7,7 @@ import pytest
 from conftest import run_python
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-KINDS = ["fermat", "chebyshev", "both", "distinct", "linf", "closed", "l1", "paths"]
+KINDS = ["fermat", "chebyshev", "both", "distinct", "linf", "closed", "l1", "paths", "perturb"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

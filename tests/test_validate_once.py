@@ -8,8 +8,10 @@ closed-form solve certifies its answer once and nothing else.
 """
 
 import cmath
+import functools
 import json
 import math
+import operator
 import sys
 
 import pytest
@@ -194,6 +196,17 @@ def test_large_configuration_converts_once(rng, monkeypatch, n):
     assert result.certificate.passed
     assert config.arrays[0] is arrays[0] and config.arrays[1] is arrays[1]
     assert len(handed) == 1 and len(converted) == 1
+
+
+@pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, 2000])
+def test_total_weight_adds_left_to_right(rng, monkeypatch, n):
+    # Python 3.12 made sum of floats compensated; both paths add in order
+    pts = [complex(k % 50, k // 50) for k in range(n)]
+    wts = [float(a) for a in rng.uniform(0.5, 2.0, n)]
+    total = functools.reduce(operator.add, wts)
+    assert WeightedConfiguration(pts, wts).total_weight == total
+    monkeypatch.setattr(planarloc.fermat, "ARRAY_MIN", sys.maxsize)  # the tuples only
+    assert WeightedConfiguration(pts, wts).total_weight == total
 
 
 def test_configuration_passes_through_unchanged(distinct_calls):
