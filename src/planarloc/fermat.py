@@ -788,6 +788,7 @@ def extend_at_vertex(
     configuration decides the point returned.  Raises ValueError for a w
     not finite or too far out.
     """
+    w = complex(w)
     if not (alpha_new > 0.0):
         raise ValueError("alpha_new must be positive")
     cert = ft_certificate(config, w)
