@@ -5,147 +5,110 @@ weighted Chebyshev centers (least worst-case weighted distance) of finite
 planar point sets.  Every solver answer comes with an explicit optimality
 certificate: a norm-one supporting functional in the sum norm or the max
 norm that a caller can recheck independently.
+
+Importing the package loads none of its modules.  Each exported name, and
+each module named in ``_EXPORTS``, is imported on its first read.
 """
+
+import sys
 
 __version__ = "0.1.0"
 
-from .bjorth import (
-    OrthogonalityType,
-    SupportCertificate,
-    classify_l1_orthogonal_3,
-    classify_l1_orthogonal_4,
-    is_bj_orthogonal_l1,
-    is_bj_orthogonal_linf,
-    smoothness_order_linf,
-)
-from .chebyshev import (
-    ChebySolveResult,
-    cheby_certificate,
-    chebyshev_radius,
-    ft_cheby_coincide3,
-    ft_cheby_coincide4,
-    solve_chebyshev,
-    solve_chebyshev_weighted,
-)
-from .errors import (
-    CertificatePreconditionFailed,
-    CoincidentPoints,
-    CollinearPoints,
-    DuplicatePoints,
-    EmptyInput,
-    LengthMismatch,
-    MaxIterationsExceeded,
-    MixedSigns,
-    NotOrthogonal,
-    NotUnimodular,
-    OverlappingSegments,
-    PlanarLocError,
-    ProblemFormatError,
-    VertexPreconditionFailed,
-    WeightConditionViolated,
-    ZeroVector,
-)
-from .fermat import (
-    UNDETERMINED,
-    FtCase,
-    FtPoint,
-    FtSegment,
-    FtSolveResult,
-    WeightedConfiguration,
-    addition_preserves,
-    decomposition_equivalence,
-    extend_at_vertex,
-    ft_certificate,
-    ft_objective,
-    replacement_preserves,
-    scaled_configuration,
-    solve_ft3_weighted,
-    solve_ft4,
-    solve_ft_n,
-)
-from .geom import (
-    Circle,
-    ConvexOrder,
-    Line,
-    NonConvex,
-    TripleClass,
-    apollonius_locus,
-    circumcenter3,
-    convex_hull_membership,
-    directed_angle,
-    normalize_angle,
-    quadrilateral_shape,
-    segment_intersection,
-    unimodular_triple_class,
-)
-from .oracle import OracleSettings, oracle_cheby, oracle_ft
-from .tolerances import EPS_CLASS, EPS_REL, spread
+# each module and the names the package exports from it
+_EXPORTS = {
+    "tolerances": ("EPS_CLASS", "EPS_REL", "spread"),
+    "geom": (
+        "Circle",
+        "Line",
+        "ConvexOrder",
+        "NonConvex",
+        "TripleClass",
+        "directed_angle",
+        "normalize_angle",
+        "convex_hull_membership",
+        "circumcenter3",
+        "apollonius_locus",
+        "segment_intersection",
+        "quadrilateral_shape",
+        "unimodular_triple_class",
+    ),
+    "bjorth": (
+        "SupportCertificate",
+        "OrthogonalityType",
+        "is_bj_orthogonal_l1",
+        "is_bj_orthogonal_linf",
+        "smoothness_order_linf",
+        "classify_l1_orthogonal_3",
+        "classify_l1_orthogonal_4",
+    ),
+    "fermat": (
+        "WeightedConfiguration",
+        "FtCase",
+        "FtPoint",
+        "FtSegment",
+        "FtSolveResult",
+        "UNDETERMINED",
+        "ft_objective",
+        "ft_certificate",
+        "solve_ft3_weighted",
+        "solve_ft4",
+        "solve_ft_n",
+        "addition_preserves",
+        "replacement_preserves",
+        "decomposition_equivalence",
+        "scaled_configuration",
+        "extend_at_vertex",
+    ),
+    "chebyshev": (
+        "ChebySolveResult",
+        "cheby_certificate",
+        "chebyshev_radius",
+        "solve_chebyshev",
+        "solve_chebyshev_weighted",
+        "ft_cheby_coincide3",
+        "ft_cheby_coincide4",
+    ),
+    "oracle": ("OracleSettings", "oracle_ft", "oracle_cheby"),
+    "errors": (
+        "PlanarLocError",
+        "EmptyInput",
+        "CoincidentPoints",
+        "DuplicatePoints",
+        "CollinearPoints",
+        "OverlappingSegments",
+        "NotUnimodular",
+        "ZeroVector",
+        "LengthMismatch",
+        "NotOrthogonal",
+        "WeightConditionViolated",
+        "MixedSigns",
+        "CertificatePreconditionFailed",
+        "VertexPreconditionFailed",
+        "MaxIterationsExceeded",
+        "ProblemFormatError",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "EPS_CLASS",
-    "EPS_REL",
-    "spread",
-    "Circle",
-    "Line",
-    "ConvexOrder",
-    "NonConvex",
-    "TripleClass",
-    "directed_angle",
-    "normalize_angle",
-    "convex_hull_membership",
-    "circumcenter3",
-    "apollonius_locus",
-    "segment_intersection",
-    "quadrilateral_shape",
-    "unimodular_triple_class",
-    "SupportCertificate",
-    "OrthogonalityType",
-    "is_bj_orthogonal_l1",
-    "is_bj_orthogonal_linf",
-    "smoothness_order_linf",
-    "classify_l1_orthogonal_3",
-    "classify_l1_orthogonal_4",
-    "WeightedConfiguration",
-    "FtCase",
-    "FtPoint",
-    "FtSegment",
-    "FtSolveResult",
-    "UNDETERMINED",
-    "ft_objective",
-    "ft_certificate",
-    "solve_ft3_weighted",
-    "solve_ft4",
-    "solve_ft_n",
-    "addition_preserves",
-    "replacement_preserves",
-    "decomposition_equivalence",
-    "scaled_configuration",
-    "extend_at_vertex",
-    "ChebySolveResult",
-    "cheby_certificate",
-    "chebyshev_radius",
-    "solve_chebyshev",
-    "solve_chebyshev_weighted",
-    "ft_cheby_coincide3",
-    "ft_cheby_coincide4",
-    "OracleSettings",
-    "oracle_ft",
-    "oracle_cheby",
-    "PlanarLocError",
-    "EmptyInput",
-    "CoincidentPoints",
-    "DuplicatePoints",
-    "CollinearPoints",
-    "OverlappingSegments",
-    "NotUnimodular",
-    "ZeroVector",
-    "LengthMismatch",
-    "NotOrthogonal",
-    "WeightConditionViolated",
-    "MixedSigns",
-    "CertificatePreconditionFailed",
-    "VertexPreconditionFailed",
-    "MaxIterationsExceeded",
-    "ProblemFormatError",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def _module(name: str):
+    # the import statement's own machinery, which -X importtime reports
+    full = f"{__name__}.{name}"
+    __import__(full)
+    return sys.modules[full]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _module(name)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_module(_MODULE_OF[name]), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Optional, Sequence
 
 from . import geom
+from ._record import FrozenRecord
 from .errors import (
     LengthMismatch,
     NotOrthogonal,
@@ -39,8 +39,7 @@ from .errors import (
 from .tolerances import EPS_CLASS, EPS_REL
 
 
-@dataclass(frozen=True)
-class SupportCertificate:
+class SupportCertificate(FrozenRecord):
     """Norm-one functional witnessing an orthogonality (or failing to).
 
     ``d`` holds the coefficient applied to each entry, all of modulus at
@@ -56,16 +55,27 @@ class SupportCertificate:
     ``d`` tuple only when it is first read.
     """
 
-    space: str
-    d: tuple[complex, ...]
-    residual: float
-    passed: bool
-    forced: complex
-    slack: float
-    tol: float
-    t: Optional[tuple[float, ...]] = None
-    support: Optional[tuple[int, ...]] = None
-    gamma: Optional[complex] = None
+    _fields = (
+        "space", "d", "residual", "passed", "forced", "slack", "tol", "t", "support", "gamma"
+    )
+
+    def __init__(
+        self,
+        space: str,
+        d: tuple[complex, ...],
+        residual: float,
+        passed: bool,
+        forced: complex,
+        slack: float,
+        tol: float,
+        t: Optional[tuple[float, ...]] = None,
+        support: Optional[tuple[int, ...]] = None,
+        gamma: Optional[complex] = None,
+    ):
+        self.__dict__.update(
+            space=space, d=d, residual=residual, passed=passed, forced=forced,
+            slack=slack, tol=tol, t=t, support=support, gamma=gamma,
+        )
 
     def __getattr__(self, name):
         # reached only for an attribute not set: d, before its first read
@@ -262,8 +272,7 @@ def smoothness_order_linf(x: Sequence[complex]) -> int:
 # classification of orthogonal directions in dimensions three and four
 
 
-@dataclass(frozen=True)
-class OrthogonalityType:
+class OrthogonalityType(FrozenRecord):
     """Parametric form of a vector orthogonal to a weight vector.
 
     ``slots`` are the indices of the nonzero entries, ``directions`` their
@@ -273,12 +282,20 @@ class OrthogonalityType:
     e.g. a one-slot vector living in the third coordinate is "I(c)".
     """
 
-    tag: str
-    slots: tuple[int, ...]
-    directions: tuple[complex, ...]
-    mixing: tuple[float, ...]
-    scale: float
-    n: int = 3
+    _fields = ("tag", "slots", "directions", "mixing", "scale", "n")
+
+    def __init__(
+        self,
+        tag: str,
+        slots: tuple[int, ...],
+        directions: tuple[complex, ...],
+        mixing: tuple[float, ...],
+        scale: float,
+        n: int = 3,
+    ):
+        self.__dict__.update(
+            tag=tag, slots=slots, directions=directions, mixing=mixing, scale=scale, n=n
+        )
 
     @property
     def label(self) -> str:

@@ -25,18 +25,17 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import geom
+from ._record import FrozenRecord
 from .bjorth import SupportCertificate, build_linf_certificate, linf_support
 from .errors import CollinearPoints, NotOrthogonal
 from .fermat import WeightedConfiguration, solve_ft3_weighted, solve_ft4
 from .tolerances import EPS_CLASS, EPS_REL
 
 
-@dataclass(frozen=True)
-class ChebySolveResult:
+class ChebySolveResult(FrozenRecord):
     """Certified weighted Chebyshev center.
 
     ``support`` indexes the points attaining the radius, ``t`` the convex
@@ -46,12 +45,21 @@ class ChebySolveResult:
     passed at ``center``, a single point's included.
     """
 
-    center: complex
-    radius: float
-    support: tuple[int, ...]
-    t: tuple[float, ...]
-    hull_coefficients: tuple[float, ...]
-    certificate: SupportCertificate
+    _fields = ("center", "radius", "support", "t", "hull_coefficients", "certificate")
+
+    def __init__(
+        self,
+        center: complex,
+        radius: float,
+        support: tuple[int, ...],
+        t: tuple[float, ...],
+        hull_coefficients: tuple[float, ...],
+        certificate: SupportCertificate,
+    ):
+        self.__dict__.update(
+            center=center, radius=radius, support=support, t=t,
+            hull_coefficients=hull_coefficients, certificate=certificate,
+        )
 
 
 def chebyshev_radius(points, weights, w: complex) -> float:

@@ -23,8 +23,7 @@ import math
 import sys
 from typing import Optional
 
-from . import chebyshev as cheby
-from . import documents, fermat, oracle
+from . import documents, fermat
 from .errors import MaxIterationsExceeded, NotOrthogonal, PlanarLocError
 from .tolerances import EPS_REL
 
@@ -62,6 +61,8 @@ def _certify(problem, kind: str, w: complex, tol: Optional[float], source: str):
     try:
         if kind == "fermat":
             return fermat.ft_certificate(problem.config, w, tol)
+        from . import chebyshev as cheby  # only a covering circle needs it
+
         return cheby.cheby_certificate(problem.config, None, w)
     except ValueError as e:
         raise documents.ProblemFormatError(f"{source}: {e}") from e
@@ -80,7 +81,8 @@ def _recheck(problem, payload: dict, source: str):
 def _write_svg(path: str, problem, kind: str, sol, cert) -> int:
     # only what the certificate just re-run checked is drawn: its support,
     # and a circle's radius about the checked center
-    from . import svgplot  # only an SVG needs it
+    from . import chebyshev as cheby
+    from . import svgplot  # only an SVG needs these
 
     radius = cheby.chebyshev_radius(problem.config, None, sol[0]) if kind == "chebyshev" else 0.0
     svg = svgplot.render_svg(problem.config.points, kind, sol, cert.support, radius)
@@ -116,12 +118,16 @@ def cmd_solve(args) -> int:
             result, stated_tol = _solve_fermat(config, tol, args.max_iter)
             doc = documents.fermat_result_document(result, stated_tol)
         else:
+            from . import chebyshev as cheby  # only a covering circle needs it
+
             result = cheby.solve_chebyshev_weighted(config, None)
             doc = documents.cheby_result_document(result)
     except (MaxIterationsExceeded, NotOrthogonal) as e:
         print(f"certification failed: {e}", file=sys.stderr)
         return 2
     if args.oracle:
+        from . import oracle  # only the cross-check needs it
+
         # the grid oracle only bounds the optimum from above
         if kind == "fermat":
             value, (_, bound) = result.objective, oracle.oracle_ft(config)

@@ -21,10 +21,10 @@ import cmath
 import json
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
+from ._record import FrozenRecord, Record
 from .errors import ProblemFormatError
 from .fermat import IMPORT_MIN, FtPoint, WeightedConfiguration
 from .tolerances import EPS_CLASS, EPS_REL
@@ -35,8 +35,7 @@ KINDS = ("fermat", "chebyshev")
 FORMAT = 3
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(FrozenRecord):
     """A parsed problem: its kind and its validated configuration.
 
     The parser builds ``config`` once, with unit weights when the file
@@ -44,8 +43,10 @@ class ProblemFile:
     and ProblemFormatError for points whose spread overflows.
     """
 
-    kind: Optional[str]
-    config: WeightedConfiguration
+    _fields = ("kind", "config")
+
+    def __init__(self, kind: Optional[str], config: WeightedConfiguration):
+        self.__dict__.update(kind=kind, config=config)
 
 
 def _float_or_inf(a) -> float:
@@ -193,11 +194,13 @@ def load_problem(path: str, kind_flag: Optional[str] = None) -> ProblemFile:
 # result documents
 
 
-@dataclass
-class ResultDocument:
+class ResultDocument(Record):
     """JSON-shaped result payload with lossless round-tripping."""
 
-    payload: dict
+    _fields = ("payload",)
+
+    def __init__(self, payload: dict):
+        self.payload = payload
 
     def to_json(self) -> str:
         # strict JSON: a non-finite float raises here instead of leaving as

@@ -37,10 +37,10 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 from . import geom
+from ._record import FrozenRecord
 from .bjorth import SupportCertificate, _angle_threshold, build_l1_certificate
 from .errors import (
     CertificatePreconditionFailed,
@@ -90,8 +90,7 @@ def _loaded_on_arrays(n: int) -> bool:
     return _on_arrays(n)
 
 
-@dataclass(frozen=True)
-class WeightedConfiguration:
+class WeightedConfiguration(FrozenRecord):
     """Pairwise distinct planar points with positive weights.
 
     The one validated instance of the package: the solvers, their
@@ -110,13 +109,15 @@ class WeightedConfiguration:
     numpy reads and ``complex`` refuses.
     """
 
-    points: tuple[complex, ...]
-    weights: tuple[float, ...]
-    n: int = field(init=False, repr=False, compare=False)
-    diameter: float = field(init=False, repr=False, compare=False)
-    total_weight: float = field(init=False, repr=False, compare=False)
+    _fields = ("points", "weights")
+
+    def __init__(self, points: tuple[complex, ...], weights: tuple[float, ...]):
+        self.__dict__.update(points=points, weights=weights)
+        # looked up on the class, so a wrapper set there sees every construction
+        self.__post_init__()
 
     def __post_init__(self):
+        # validates, and sets n, diameter and total_weight, which _fields leaves out
         state = self.__dict__
         checked = _checked_arrays(state["points"], state["weights"])
         if checked is None:
@@ -311,26 +312,39 @@ class FtCase(enum.Enum):
     ITERATIVE = "iterative"
 
 
-@dataclass(frozen=True)
-class FtPoint:
-    location: complex
+class FtPoint(FrozenRecord):
+    _fields = ("location",)
+
+    def __init__(self, location: complex):
+        self.__dict__["location"] = location
 
 
-@dataclass(frozen=True)
-class FtSegment:
-    start: complex
-    end: complex
+class FtSegment(FrozenRecord):
+    _fields = ("start", "end")
+
+    def __init__(self, start: complex, end: complex):
+        self.__dict__.update(start=start, end=end)
 
 
-@dataclass(frozen=True)
-class FtSolveResult:
-    solution: Union[FtPoint, FtSegment]
-    objective: float
-    case: FtCase
-    certificate: SupportCertificate
-    vertex: Optional[int] = None
-    vertex_angle: Optional[float] = None
-    angles: Optional[tuple[float, float]] = None
+class FtSolveResult(FrozenRecord):
+    _fields = (
+        "solution", "objective", "case", "certificate", "vertex", "vertex_angle", "angles"
+    )
+
+    def __init__(
+        self,
+        solution: Union[FtPoint, FtSegment],
+        objective: float,
+        case: FtCase,
+        certificate: SupportCertificate,
+        vertex: Optional[int] = None,
+        vertex_angle: Optional[float] = None,
+        angles: Optional[tuple[float, float]] = None,
+    ):
+        self.__dict__.update(
+            solution=solution, objective=objective, case=case, certificate=certificate,
+            vertex=vertex, vertex_angle=vertex_angle, angles=angles,
+        )
 
     @property
     def location(self) -> complex:
@@ -400,7 +414,9 @@ def solve_ft3_weighted(
     angles = tuple(
         geom.normalize_angle(cmath.phase((z - w) / (zs[0] - w))) for z in zs[1:]
     )
-    return replace(result, angles=angles)
+    return FtSolveResult(
+        result.solution, result.objective, result.case, result.certificate, angles=angles
+    )
 
 
 def _interior_ft3(config: WeightedConfiguration) -> complex:
@@ -470,9 +486,12 @@ def solve_ft_n(
     a point that failed steps out by the modified Weiszfeld rule of Vardi
     and Zhang (2000).  The returned location passes ft_certificate at the
     given relative tolerance; otherwise MaxIterationsExceeded carries the
-    best iterate seen.  The iteration runs on the weights divided by their
-    total, so weights of any scale whose sum is finite give the same
-    iterates, and a common power-of-two factor the same location to the bit.
+    best iterate seen, and its message says how the loop ended: at the
+    iteration limit, or earlier, when the Weiszfeld point rounded back to
+    the iterate or the pull met the tolerance.  The iteration runs on the
+    weights divided by their total, so weights of any scale whose sum is
+    finite give the same iterates, and a common power-of-two factor the
+    same location to the bit.
     Its passes take the configuration's numpy arrays where ``_on_arrays``
     holds, and Python loops otherwise, whose sums may differ from the
     arrays' in the last digits.  From ``IMPORT_MIN`` points on it loads numpy
@@ -492,7 +511,8 @@ def solve_ft_n(
     tested = set()
     w, here = passes.centroid(), None
     best = (math.inf, w)
-    for _ in range(max_iter):
+    ended = f"the iteration limit of {max_iter} was reached"
+    for iteration in range(1, max_iter + 1):
         k, dk, pull, s0 = here or passes.field(w)  # a Newton step's own field
         here = None
         if k not in tested or dk <= near_band:
@@ -514,6 +534,7 @@ def solve_ft_n(
         if rn < best[0]:
             best = (rn, w)
         if rn <= target:
+            ended = f"the pull met the tolerance after {iteration} iterations"
             break
         s2 = passes.s2()
         newton = _newton_step(passes, w, pull, s0, s2, rn)
@@ -522,6 +543,10 @@ def solve_ft_n(
             continue
         stepped = w + pull / s0  # the Weiszfeld point
         if stepped == w:
+            ended = (
+                f"the loop stalled after {iteration} iterations: "
+                "the Weiszfeld point rounded back to the iterate"
+            )
             break
         # on the loops, a regular Hessian means the Newton step was
         # refused after all its halvings: a slow solve, moved to the arrays
@@ -533,7 +558,7 @@ def solve_ft_n(
     cert = ft_certificate(config, w, tol)
     if not cert.passed:
         raise MaxIterationsExceeded(
-            f"no certified point within {max_iter} iterations",
+            f"no certified point: {ended}",
             location=w,
             certificate=cert,
         )
@@ -782,8 +807,11 @@ def extend_at_vertex(
     With w sitting on configuration point i0, a new weight up to the weight
     at i0 can always be placed so that w stays optimal; the construction
     spends the free coefficient gamma reported by the certificate at w,
-    whose slack is the weight at i0.  Weights above twice the vertex weight
-    are impossible (returns None) and the band in between is reported as
+    whose slack is the weight at i0.  The new point goes in that
+    construction's direction from w, at half the distance from w to the
+    nearest other point (at distance 1 when there is none), so it scales
+    with the configuration.  Weights above twice the vertex weight are
+    impossible (returns None) and the band in between is reported as
     UNDETERMINED rather than guessed.  The certificate of the extended
     configuration decides the point returned.  Raises ValueError for a w
     not finite or too far out.
@@ -807,7 +835,11 @@ def extend_at_vertex(
         delta = gamma * (1.0 - ratio / abs(gamma))
     else:
         delta = complex(ratio, 0.0)
-    z_new = w + (a0 / alpha_new) * (gamma - delta).conjugate()
+    # gamma - delta has modulus ratio, so this offset is a unit vector
+    direction = (a0 / alpha_new) * (gamma - delta).conjugate()
+    band = EPS_CLASS * config.diameter
+    others = [d for d in geom._moduli(map(w.__rsub__, config.points)) if d > band]
+    z_new = w + (0.5 * min(others) if others else 1.0) * direction
     extended = WeightedConfiguration(
         config.points + (z_new,), config.weights + (float(alpha_new),)
     )

@@ -20,10 +20,10 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from itertools import combinations, compress, filterfalse, islice
 from typing import Optional, Sequence
 
+from ._record import FrozenRecord
 from .errors import (
     CoincidentPoints,
     CollinearPoints,
@@ -371,18 +371,20 @@ def convex_hull_membership(
 # circles and Apollonius loci
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: complex
-    radius: float
+class Circle(FrozenRecord):
+    _fields = ("center", "radius")
+
+    def __init__(self, center: complex, radius: float):
+        self.__dict__.update(center=center, radius=radius)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(FrozenRecord):
     """Line through ``point`` along the unit ``direction``."""
 
-    point: complex
-    direction: complex
+    _fields = ("point", "direction")
+
+    def __init__(self, point: complex, direction: complex):
+        self.__dict__.update(point=point, direction=direction)
 
 
 def circumcenter3(a: complex, b: complex, c: complex) -> complex:
@@ -476,19 +478,26 @@ def segment_intersection(
 # four-point shape
 
 
-@dataclass(frozen=True)
-class ConvexOrder:
+class ConvexOrder(FrozenRecord):
     """Convex position; ``order`` is the hull cycle counterclockwise."""
 
-    order: tuple[int, int, int, int]
-    diagonals: tuple[tuple[int, int], tuple[int, int]]
+    _fields = ("order", "diagonals")
+
+    def __init__(
+        self,
+        order: tuple[int, int, int, int],
+        diagonals: tuple[tuple[int, int], tuple[int, int]],
+    ):
+        self.__dict__.update(order=order, diagonals=diagonals)
 
 
-@dataclass(frozen=True)
-class NonConvex:
+class NonConvex(FrozenRecord):
     """One point inside (or on the boundary of) the hull of the others."""
 
-    contained: int
+    _fields = ("contained",)
+
+    def __init__(self, contained: int):
+        self.__dict__["contained"] = contained
 
 
 def quadrilateral_shape(z1: complex, z2: complex, z3: complex, z4: complex):

@@ -6,28 +6,27 @@ repeatedly halve the window around the incumbent.  Ties on a grid go to the
 smallest linear index, and the incumbent only moves on a strict improvement,
 so runs are deterministic.  The value found is attained at a grid point, so
 it bounds the true minimum from above; compare a solver against it one way.
-numpy is imported inside the functions, so importing this module (and the
-command line, which imports it) does not load numpy.
+numpy is imported inside the functions, so importing this module does not
+load numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import FrozenRecord
 from .errors import EmptyInput
 
 
-@dataclass(frozen=True)
-class OracleSettings:
-    resolution: int = 64
-    rounds: int = 24
+class OracleSettings(FrozenRecord):
+    _fields = ("resolution", "rounds")
 
-    def __post_init__(self):
-        if self.resolution < 8:
+    def __init__(self, resolution: int = 64, rounds: int = 24):
+        if resolution < 8:
             raise ValueError("resolution must be at least 8")
-        if self.rounds < 1:
+        if rounds < 1:
             raise ValueError("rounds must be at least 1")
+        self.__dict__.update(resolution=resolution, rounds=rounds)
 
 
 def _refine(

@@ -803,16 +803,24 @@ import json, sys
 from planarloc.cli import main
 if main(["solve", sys.argv[1]]) != 0:
     raise SystemExit("solve failed")
-print(json.dumps([m in sys.modules for m in ("planarloc.svgplot", "csv")]), file=sys.stderr)
+names = ("dataclasses", "inspect", "planarloc.chebyshev", "planarloc.oracle",
+         "planarloc.svgplot", "csv")
+print(json.dumps([m for m in names if m in sys.modules]), file=sys.stderr)
 """
 
 
 def test_a_json_median_loads_neither_svg_nor_csv(tmp_path):
-    # the SVG writer and the CSV reader are imported only when used
-    path = _problem(tmp_path, "five.json", "fermat", FIVE)
-    proc = run_python(["-c", MODULES_PROBE, path], cwd=tmp_path, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stderr.splitlines()[-1]) == [False, False]
+    # a solve imports what its problem needs: the SVG writer, the CSV
+    # reader, the covering circle and the grid oracle only when used, and
+    # nothing that needs the introspection modules
+    median = _problem(tmp_path, "five.json", "fermat", FIVE)
+    circle = _problem(tmp_path, "circle.json", "chebyshev", FIVE)
+    loaded = []
+    for path in (median, circle):
+        proc = run_python(["-c", MODULES_PROBE, path], cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(json.loads(proc.stderr.splitlines()[-1]))
+    assert loaded == [[], ["planarloc.chebyshev"]]
 
 
 NUMPY_PROBE = """

@@ -377,12 +377,31 @@ def test_iterate_steps_out_of_a_refused_point(monkeypatch, passes):
     assert res.location == -1 and res.certificate.passed
 
 
+BUDGET_FIVE = (0, 1, 3 + 1j, 2 + 2j, 0.5 + 1.7j)
+
+
 def test_iteration_budget_is_enforced():
-    config = WeightedConfiguration((0, 1, 3 + 1j, 2 + 2j, 0.5 + 1.7j), (1.0,) * 5)
+    config = WeightedConfiguration(BUDGET_FIVE, (1.0,) * 5)
     with pytest.raises(MaxIterationsExceeded) as info:
         solve_ft_n(config, max_iter=1)
     assert isinstance(info.value.location, complex)
     assert info.value.certificate is not None
+    assert str(info.value) == "no certified point: the iteration limit of 1 was reached"
+
+
+def test_a_stalled_median_says_so():
+    # 1e7 out, the Weiszfeld point rounds back to the iterate long before
+    # the iteration limit; the refusal names the stall, not the limit
+    far = WeightedConfiguration([z + 1e7 * (1 + 1j) for z in BUDGET_FIVE], (1.0,) * 5)
+    with pytest.raises(MaxIterationsExceeded) as info:
+        solve_ft_n(far)
+    assert str(info.value) == (
+        "no certified point: the loop stalled after 4 iterations: "
+        "the Weiszfeld point rounded back to the iterate"
+    )
+    err = info.value
+    assert not err.certificate.passed
+    assert ft_certificate(far, err.location, 1e-10) == err.certificate
 
 
 def test_certificate_rejects_an_overflowing_candidate():
@@ -774,6 +793,18 @@ def test_extension_small_weight_produces_a_point():
     z_new = extend_at_vertex(VERTEX3, 0, 1.0)
     assert isinstance(z_new, complex) and z_new != 0
     grown = WeightedConfiguration(VERTEX3.points + (z_new,), (1.0,) * 4)
+    assert ft_certificate(grown, 0).passed
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e7])
+def test_extension_scales_with_the_configuration(scale):
+    # the new point goes half the distance to the nearest other point, so a
+    # scaled vertex gets the scaled point, certified at every scale
+    config = WeightedConfiguration([scale * z for z in VERTEX3.points], (1.0,) * 3)
+    z_new = extend_at_vertex(config, 0, 1.0)
+    assert z_new == pytest.approx(scale * extend_at_vertex(VERTEX3, 0, 1.0), rel=1e-12)
+    assert abs(z_new) == pytest.approx(0.5 * scale, rel=1e-12)
+    grown = WeightedConfiguration(config.points + (z_new,), (1.0,) * 4)
     assert ft_certificate(grown, 0).passed
 
 

@@ -1,12 +1,15 @@
 """The benchmark's traced run must still find every boundary it wraps.
 
 ``bench/tracing.py`` replaces the module attributes listed in its
-``BOUNDARIES`` with timing wrappers, so renaming or removing one of them
-breaks ``bench/run.py --trace 1``.  This loads that file by path and
-resolves every listed attribute on the imported planarloc modules.
+``BOUNDARIES`` with timing wrappers, so renaming or removing one of them,
+or changing how it is called, breaks ``bench/run.py --trace 1``.  This
+loads that file by path, resolves every listed attribute on the imported
+planarloc modules and compares its signature with the one the traced run
+was written against.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,27 @@ MODULES = {
     "documents": documents,
     "cli": cli,
 }
+# each boundary's parameters as the traced run calls them, annotations aside
+SIGNATURES = {
+    "chebyshev.cheby_certificate": "(points, weights, w)",
+    "chebyshev.solve_chebyshev": "(points)",
+    "chebyshev.solve_chebyshev_weighted": "(points, weights)",
+    "cli.main": "(argv=None)",
+    "documents.ResultDocument.to_json": "(self)",
+    "documents.cheby_result_document": "(result)",
+    "documents.fermat_result_document": "(result, tol_used)",
+    "documents.load_problem": "(path, kind_flag=None)",
+    "fermat.WeightedConfiguration.__post_init__": "(self)",
+    "fermat.build_l1_certificate": "(x, y, zero_mask, tol)",
+    "fermat.ft_certificate": "(config, w, tol=None)",
+    "fermat.solve_ft3_weighted": "(z1, z2, z3, weights)",
+    "fermat.solve_ft4": "(z1, z2, z3, z4)",
+    "fermat.solve_ft_n": "(config, tol=1e-10, max_iter=10000)",
+    "geom.apollonius_locus": "(zi, zj, wi, wj)",
+    "geom.circumcenter3": "(a, b, c)",
+    "geom.convex_hull_membership": "(p, pts)",
+    "geom.ensure_distinct": "(points, scale=None)",
+}
 
 
 def _tracing():
@@ -35,13 +59,22 @@ def _boundaries():
     return _tracing().BOUNDARIES
 
 
-@pytest.mark.parametrize("path", sorted({path for _, path, _ in _boundaries()}))
+def test_every_boundary_has_a_frozen_signature():
+    assert {path for _, path, _ in _boundaries()} == set(SIGNATURES)
+
+
+@pytest.mark.parametrize("path", sorted(SIGNATURES))
 def test_boundary_resolves_to_a_callable(path):
     head, *rest = path.split(".")
     owner = MODULES[head]
     for part in rest:
         owner = getattr(owner, part)
     assert callable(owner)
+    sig = inspect.signature(owner)
+    params = [p.replace(annotation=inspect.Parameter.empty) for p in sig.parameters.values()]
+    assert str(sig.replace(parameters=params, return_annotation=inspect.Signature.empty)) == (
+        SIGNATURES[path]
+    )
 
 
 @pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, 2000])
