@@ -1,8 +1,8 @@
 """Value records: compared, hashed and shown by their fields.
 
 A record class names its fields, in order, in ``_fields``; its own
-``__init__`` stores them in the instance ``__dict__``, and ``_fields``
-doubles as ``__match_args__``.  Equality holds only between records of one
+``__init__`` stores each with ``set_field``, and ``_fields`` doubles as
+``__match_args__``.  Equality holds only between records of one
 class with equal fields, the repr is ``Name(field=value, ...)``, and a
 ``FrozenRecord`` is also hashable and refuses assignment and deletion.
 An attribute kept in ``__dict__`` but not in ``_fields`` takes no part in
@@ -12,6 +12,10 @@ class may fill a field on its first read through ``__getattr__``.
 """
 
 from __future__ import annotations
+
+# stores one field of a new record past FrozenRecord.__setattr__; unlike a
+# write to __dict__, it keeps the instance layout that CPython reads fastest
+set_field = object.__setattr__
 
 
 class Record:

@@ -29,7 +29,7 @@ from itertools import compress, repeat
 from typing import Optional, Sequence
 
 from . import geom
-from ._record import FrozenRecord
+from ._record import FrozenRecord, set_field
 from .errors import (
     LengthMismatch,
     NotOrthogonal,
@@ -72,10 +72,16 @@ class SupportCertificate(FrozenRecord):
         support: Optional[tuple[int, ...]] = None,
         gamma: Optional[complex] = None,
     ):
-        self.__dict__.update(
-            space=space, d=d, residual=residual, passed=passed, forced=forced,
-            slack=slack, tol=tol, t=t, support=support, gamma=gamma,
-        )
+        set_field(self, "space", space)
+        set_field(self, "d", d)
+        set_field(self, "residual", residual)
+        set_field(self, "passed", passed)
+        set_field(self, "forced", forced)
+        set_field(self, "slack", slack)
+        set_field(self, "tol", tol)
+        set_field(self, "t", t)
+        set_field(self, "support", support)
+        set_field(self, "gamma", gamma)
 
     def __getattr__(self, name):
         # reached only for an attribute not set: d, before its first read
@@ -293,9 +299,12 @@ class OrthogonalityType(FrozenRecord):
         scale: float,
         n: int = 3,
     ):
-        self.__dict__.update(
-            tag=tag, slots=slots, directions=directions, mixing=mixing, scale=scale, n=n
-        )
+        set_field(self, "tag", tag)
+        set_field(self, "slots", slots)
+        set_field(self, "directions", directions)
+        set_field(self, "mixing", mixing)
+        set_field(self, "scale", scale)
+        set_field(self, "n", n)
 
     @property
     def label(self) -> str:

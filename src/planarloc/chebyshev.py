@@ -28,7 +28,7 @@ import operator
 from itertools import combinations
 
 from . import geom
-from ._record import FrozenRecord
+from ._record import FrozenRecord, set_field
 from .bjorth import SupportCertificate, build_linf_certificate, linf_support
 from .errors import CollinearPoints, NotOrthogonal
 from .fermat import WeightedConfiguration, solve_ft3_weighted, solve_ft4
@@ -56,10 +56,12 @@ class ChebySolveResult(FrozenRecord):
         hull_coefficients: tuple[float, ...],
         certificate: SupportCertificate,
     ):
-        self.__dict__.update(
-            center=center, radius=radius, support=support, t=t,
-            hull_coefficients=hull_coefficients, certificate=certificate,
-        )
+        set_field(self, "center", center)
+        set_field(self, "radius", radius)
+        set_field(self, "support", support)
+        set_field(self, "t", t)
+        set_field(self, "hull_coefficients", hull_coefficients)
+        set_field(self, "certificate", certificate)
 
 
 def chebyshev_radius(points, weights, w: complex) -> float:

@@ -24,7 +24,7 @@ import operator
 from typing import Optional
 
 from . import __version__
-from ._record import FrozenRecord, Record
+from ._record import FrozenRecord, Record, set_field
 from .errors import ProblemFormatError
 from .fermat import IMPORT_MIN, FtPoint, WeightedConfiguration
 from .tolerances import EPS_CLASS, EPS_REL
@@ -46,7 +46,8 @@ class ProblemFile(FrozenRecord):
     _fields = ("kind", "config")
 
     def __init__(self, kind: Optional[str], config: WeightedConfiguration):
-        self.__dict__.update(kind=kind, config=config)
+        set_field(self, "kind", kind)
+        set_field(self, "config", config)
 
 
 def _float_or_inf(a) -> float:

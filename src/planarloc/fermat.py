@@ -40,7 +40,7 @@ import sys
 from typing import Optional, Sequence, Union
 
 from . import geom
-from ._record import FrozenRecord
+from ._record import FrozenRecord, set_field
 from .bjorth import SupportCertificate, _angle_threshold, build_l1_certificate
 from .errors import (
     CertificatePreconditionFailed,
@@ -112,7 +112,8 @@ class WeightedConfiguration(FrozenRecord):
     _fields = ("points", "weights")
 
     def __init__(self, points: tuple[complex, ...], weights: tuple[float, ...]):
-        self.__dict__.update(points=points, weights=weights)
+        set_field(self, "points", points)
+        set_field(self, "weights", weights)
         # looked up on the class, so a wrapper set there sees every construction
         self.__post_init__()
 
@@ -316,14 +317,15 @@ class FtPoint(FrozenRecord):
     _fields = ("location",)
 
     def __init__(self, location: complex):
-        self.__dict__["location"] = location
+        set_field(self, "location", location)
 
 
 class FtSegment(FrozenRecord):
     _fields = ("start", "end")
 
     def __init__(self, start: complex, end: complex):
-        self.__dict__.update(start=start, end=end)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
 
 
 class FtSolveResult(FrozenRecord):
@@ -341,10 +343,13 @@ class FtSolveResult(FrozenRecord):
         vertex_angle: Optional[float] = None,
         angles: Optional[tuple[float, float]] = None,
     ):
-        self.__dict__.update(
-            solution=solution, objective=objective, case=case, certificate=certificate,
-            vertex=vertex, vertex_angle=vertex_angle, angles=angles,
-        )
+        set_field(self, "solution", solution)
+        set_field(self, "objective", objective)
+        set_field(self, "case", case)
+        set_field(self, "certificate", certificate)
+        set_field(self, "vertex", vertex)
+        set_field(self, "vertex_angle", vertex_angle)
+        set_field(self, "angles", angles)
 
     @property
     def location(self) -> complex:

@@ -23,7 +23,7 @@ import operator
 from itertools import combinations, compress, filterfalse, islice
 from typing import Optional, Sequence
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, set_field
 from .errors import (
     CoincidentPoints,
     CollinearPoints,
@@ -375,7 +375,8 @@ class Circle(FrozenRecord):
     _fields = ("center", "radius")
 
     def __init__(self, center: complex, radius: float):
-        self.__dict__.update(center=center, radius=radius)
+        set_field(self, "center", center)
+        set_field(self, "radius", radius)
 
 
 class Line(FrozenRecord):
@@ -384,7 +385,8 @@ class Line(FrozenRecord):
     _fields = ("point", "direction")
 
     def __init__(self, point: complex, direction: complex):
-        self.__dict__.update(point=point, direction=direction)
+        set_field(self, "point", point)
+        set_field(self, "direction", direction)
 
 
 def circumcenter3(a: complex, b: complex, c: complex) -> complex:
@@ -488,7 +490,8 @@ class ConvexOrder(FrozenRecord):
         order: tuple[int, int, int, int],
         diagonals: tuple[tuple[int, int], tuple[int, int]],
     ):
-        self.__dict__.update(order=order, diagonals=diagonals)
+        set_field(self, "order", order)
+        set_field(self, "diagonals", diagonals)
 
 
 class NonConvex(FrozenRecord):
@@ -497,7 +500,7 @@ class NonConvex(FrozenRecord):
     _fields = ("contained",)
 
     def __init__(self, contained: int):
-        self.__dict__["contained"] = contained
+        set_field(self, "contained", contained)
 
 
 def quadrilateral_shape(z1: complex, z2: complex, z3: complex, z4: complex):

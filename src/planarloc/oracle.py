@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, set_field
 from .errors import EmptyInput
 
 
@@ -26,7 +26,8 @@ class OracleSettings(FrozenRecord):
             raise ValueError("resolution must be at least 8")
         if rounds < 1:
             raise ValueError("rounds must be at least 1")
-        self.__dict__.update(resolution=resolution, rounds=rounds)
+        set_field(self, "resolution", resolution)
+        set_field(self, "rounds", rounds)
 
 
 def _refine(
