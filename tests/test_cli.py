@@ -812,7 +812,7 @@ print(json.dumps([m for m in names if m in sys.modules]), file=sys.stderr)
 def test_a_json_median_loads_neither_svg_nor_csv(tmp_path):
     # a solve imports what its problem needs: the SVG writer, the CSV
     # reader, the covering circle and the grid oracle only when used, and
-    # nothing that needs the introspection modules
+    # neither dataclasses nor the inspect module it pulls in
     median = _problem(tmp_path, "five.json", "fermat", FIVE)
     circle = _problem(tmp_path, "circle.json", "chebyshev", FIVE)
     loaded = []
