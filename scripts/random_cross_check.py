@@ -43,7 +43,9 @@ of flipping.  ``--kind paths`` solves each median twice with
 Python loops forced (by setting ``fermat.ARRAY_MIN``), on 5 to 3000
 points (log-uniform) drawn in turn uniform, in clusters, exactly on a
 line, within 1e-9 of one, and with a vertex optimum; both paths must
-certify, or both refuse.  ``--kind perturb`` draws certified optima clear
+certify, or both refuse.  At each certified answer, the one of either
+path, ``ft_certificate`` must then decide alike on both paths and
+``ft_objective`` agree to a relative 1e-12.  ``--kind perturb`` draws certified optima clear
 of every point of 3 to 40 points and hands the five perturbation
 functions, as new point and as query point, points on the ray from the
 optimum through a configuration point and rotated off it (1e-10 to 1e-1
@@ -513,25 +515,34 @@ def draw_paths_instance(gen, family):
     return pl.WeightedConfiguration(tuple(pts), tuple(weights))
 
 
-def solve_on_path(config, array_min):
-    """solve_ft_n's result, or the PlanarLocError it raised, with ARRAY_MIN set."""
+def on_path(array_min, fn, *args):
+    """fn(*args), or the PlanarLocError it raised, with ARRAY_MIN set."""
     saved, pl.fermat.ARRAY_MIN = pl.fermat.ARRAY_MIN, array_min
     try:
-        return pl.solve_ft_n(config)
+        return fn(*args)
     except pl.PlanarLocError as e:
         return e
     finally:
         pl.fermat.ARRAY_MIN = saved
 
 
+def answer_gaps(config, w):
+    """Whether ft_certificate decides alike at w on both paths, and ft_objective's relative gap."""
+    (cert_a, obj_a), (cert_l, obj_l) = (
+        (on_path(m, pl.ft_certificate, config, w), on_path(m, pl.ft_objective, config, w))
+        for m in (0, sys.maxsize)
+    )
+    return cert_a.passed == cert_l.passed, abs(obj_a - obj_l) / obj_l
+
+
 def main_paths(count, seed):
     gen = np.random.default_rng(seed)
-    refused, worst = 0, 0.0
+    refused, worst, worst_at = 0, 0.0, 0.0
     for trial in range(count):
         family = PATHS_FAMILIES[trial % len(PATHS_FAMILIES)]
         config = draw_paths_instance(gen, family)
-        on_arrays = solve_on_path(config, 0)
-        on_loops = solve_on_path(config, sys.maxsize)
+        on_arrays = on_path(0, pl.solve_ft_n, config)
+        on_loops = on_path(sys.maxsize, pl.solve_ft_n, config)
         certified = [not isinstance(r, pl.PlanarLocError) for r in (on_arrays, on_loops)]
         if certified[0] != certified[1]:
             print(f"paths disagree on trial {trial} ({family}, {config.n} points)")
@@ -540,14 +551,26 @@ def main_paths(count, seed):
             print(f"  points  = {config.points!r}")
             print(f"  weights = {config.weights!r}")
             return 1
-        if all(certified):
-            gap = abs(on_arrays.objective - on_loops.objective) / on_loops.objective
-            worst = max(worst, gap)
-        else:
+        if not all(certified):
             refused += 1
+            continue
+        gap = abs(on_arrays.objective - on_loops.objective) / on_loops.objective
+        worst = max(worst, gap)
+        for side, res in (("arrays", on_arrays), ("loops", on_loops)):
+            alike, at_answer = answer_gaps(config, res.location)
+            worst_at = max(worst_at, at_answer)
+            if not (alike and at_answer <= 1e-12):
+                print(f"paths disagree on trial {trial} ({family}, {config.n} points)")
+                print(f"  at the answer on the {side}, {res.location!r}: the certificates decide "
+                      f"{'alike' if alike else 'apart'}, objective gap {at_answer:.3e}")
+                print(f"  points  = {config.points!r}")
+                print(f"  weights = {config.weights!r}")
+                return 1
     print(
         f"paths: {count} trials, {count - refused} certified on both paths, "
-        f"{refused} refused on both, worst relative objective gap {worst:.3e}"
+        f"{refused} refused on both, worst relative objective gap {worst:.3e}; "
+        f"at each answer the certificates decide alike and the objectives "
+        f"differ by at most {worst_at:.3e}"
     )
     return 0
 

@@ -8,7 +8,8 @@ class with equal fields, the repr is ``Name(field=value, ...)``, and a
 An attribute kept in ``__dict__`` but not in ``_fields`` takes no part in
 any of these.  The state lives in ``__dict__`` rather than in slots, so
 pickle and ``copy`` restore it without calling ``__setattr__``, and a
-class may fill a field on its first read through ``__getattr__``.
+class may leave a field unset until its first read builds it through a
+``lazy_field``.
 """
 
 from __future__ import annotations
@@ -51,3 +52,25 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class lazy_field:
+    """A field that ``build(obj)`` makes on its first read and stores with ``set_field``.
+
+    A non-data descriptor, so a stored value hides it, and the class's
+    other fields keep the fast reads that a ``__getattr__`` hook turns off
+    and a write through ``__dict__`` slows.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        set_field(obj, self.name, value)
+        return value

@@ -29,7 +29,7 @@ from itertools import compress, repeat
 from typing import Optional, Sequence
 
 from . import geom
-from ._record import FrozenRecord, set_field
+from ._record import FrozenRecord, lazy_field, set_field
 from .errors import (
     LengthMismatch,
     NotOrthogonal,
@@ -59,6 +59,9 @@ class SupportCertificate(FrozenRecord):
         "space", "d", "residual", "passed", "forced", "slack", "tol", "t", "support", "gamma"
     )
 
+    # a functional kept as an array: the tuple, built on first read
+    d = lazy_field(lambda cert: tuple(cert._d.tolist()))
+
     def __init__(
         self,
         space: str,
@@ -82,13 +85,6 @@ class SupportCertificate(FrozenRecord):
         set_field(self, "t", t)
         set_field(self, "support", support)
         set_field(self, "gamma", gamma)
-
-    def __getattr__(self, name):
-        # reached only for an attribute not set: d, before its first read
-        if name != "d" or "_d" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        d = self.__dict__["d"] = tuple(self.__dict__["_d"].tolist())
-        return d
 
 
 _X_OVERFLOWS = "the modulus of an entry of x overflows the doubles"
@@ -116,11 +112,10 @@ def build_l1_certificate(
     band (entry modulus for raw vectors, geometric coincidence for location
     problems).  Free coefficients are spent proportionally to cancel the
     forced part, clamped to the unit disc.  Numpy arrays, which
-    ``fermat.ft_certificate`` passes for a large configuration, take the
-    O(n) passes as array operations, other sequences as Python loops; both
-    give the same functional up to the order in which the sums are added.
-    On arrays the certificate keeps the functional as an array and builds
-    its ``d`` tuple when that is first read.
+    ``fermat.ft_certificate`` passes from its array backend, take the O(n)
+    passes as array operations and keep the functional as an array until
+    ``d`` is first read; other sequences take Python loops.  Both give the
+    same functional up to the order in which the sums are added.
     """
     n = len(x)
     if hasattr(x, "dtype"):
@@ -165,7 +160,8 @@ def build_l1_certificate(
         gamma=complex(d[free[0]]) if len(free) == 1 else None,
     )
     if on_arrays:  # the array is kept until d is first read
-        cert.__dict__["_d"] = cert.__dict__.pop("d")
+        set_field(cert, "_d", d)
+        object.__delattr__(cert, "d")
     return cert
 
 

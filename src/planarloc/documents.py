@@ -5,8 +5,8 @@ Problems arrive as JSON ({"kind": ..., "points": [[x, y], ...],
 malformed fields as ProblemFormatError; the point set itself is validated
 once, by the ``fermat.WeightedConfiguration`` that every ProblemFile
 carries as ``config`` and that the solvers and certificates then share.
-A median of ``fermat.IMPORT_MIN`` or more points loads numpy first, so
-that it validates on arrays, by the rule stated at ``fermat.ARRAY_MIN``.
+A median of ``fermat.IMPORT_MIN`` or more points loads numpy first, to
+validate on arrays (the rule stated at ``fermat.ARRAY_MIN``).
 This is the one module that knows the result format: results leave as
 JSON through ``json.dumps``, whose floats are the shortest text that reads
 back as the same double; parse(serialize(doc)) equals doc.  A result document holds only what a

@@ -24,9 +24,10 @@ pull and s0), which an accepted candidate hands on as the next iterate's,
 and the Weiszfeld point w + pull/s0 comes from the field already taken.
 
 numpy enters through ``WeightedConfiguration.arrays``, the points and
-weights converted once.  One rule, ``_on_arrays``, decides where a median
-takes its O(n) passes and when numpy is loaded; the comment at its two
-constants, ``ARRAY_MIN`` and ``IMPORT_MIN``, states it.
+weights converted once.  One factory, ``_passes``, decides where a median
+takes its O(n) passes and when numpy is loaded: the solver, the
+certificate and the objective each take their backend from it, on the
+arrays or the loops by the rule stated at ``ARRAY_MIN`` and ``IMPORT_MIN``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import sys
 from typing import Optional, Sequence, Union
 
 from . import geom
-from ._record import FrozenRecord, set_field
+from ._record import FrozenRecord, lazy_field, set_field
 from .bjorth import SupportCertificate, _angle_threshold, build_l1_certificate
 from .errors import (
     CertificatePreconditionFailed,
@@ -53,17 +54,18 @@ from .errors import (
 )
 from .tolerances import EPS_CLASS, EPS_REL
 
-# Where a median's O(n) passes run, for validation, the general solver, the
-# certificate and the objective alike: on the configuration's numpy arrays
-# from ARRAY_MIN points on when numpy is already loaded (``_on_arrays``), in
-# Python loops otherwise.  Building a configuration never imports numpy.
-# solve_ft_n, ft_certificate, ft_objective and the command line load it for
-# a median of IMPORT_MIN or more points, and a solve of ARRAY_MIN or more
-# points on the loops loads it and moves to the arrays when a Newton step is
-# refused after all its halvings, the sign of a slow solve.  So the closed
-# forms, the covering circle and every median below IMPORT_MIN points whose
-# Newton steps are taken run without numpy.  The two constants answer two
-# questions.  ARRAY_MIN is where arrays beat loops once numpy is there: the
+# Where a median's O(n) passes run: on the configuration's numpy arrays from
+# ARRAY_MIN points on when numpy is already loaded (``_on_arrays``), in Python
+# loops otherwise.  Validation decides it in ``_checked_arrays``, and the
+# solver, the certificate and the objective take their backend from
+# ``_passes``, the one place that picks it, anew on each call.  Building a
+# configuration never imports numpy.  ``_passes`` and the command line load
+# it for a median of IMPORT_MIN or more points, and a solve of ARRAY_MIN or
+# more points on the loops loads it and moves to the arrays when a Newton
+# step is refused after all its halvings, the sign of a slow solve.  So the
+# closed forms, the covering circle and every median below IMPORT_MIN points
+# whose Newton steps are taken run without numpy.  The two constants answer
+# two questions.  ARRAY_MIN is where arrays beat loops once numpy is there: the
 # certificate and the objective cost the same either way at about 24 points
 # (Intel Xeon, numpy 2.4), and from 32 on the arrays are ahead by a quarter;
 # the duplicate check and a whole solve break even near the same size.
@@ -100,16 +102,19 @@ class WeightedConfiguration(FrozenRecord):
     scaled by the total weight stays finite.  Where ``_on_arrays`` holds
     (the rule stated at ``ARRAY_MIN``), construction converts the caller's
     points and weights once, to the arrays that ``arrays`` returns, checks
-    the weights and the points on them, and builds the ``points`` and
-    ``weights`` tuples only when they are first read; a solve on the arrays
-    reads neither.  The arrays only decide:
-    every refusal, a duplicate pair included, is stated as the tuples state
-    it, so both sides refuse the same input with the same error.  The one
+    them there, and builds the ``points`` and ``weights`` tuples only when
+    they are first read.  The arrays only decide: every refusal, a
+    duplicate pair included, is stated as the tuples state it.  The one
     input that differs is a point given as the bytes of a number, which
     numpy reads and ``complex`` refuses.
     """
 
     _fields = ("points", "weights")
+    # built on first read: the tuples of a configuration validated on
+    # arrays, and the arrays of one validated on tuples
+    points = lazy_field(lambda config: tuple(config._arrays[0].tolist()))
+    weights = lazy_field(lambda config: tuple(config._arrays[1].tolist()))
+    _arrays = lazy_field(lambda config: _as_arrays(config.points, config.weights))
 
     def __init__(self, points: tuple[complex, ...], weights: tuple[float, ...]):
         set_field(self, "points", points)
@@ -119,28 +124,21 @@ class WeightedConfiguration(FrozenRecord):
 
     def __post_init__(self):
         # validates, and sets n, diameter and total_weight, which _fields leaves out
-        state = self.__dict__
-        checked = _checked_arrays(state["points"], state["weights"])
+        points, weights = self.points, self.weights
+        checked = _checked_arrays(points, weights)
         if checked is None:
-            points, wts, total = _checked_tuples(state["points"], state["weights"])
-            state["points"], state["weights"] = points, wts
+            points, wts, total = _checked_tuples(points, weights)
+            set_field(self, "points", points)
+            set_field(self, "weights", wts)
             diameter = geom.ensure_distinct(points)
         else:
-            # the tuples are built from the arrays on first read, by __getattr__
-            del state["points"], state["weights"]
-            state["_arrays"], total, diameter = checked
-            points = checked[0][0]
-        state["n"], state["diameter"], state["total_weight"] = len(points), diameter, total
-
-    def __getattr__(self, name):
-        # reached only for an attribute not set: the points or weights of a
-        # configuration built on arrays, before their first read
-        arrays = self.__dict__.get("_arrays")
-        if arrays is None or name not in ("points", "weights"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        array = arrays[0] if name == "points" else arrays[1]
-        value = self.__dict__[name] = tuple(array.tolist())
-        return value
+            (points, _), total, diameter = checked
+            set_field(self, "_arrays", checked[0])
+            object.__delattr__(self, "points")  # the lazy fields build them
+            object.__delattr__(self, "weights")
+        set_field(self, "n", len(points))
+        set_field(self, "diameter", diameter)
+        set_field(self, "total_weight", total)
 
     @classmethod
     def of(cls, points, weights=None) -> "WeightedConfiguration":
@@ -159,18 +157,8 @@ class WeightedConfiguration(FrozenRecord):
 
     @property
     def arrays(self):
-        """The points and weights as read-only numpy arrays, converted once.
-
-        The solvers and certificates that take array passes share this one
-        conversion: the one made at construction when there was one,
-        otherwise one made on first use.  A configuration that never
-        reaches them never imports numpy.
-        """
-        arrays = self.__dict__.get("_arrays")
-        if arrays is None:
-            arrays = _as_arrays(self.points, self.weights)
-            object.__setattr__(self, "_arrays", arrays)
-        return arrays
+        """The points and weights as read-only numpy arrays, converted once."""
+        return self._arrays
 
 
 def _as_arrays(points, weights):
@@ -233,23 +221,8 @@ def _checked_tuples(points, weights):
 
 
 def ft_objective(config: WeightedConfiguration, w: complex) -> float:
-    """Weighted distance sum at w, on the arrays where ``_on_arrays`` holds.
-
-    numpy is loaded first for ``IMPORT_MIN`` or more points.  A sum beyond
-    the doubles is inf on both paths, also when an offset's modulus
-    overflows.
-    """
-    if _loaded_on_arrays(config.n):
-        import numpy as np
-
-        pts, wts = config.arrays
-        with np.errstate(over="ignore"):
-            return float(wts @ abs(pts - complex(w)))
-    dist = map(abs, map(complex(w).__rsub__, config.points))
-    try:
-        return sum(map(operator.mul, config.weights, dist))
-    except OverflowError:  # abs of an offset beyond the doubles
-        return math.inf
+    """Weighted distance sum at w, by ``_passes``; inf past the doubles, an offset's too."""
+    return _passes(config).objective(complex(w))
 
 
 def ft_certificate(
@@ -266,11 +239,9 @@ def ft_certificate(
     The functional depends on x = (alpha_i * (z_i - w)) only through the
     directions of its entries, which are those of z_i - w, so the offsets
     go to ``build_l1_certificate`` as they are and no weight of any finite
-    scale can make an entry overflow.  numpy is loaded first for
-    ``IMPORT_MIN`` or more points.  Where ``_on_arrays`` then holds, the
-    offsets and the band test are numpy array operations, and Python loops
-    otherwise.  ``tol`` is relative and defaults to EPS_REL.  When w
-    coincides with exactly one configuration point the certificate's
+    scale can make an entry overflow.  The offsets and the band test are
+    passes of ``_passes``.  ``tol`` is relative and defaults to EPS_REL.
+    When w coincides with exactly one configuration point the certificate's
     ``gamma`` is the free coefficient spent there.  Raises ValueError when
     w is not finite, an offset's modulus overflows, or tol is negative or
     not finite.
@@ -281,22 +252,9 @@ def ft_certificate(
         tol = EPS_REL
     elif not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    band = EPS_CLASS * config.diameter
-    if _loaded_on_arrays(config.n):
-        import numpy as np
-
-        pts, wts = config.arrays
-        with np.errstate(over="ignore"):
-            rel = pts - w
-            mods = abs(rel)
-        if mods.max() == math.inf:
-            raise ValueError("offset modulus overflows: the query point is too far out")
-        mask = mods <= band
-    else:
-        wts = config.weights
-        rel = list(map(w.__rsub__, config.points))  # z_i - w, once
-        mask = list(map(functools.partial(operator.ge, band), geom._moduli(rel)))
-    return build_l1_certificate(rel, wts, mask, tol * config.total_weight)
+    passes = _passes(config)
+    rel, _, mask = passes.offsets(w)
+    return build_l1_certificate(rel, passes.wts, mask, tol * config.total_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +321,7 @@ def _point_result(config, w, case, tol=None, **extra) -> FtSolveResult:
     cert = ft_certificate(config, w, tol)
     if not cert.passed:
         raise NotOrthogonal(f"{case.value} solution failed its certificate")
-    return FtSolveResult(
-        solution=FtPoint(w),
-        objective=ft_objective(config, w),
-        case=case,
-        certificate=cert,
-        **extra,
-    )
+    return FtSolveResult(FtPoint(w), ft_objective(config, w), case, cert, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +448,15 @@ def solve_ft_n(
     the iterate or the pull met the tolerance.  The iteration runs on the
     weights divided by their total, so weights of any scale whose sum is
     finite give the same iterates, and a common power-of-two factor the
-    same location to the bit.
-    Its passes take the configuration's numpy arrays where ``_on_arrays``
-    holds, and Python loops otherwise, whose sums may differ from the
-    arrays' in the last digits.  From ``IMPORT_MIN`` points on it loads numpy
-    first.  A solve of ``ARRAY_MIN`` or more points on the loops loads it and
-    moves to the arrays once a Newton step is refused after all its
-    halvings: each halving costs a pass, and the Weiszfeld steps that follow
-    converge slowly, so such a solve is about to run long.  Raises ValueError
-    unless tol is positive and finite and max_iter at least 1.
+    same location to the bit.  Its passes come from ``_passes``; the sums of
+    the loops may differ from the arrays' in the last digits.  Raises
+    ValueError unless tol is positive and finite and max_iter at least 1.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    passes = (_ArrayPasses if _loaded_on_arrays(config.n) else _LoopPasses)(config)
-    near_band = passes.band
-    target = tol
+    passes = _passes(config)
     tested = set()
     w, here = passes.centroid(), None
     best = (math.inf, w)
@@ -520,7 +464,7 @@ def solve_ft_n(
     for iteration in range(1, max_iter + 1):
         k, dk, pull, s0 = here or passes.field(w)  # a Newton step's own field
         here = None
-        if k not in tested or dk <= near_band:
+        if k not in tested or dk <= passes.band:
             # the other points' pull at z_k, with z_k's own term dropped; it
             # does not depend on w, so one test per point settles z_k
             vpull, inv_sum = passes.vertex_pull(k)
@@ -528,9 +472,9 @@ def solve_ft_n(
             z_k = complex(passes.pts[k])
             if k not in tested:
                 tested.add(k)
-                if r - a_k <= target:
+                if r - a_k <= tol:
                     return _point_result(config, z_k, FtCase.ITERATIVE, tol)
-            if dk <= near_band:
+            if dk <= passes.band:
                 # modified Weiszfeld step z_k + (1 - a_k/r)(T - z_k), with T
                 # the other points' Weiszfeld average; r > a_k here
                 w = z_k + complex((1.0 - a_k / r) * vpull / inv_sum)
@@ -538,7 +482,7 @@ def solve_ft_n(
         rn = abs(pull)
         if rn < best[0]:
             best = (rn, w)
-        if rn <= target:
+        if rn <= tol:
             ended = f"the pull met the tolerance after {iteration} iterations"
             break
         s2 = passes.s2()
@@ -553,26 +497,17 @@ def solve_ft_n(
                 "the Weiszfeld point rounded back to the iterate"
             )
             break
-        # on the loops, a regular Hessian means the Newton step was
-        # refused after all its halvings: a slow solve, moved to the arrays
-        if isinstance(passes, _LoopPasses) and config.n >= ARRAY_MIN and abs(s2) < s0:
-            passes = _ArrayPasses(config)
+        # a regular Hessian means the Newton step was refused after all its
+        # halvings: a slow solve, which moves to the arrays (see ARRAY_MIN)
+        if abs(s2) < s0:
+            passes = passes.for_a_slow_solve()
         w = stepped
     else:
         w = best[1]
     cert = ft_certificate(config, w, tol)
     if not cert.passed:
-        raise MaxIterationsExceeded(
-            f"no certified point: {ended}",
-            location=w,
-            certificate=cert,
-        )
-    return FtSolveResult(
-        solution=FtPoint(w),
-        objective=ft_objective(config, w),
-        case=FtCase.ITERATIVE,
-        certificate=cert,
-    )
+        raise MaxIterationsExceeded(f"no certified point: {ended}", location=w, certificate=cert)
+    return FtSolveResult(FtPoint(w), ft_objective(config, w), FtCase.ITERATIVE, cert)
 
 
 def _newton_step(passes, w, pull, s0, s2, rn) -> Optional[tuple]:
@@ -599,17 +534,45 @@ def _newton_step(passes, w, pull, s0, s2, rn) -> Optional[tuple]:
     return None
 
 
+def _passes(config: WeightedConfiguration):
+    """The backend for a median's O(n) passes, by the rule stated at ``ARRAY_MIN``."""
+    return (_ArrayPasses if _loaded_on_arrays(config.n) else _LoopPasses)(config)
+
+
 class _ArrayPasses:
-    """The O(n) passes of ``solve_ft_n`` as numpy array operations.
+    """The O(n) passes of a median as numpy array operations.
 
     ``field`` keeps the offsets, distances and inverse distances at the
     location it was last given, which ``s2`` then reuses.
     """
 
+    # shares of the total weight, summing to 1, built on the solver's first read
+    shares = lazy_field(lambda p: p.wts / p.config.total_weight)
+
     def __init__(self, config: WeightedConfiguration):
-        self.pts, wts = config.arrays
-        self.shares = wts / config.total_weight  # shares of the total, which sum to 1
+        self.config = config
+        self.pts, self.wts = config.arrays
         self.band = EPS_CLASS * config.diameter
+
+    def for_a_slow_solve(self):
+        return self
+
+    def objective(self, w: complex) -> float:
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            return float(self.wts @ abs(self.pts - w))
+
+    def offsets(self, w: complex):
+        """z_i - w, their moduli and which are in the band; ValueError on overflow."""
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            rel = self.pts - w
+            mods = abs(rel)
+        if mods.max() == math.inf:
+            raise ValueError("offset modulus overflows: the query point is too far out")
+        return rel, mods, mods <= self.band
 
     def centroid(self) -> complex:
         return complex(self.shares @ self.pts)
@@ -640,16 +603,33 @@ class _ArrayPasses:
 class _LoopPasses:
     """The same passes as Python loops, each one pass over the points.
 
-    A pass accumulates its sums in floats and complexes as it goes and
-    builds no list; ``field`` sums s2 along with the pull, for ``s2``.  A
+    A solver pass accumulates its sums in floats and complexes as it goes
+    and builds no list; ``field`` sums s2 along with the pull, for ``s2``.  A
     location whose offset modulus overflows gets no pull, as one in a band.
     """
 
+    shares = lazy_field(lambda p: list(map(p.config.total_weight.__rtruediv__, p.wts)))
+
     def __init__(self, config: WeightedConfiguration):
-        self.pts = config.points
-        total = config.total_weight
-        self.shares = [a / total for a in config.weights]
+        self.config = config
+        self.pts, self.wts = config.points, config.weights
         self.band = EPS_CLASS * config.diameter
+
+    def for_a_slow_solve(self):
+        # each refused halving cost a pass, and Weiszfeld steps converge slowly
+        return _ArrayPasses(self.config) if self.config.n >= ARRAY_MIN else self
+
+    def objective(self, w: complex) -> float:
+        dist = map(abs, map(w.__rsub__, self.pts))
+        try:
+            return sum(map(operator.mul, self.wts, dist))
+        except OverflowError:  # abs of an offset beyond the doubles
+            return math.inf
+
+    def offsets(self, w: complex):
+        rel = list(map(w.__rsub__, self.pts))  # z_i - w, once
+        mods = geom._moduli(rel)
+        return rel, mods, list(map(self.band.__ge__, mods))
 
     def centroid(self) -> complex:
         return sum(map(operator.mul, self.shares, self.pts), 0j)
@@ -842,8 +822,8 @@ def extend_at_vertex(
         delta = complex(ratio, 0.0)
     # gamma - delta has modulus ratio, so this offset is a unit vector
     direction = (a0 / alpha_new) * (gamma - delta).conjugate()
-    band = EPS_CLASS * config.diameter
-    others = [d for d in geom._moduli(map(w.__rsub__, config.points)) if d > band]
+    _, mods, mask = _passes(config).offsets(w)
+    others = [float(d) for d, near in zip(mods, mask) if not near]
     z_new = w + (0.5 * min(others) if others else 1.0) * direction
     extended = WeightedConfiguration(
         config.points + (z_new,), config.weights + (float(alpha_new),)

@@ -113,13 +113,11 @@ def ensure_distinct(points: Sequence[complex], scale: Optional[float] = None) ->
     Raises ValueError when the band is not finite, which happens when the
     spread overflows.
 
-    A numpy array of two or more points takes the same steps as array
-    passes (``_distinct_array``), the rule ``bjorth.build_l1_certificate``
-    follows, and refuses every input as the Python passes refuse it, a
-    duplicate pair named alike; ``fermat.WeightedConfiguration`` hands one
-    over from ``fermat.ARRAY_MIN`` points on when numpy is already loaded.
-    Any other sequence takes the Python passes, so validation never imports
-    numpy.
+    A numpy array of two or more points, which ``fermat.WeightedConfiguration``
+    hands over by the rule stated at ``fermat.ARRAY_MIN``, takes the same
+    steps as array passes (``_distinct_array``) and refuses every input as
+    the Python passes do, a duplicate pair named alike.  Any other sequence
+    takes the Python passes, so validation never imports numpy.
     """
     if hasattr(points, "dtype") and len(points) > 1:
         return _distinct_array(points, scale)

@@ -483,8 +483,8 @@ def test_certificate_rejects_other_points():
 def _on_both_paths(monkeypatch, fn):
     """fn() with the numpy arrays forced at every n, then the Python loops.
 
-    The forced loops fail the test if they reach the arrays, so the two
-    runs never compare one path with itself.
+    The forced loops fail the test if they reach the arrays or build an
+    array backend, so the two runs never compare one path with itself.
     """
 
     def touched(*args):
@@ -497,6 +497,7 @@ def _on_both_paths(monkeypatch, fn):
         m.setattr(fermat, "ARRAY_MIN", sys.maxsize)
         m.setattr(fermat, "_as_arrays", touched)
         m.setattr(WeightedConfiguration, "arrays", property(touched))
+        m.setattr(fermat._ArrayPasses, "__init__", touched)
         on_loops = fn()
     return on_arrays, on_loops
 
@@ -540,9 +541,7 @@ def test_a_solve_passes_over_each_location_once(monkeypatch, family):
         return recorded
 
     for cls in (fermat._ArrayPasses, fermat._LoopPasses):
-        for name in ("field", "improves", "weiszfeld"):
-            if hasattr(cls, name):
-                monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
+        monkeypatch.setattr(cls, "field", recording(cls.field))
 
     def solved():
         visits.clear()
@@ -573,6 +572,68 @@ def test_a_slow_solve_moves_from_the_loops_to_the_arrays(monkeypatch, family, mo
     res = solve_ft_n(config)
     assert ft_certificate(config, res.location, 1e-10).passed
     assert bool(on_arrays) is moves
+
+
+def _record_backends(monkeypatch):
+    """The list that each pass backend built from now on is appended to."""
+    built = []
+    for cls in (fermat._ArrayPasses, fermat._LoopPasses):
+
+        def recorded(self, config, init=cls.__init__):
+            built.append(self)
+            init(self, config)
+
+        monkeypatch.setattr(cls, "__init__", recorded)
+    return built
+
+
+def test_a_configuration_caches_no_backend(monkeypatch):
+    # one object solved on the arrays, then with the loops forced: a backend
+    # kept from the first solve would run the arrays twice
+    config = _median_family(np.random.default_rng(200), "uniform", 200)
+    built = _record_backends(monkeypatch)
+    on_arrays = solve_ft_n(config)
+    assert {type(b) for b in built} == {fermat._ArrayPasses}
+    built.clear()
+    monkeypatch.setattr(fermat, "ARRAY_MIN", sys.maxsize)
+    on_loops = solve_ft_n(config)
+    assert {type(b) for b in built} == {fermat._LoopPasses}
+    assert on_arrays.certificate.passed and on_loops.certificate.passed
+    backends = (fermat._ArrayPasses, fermat._LoopPasses)
+    assert not any(isinstance(v, backends) for v in vars(config).values())
+
+
+@pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, 2000])
+def test_the_median_takes_each_backend_from_passes(monkeypatch, n):
+    # _passes alone picks the arrays or the loops: every backend built is one
+    # it returned, to the solver, the certificate and the objective alike
+    config = _median_family(np.random.default_rng(n), "uniform", n)
+    passes, loaded_on_arrays = fermat._passes, fermat._loaded_on_arrays
+    given, deciders = [], []
+
+    def wrapped_passes(config):
+        backend = passes(config)
+        given.append((sys._getframe(1).f_code.co_name, backend))
+        return backend
+
+    def wrapped_loaded(n):
+        deciders.append(sys._getframe(1).f_code.co_name)
+        return loaded_on_arrays(n)
+
+    built = _record_backends(monkeypatch)
+    monkeypatch.setattr(fermat, "_passes", wrapped_passes)
+    monkeypatch.setattr(fermat, "_loaded_on_arrays", wrapped_loaded)
+    expected = fermat._ArrayPasses if n >= ARRAY_MIN else fermat._LoopPasses
+    res = solve_ft_n(config)
+    for fn in (ft_certificate, ft_objective):
+        fn(config, res.location)
+    callers = [name for name, _ in given]
+    assert callers[0] == "solve_ft_n"
+    assert callers[-2:] == ["ft_certificate", "ft_objective"]
+    assert {"solve_ft_n", "ft_certificate", "ft_objective"} == set(callers)
+    assert [type(b) for _, b in given] == [expected] * len(given)
+    assert [id(b) for b in built] == [id(b) for _, b in given]
+    assert deciders == ["_passes"] * len(given)
 
 
 @pytest.mark.parametrize("n", [ARRAY_MIN - 1, ARRAY_MIN, ARRAY_MIN + 1, 2000])

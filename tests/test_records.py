@@ -7,12 +7,15 @@ loads a module on the first read of one of its names.
 """
 
 import copy
+import importlib
 import json
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import planarloc
 from conftest import run_python
 from planarloc import (
     ChebySolveResult,
@@ -30,6 +33,7 @@ from planarloc import (
     WeightedConfiguration,
     solve_ft_n,
 )
+from planarloc._record import Record
 from planarloc.documents import ProblemFile, ResultDocument
 
 
@@ -175,6 +179,20 @@ def test_a_configuration_compares_by_its_points_and_weights_only():
     assert "n=" not in repr(config)
     assert config == WeightedConfiguration([0, 1, 1j], [1, 2, 3])
     assert config != WeightedConfiguration((0j, 1 + 0j, 1j), (1.0, 2.0, 4.0))
+
+
+def test_no_record_class_defines_getattr():
+    # a __getattr__ hook slows every attribute read of its class; a field
+    # built on first read is a _record.lazy_field instead
+    records = set()
+    for info in pkgutil.iter_modules(planarloc.__path__):
+        module = importlib.import_module(f"planarloc.{info.name}")
+        records.update(
+            v for v in vars(module).values() if isinstance(v, type) and issubclass(v, Record)
+        )
+    names = {cls.__name__ for cls in records}
+    assert {"WeightedConfiguration", "SupportCertificate", "ResultDocument"} <= names
+    assert [cls.__name__ for cls in records if hasattr(cls, "__getattr__")] == []
 
 
 def test_an_array_backed_solve_survives_pickle_and_deepcopy():
