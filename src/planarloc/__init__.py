@@ -22,7 +22,6 @@ _EXPORTS = {
         "Line",
         "ConvexOrder",
         "NonConvex",
-        "TripleClass",
         "directed_angle",
         "normalize_angle",
         "convex_hull_membership",
@@ -30,16 +29,12 @@ _EXPORTS = {
         "apollonius_locus",
         "segment_intersection",
         "quadrilateral_shape",
-        "unimodular_triple_class",
     ),
     "bjorth": (
         "SupportCertificate",
-        "OrthogonalityType",
         "is_bj_orthogonal_l1",
         "is_bj_orthogonal_linf",
         "smoothness_order_linf",
-        "classify_l1_orthogonal_3",
-        "classify_l1_orthogonal_4",
     ),
     "fermat": (
         "WeightedConfiguration",
@@ -47,17 +42,24 @@ _EXPORTS = {
         "FtPoint",
         "FtSegment",
         "FtSolveResult",
-        "UNDETERMINED",
         "ft_objective",
         "ft_certificate",
         "solve_ft3_weighted",
         "solve_ft4",
         "solve_ft_n",
+    ),
+    "theorems": (
+        "OrthogonalityType",
+        "TripleClass",
+        "UNDETERMINED",
         "addition_preserves",
         "replacement_preserves",
         "decomposition_equivalence",
         "scaled_configuration",
         "extend_at_vertex",
+        "classify_l1_orthogonal_3",
+        "classify_l1_orthogonal_4",
+        "unimodular_triple_class",
     ),
     "chebyshev": (
         "ChebySolveResult",

@@ -18,7 +18,9 @@ is zero in the convex hull of their values on y, decided by the angular-gap
 rule of ``geom.convex_hull_membership``.  ``build_l1_certificate`` and
 ``build_linf_certificate`` assemble the two functionals; with
 x = (a_i (z_i - w)) and y = (a_i) the first certifies the weighted median
-and the second the weighted Chebyshev center.
+and the second the weighted Chebyshev center.  The types of the vectors
+orthogonal to a weight triple or to (1, 1, 1, 1), which the paper derives
+from the sum-norm test, are sorted by ``theorems``, off the solve path.
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ from typing import Optional, Sequence
 
 from . import geom
 from ._record import FrozenRecord, lazy_field, set_field
-from .errors import (
-    LengthMismatch,
-    NotOrthogonal,
-    WeightConditionViolated,
-    ZeroVector,
-)
+from .errors import LengthMismatch, ZeroVector
 from .tolerances import EPS_CLASS, EPS_REL
 
 
@@ -268,132 +265,3 @@ def smoothness_order_linf(x: Sequence[complex]) -> int:
     unique; order k > 1 means a (k-1)-dimensional face of functionals.
     """
     return len(linf_support(list(map(abs, _entries(x, "x")))))
-
-
-# ---------------------------------------------------------------------------
-# classification of orthogonal directions in dimensions three and four
-
-
-class OrthogonalityType(FrozenRecord):
-    """Parametric form of a vector orthogonal to a weight vector.
-
-    ``slots`` are the indices of the nonzero entries, ``directions`` their
-    unit values, ``mixing`` the convex coefficients and ``scale`` the sum
-    of the entry moduli, so the vector is scale * mixing_j * directions_j
-    placed on the slots.  ``label`` appends the slot pattern as a letter,
-    e.g. a one-slot vector living in the third coordinate is "I(c)".
-    """
-
-    _fields = ("tag", "slots", "directions", "mixing", "scale", "n")
-
-    def __init__(
-        self,
-        tag: str,
-        slots: tuple[int, ...],
-        directions: tuple[complex, ...],
-        mixing: tuple[float, ...],
-        scale: float,
-        n: int = 3,
-    ):
-        set_field(self, "tag", tag)
-        set_field(self, "slots", slots)
-        set_field(self, "directions", directions)
-        set_field(self, "mixing", mixing)
-        set_field(self, "scale", scale)
-        set_field(self, "n", n)
-
-    @property
-    def label(self) -> str:
-        from itertools import combinations
-
-        if len(self.slots) == 1:
-            return f"{self.tag}({'abcd'[self.slots[0]]})"
-        if len(self.slots) == self.n:
-            return self.tag
-        pool = list(combinations(range(self.n), len(self.slots)))
-        return f"{self.tag}({'abcdef'[pool.index(self.slots)]})"
-
-
-def _orthogonality_type(c: Sequence[complex], weights: Sequence[float]) -> OrthogonalityType:
-    """The type of c by its slots, from one sum-norm test against the weights.
-
-    The slots are the entries the test counts nonzero, and the tag is their
-    number in Roman numerals.  Raises NotOrthogonal when the test fails;
-    the callers check the conditions each type puts on its directions.
-    """
-    cert, slots = _l1_test(c, weights, None)
-    if not cert.passed:
-        raise NotOrthogonal("vector is not orthogonal to the weights")
-    mods = [abs(c[i]) for i in slots]
-    scale = sum(mods)
-    units = tuple(c[i] / m for i, m in zip(slots, mods))
-    tag = ("I", "II", "III", "IV")[len(slots) - 1]
-    return OrthogonalityType(tag, slots, units, tuple(m / scale for m in mods), scale, len(c))
-
-
-def _angle_threshold(a_i: float, a_j: float, a_k: float) -> float:
-    """Cosine of the angle between u_j and u_k when a_i*u_i + a_j*u_j + a_k*u_k = 0.
-
-    Taken in weight ratios, so no square overflows or underflows whatever
-    their common scale; the callers' triangle condition bounds the ratios.
-    """
-    return 0.5 * ((a_i / a_j) * (a_i / a_k) - a_j / a_k - a_k / a_j)
-
-
-def classify_l1_orthogonal_3(
-    c: Sequence[complex], weights: Sequence[float]
-) -> OrthogonalityType:
-    """Sort a vector orthogonal to a positive weight triple into its type.
-
-    The weights must satisfy the strict triangle condition.  Types are by
-    number of nonzero slots; the angle conditions tying the directions to
-    the weights are re-verified so the classification never takes the
-    orthogonality test's word for more than it says.
-    """
-    cs = _entries(c, "c")
-    ws = tuple(float(w) for w in weights)
-    if len(cs) != 3 or len(ws) != 3:
-        raise LengthMismatch("expected a triple and three weights")
-    if any(w <= 0.0 for w in ws):
-        raise WeightConditionViolated("weights must be positive")
-    wsum = sum(ws)
-    for i in range(3):
-        j, k = [m for m in range(3) if m != i]
-        if ws[i] >= ws[j] + ws[k] - EPS_CLASS * wsum:
-            raise WeightConditionViolated(
-                "weights must satisfy the strict triangle condition"
-            )
-    typ = _orthogonality_type(cs, ws)
-    units = typ.directions
-    if len(units) == 2:
-        i, j = typ.slots
-        cos_angle = (units[0] * units[1].conjugate()).real
-        if cos_angle > _angle_threshold(ws[3 - i - j], ws[i], ws[j]) + EPS_CLASS:
-            raise NotOrthogonal("two-slot vector fails its angle bound")
-    elif len(units) == 3:
-        cos_12 = (units[0] * units[1].conjugate()).real
-        cos_13 = (units[0] * units[2].conjugate()).real
-        if abs(cos_12 - _angle_threshold(ws[2], ws[0], ws[1])) > EPS_CLASS or abs(
-            cos_13 - _angle_threshold(ws[1], ws[0], ws[2])
-        ) > EPS_CLASS:
-            raise NotOrthogonal("three-slot vector fails its angle equalities")
-    return typ
-
-
-def classify_l1_orthogonal_4(c: Sequence[complex]) -> OrthogonalityType:
-    """Classify a vector orthogonal to (1, 1, 1, 1) in the sum norm.
-
-    Three nonzero slots additionally require the origin inside the hull of
-    the three directions; four nonzero slots require the directions to sum
-    to zero, which makes them two antipodal pairs.
-    """
-    cs = _entries(c, "c")
-    if len(cs) != 4:
-        raise LengthMismatch("expected a quadruple")
-    typ = _orthogonality_type(cs, (1.0, 1.0, 1.0, 1.0))
-    units = typ.directions
-    if len(units) == 3 and geom.convex_hull_membership(0j, units) is None:
-        raise NotOrthogonal("three-slot directions do not surround the origin")
-    if len(units) == 4 and abs(sum(units)) > 4.0 * EPS_CLASS:
-        raise NotOrthogonal("four-slot directions do not sum to zero")
-    return typ

@@ -2,9 +2,11 @@
 
 Problems arrive as JSON ({"kind": ..., "points": [[x, y], ...],
 "weights": [...]}) or as CSV rows "x,y[,weight]".  The parsers report
-malformed fields as ProblemFormatError; the point set itself is validated
-once, by the ``fermat.WeightedConfiguration`` that every ProblemFile
-carries as ``config`` and that the solvers and certificates then share.
+malformed fields as ProblemFormatError; the point set and its weights are
+validated once, by the ``fermat.WeightedConfiguration`` that every
+ProblemFile carries as ``config`` and that the solvers and certificates
+then share.  Its refusal of the weights, or of an empty point list, names
+the field (a bad weight by its index) and is reported as it is stated.
 A median of ``fermat.IMPORT_MIN`` or more points loads numpy first, to
 validate on arrays (the rule stated at ``fermat.ARRAY_MIN``).
 This is the one module that knows the result format: results leave as
@@ -25,7 +27,7 @@ from typing import Optional
 
 from . import __version__
 from ._record import FrozenRecord, Record, set_field
-from .errors import ProblemFormatError
+from .errors import EmptyInput, LengthMismatch, ProblemFormatError
 from .fermat import IMPORT_MIN, FtPoint, WeightedConfiguration
 from .tolerances import EPS_CLASS, EPS_REL
 
@@ -95,25 +97,16 @@ def _points(items: list) -> list[complex]:
 def _validate(kind, points, weights) -> ProblemFile:
     if kind is not None and kind not in KINDS:
         raise ProblemFormatError(f"kind: expected one of {KINDS}, got {kind!r}")
-    if not points:
-        raise ProblemFormatError("points: at least one point required")
-    if weights is not None:
-        if len(weights) != len(points):
-            raise ProblemFormatError(
-                f"weights: length {len(weights)} does not match {len(points)} points"
-            )
-        if not (all(map(math.isfinite, weights)) and min(weights) > 0.0):
-            for i, a in enumerate(weights):
-                if not (math.isfinite(a) and a > 0.0):
-                    raise ProblemFormatError(f"weights[{i}]: must be positive and finite")
-        if sum(weights) == math.inf:
-            raise ProblemFormatError("weights: their sum is beyond the doubles")
     if kind == "fermat" and len(points) >= IMPORT_MIN:
         import numpy  # noqa: F401  (the configuration then validates on arrays)
     try:
         return ProblemFile(kind, WeightedConfiguration.of(points, weights))
+    except (EmptyInput, LengthMismatch) as e:
+        raise ProblemFormatError(str(e)) from e
     except ValueError as e:
-        raise ProblemFormatError(f"points: {e}") from e
+        # the configuration names a bad weight itself; any other refusal is the points'
+        named = str(e).startswith("weights")
+        raise ProblemFormatError(str(e) if named else f"points: {e}") from e
 
 
 def _load_json_problem(text: str, kind_flag: Optional[str]) -> ProblemFile:

@@ -28,6 +28,9 @@ weights converted once.  One factory, ``_passes``, decides where a median
 takes its O(n) passes and when numpy is loaded: the solver, the
 certificate and the objective each take their backend from it, on the
 arrays or the loops by the rule stated at ``ARRAY_MIN`` and ``IMPORT_MIN``.
+
+The paper's results about a certified optimum are in ``theorems``, which
+no solver imports.
 """
 
 from __future__ import annotations
@@ -42,16 +45,8 @@ from typing import Optional, Sequence, Union
 
 from . import geom
 from ._record import FrozenRecord, lazy_field, set_field
-from .bjorth import SupportCertificate, _angle_threshold, build_l1_certificate
-from .errors import (
-    CertificatePreconditionFailed,
-    EmptyInput,
-    LengthMismatch,
-    MaxIterationsExceeded,
-    MixedSigns,
-    NotOrthogonal,
-    VertexPreconditionFailed,
-)
+from .bjorth import SupportCertificate, build_l1_certificate
+from .errors import EmptyInput, LengthMismatch, MaxIterationsExceeded, NotOrthogonal
 from .tolerances import EPS_CLASS, EPS_REL
 
 # Where a median's O(n) passes run: on the configuration's numpy arrays from
@@ -203,20 +198,20 @@ def _checked_arrays(points, weights):
 
 
 def _checked_tuples(points, weights):
-    """The points and weights as tuples, with the total weight; raises on bad input."""
+    """The points and weights as tuples, with the total weight; a refusal names the field."""
     pts = tuple(map(complex, points))
     wts = tuple(map(float, weights))
     if not pts:
-        raise EmptyInput("a configuration needs at least one point")
+        raise EmptyInput("points: at least one point required")
     if len(pts) != len(wts):
-        raise LengthMismatch("one weight per point")
+        raise LengthMismatch(f"weights: length {len(wts)} does not match {len(pts)} points")
     total = functools.reduce(operator.add, wts)  # left to right, as the arrays add
     # min may pass over a NaN, but the sum is then NaN; with an inf it is inf
     if not (min(wts) > 0.0 and total < math.inf):
-        for a in wts:
+        for i, a in enumerate(wts):
             if not (math.isfinite(a) and a > 0.0):
-                raise ValueError(f"weights must be positive and finite, got {a!r}")
-        raise ValueError("weights must have a finite sum, got one beyond the doubles")
+                raise ValueError(f"weights[{i}]: must be positive and finite")
+        raise ValueError("weights: their sum is beyond the doubles")
     return pts, wts, total
 
 
@@ -397,6 +392,15 @@ def _interior_ft3(config: WeightedConfiguration) -> complex:
         dot = ((p[j] - p[i]).conjugate() * (p[k] - p[i])).real
         lam.append(1.0 / (dot - area2 * t / math.sqrt((1.0 - t) * (1.0 + t))))
     return z1 + (lam[1] * p[1] + lam[2] * p[2]) / sum(lam)
+
+
+def _angle_threshold(a_i: float, a_j: float, a_k: float) -> float:
+    """Cosine of the angle between u_j and u_k when a_i*u_i + a_j*u_j + a_k*u_k = 0.
+
+    Taken in weight ratios, so no square overflows or underflows whatever
+    their common scale; the callers' triangle condition bounds the ratios.
+    """
+    return 0.5 * ((a_i / a_j) * (a_i / a_k) - a_j / a_k - a_k / a_j)
 
 
 # ---------------------------------------------------------------------------
@@ -671,163 +675,3 @@ class _LoopPasses:
             pull += inv * diff
             inv_sum += inv
         return pull, inv_sum
-
-
-# ---------------------------------------------------------------------------
-# perturbations of a certified optimum
-
-
-def _require_certified_interior(config: WeightedConfiguration, w: complex) -> None:
-    """CertificatePreconditionFailed unless w is a certified optimum clear of every point.
-
-    The slack is the weight of the points within the band of w.
-    """
-    cert = ft_certificate(config, w)
-    if cert.slack > 0.0:
-        raise CertificatePreconditionFailed("the optimum must avoid every point")
-    if not cert.passed:
-        raise CertificatePreconditionFailed("w is not a certified optimum")
-
-
-def addition_preserves(
-    config: WeightedConfiguration, w: complex, z_new: complex, alpha_new: float
-) -> bool:
-    """Whether w stays optimal after adding (z_new, alpha_new).
-
-    The certificate of the extended configuration at w decides: it passes
-    when the new point lands on w itself, since any other placement tilts
-    the balanced direction sum.  Raises ValueError for a w or z_new not
-    finite or too far out.
-    """
-    _require_certified_interior(config, w)
-    if not (alpha_new > 0.0):
-        raise ValueError("alpha_new must be positive")
-    extended = WeightedConfiguration(
-        config.points + (complex(z_new),), config.weights + (float(alpha_new),)
-    )
-    return ft_certificate(extended, w).passed
-
-
-def replacement_preserves(
-    config: WeightedConfiguration, w: complex, index: int, s: complex
-) -> bool:
-    """Whether moving point ``index`` to s keeps w optimal.
-
-    The certificate of the moved configuration at w decides: it passes
-    when s sits on the closed ray from w through the point it replaces, so
-    its unit direction (and hence the direction sum) does not change.
-    Raises ValueError for a w or s not finite or too far out, and
-    DuplicatePoints for an s on another point or so far out that the new
-    band swallows the others.
-    """
-    _require_certified_interior(config, w)
-    if not (0 <= index < config.n):
-        raise IndexError("index out of range")
-    points = list(config.points)
-    points[index] = complex(s)
-    moved = WeightedConfiguration(tuple(points), config.weights)
-    return ft_certificate(moved, w).passed
-
-
-def decomposition_equivalence(
-    config_a: WeightedConfiguration, w: complex, config_b: WeightedConfiguration
-) -> bool:
-    """Whether w solves the concatenation of two configurations.
-
-    The certificate of the merged configuration at w decides: with w
-    already optimal for the first part, it passes exactly when w also
-    solves the second part alone; the direction sums add.  Raises
-    ValueError for a w not finite or too far out.
-    """
-    _require_certified_interior(config_a, w)
-    merged = WeightedConfiguration(
-        config_a.points + config_b.points, config_a.weights + config_b.weights
-    )
-    return ft_certificate(merged, w).passed
-
-
-def scaled_configuration(
-    config: WeightedConfiguration, w: complex, scales: Sequence[float]
-) -> WeightedConfiguration:
-    """Slide each point along its ray from w by a same-sign factor.
-
-    Unit directions are preserved (or all flipped), so w stays optimal for
-    the result; its certificate at w decides before it is handed back.
-    Raises ValueError for a w not finite or too far out, or scales that
-    move a point beyond the doubles.
-    """
-    _require_certified_interior(config, w)
-    cs = [float(c) for c in scales]
-    if len(cs) != config.n:
-        raise LengthMismatch("one scale per point")
-    if any(c == 0.0 for c in cs):
-        raise MixedSigns("scales must be nonzero")
-    if any(c > 0.0 for c in cs) and any(c < 0.0 for c in cs):
-        raise MixedSigns("scales must share one sign")
-    w = complex(w)
-    moved = tuple(w + c * (z - w) for z, c in zip(config.points, cs))
-    out = WeightedConfiguration(moved, config.weights)
-    if not ft_certificate(out, w).passed:
-        raise CertificatePreconditionFailed("scaled configuration lost the optimum")
-    return out
-
-
-class _Undetermined:
-    """Marker for the weight band the vertex-extension result leaves open."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNDETERMINED"
-
-
-UNDETERMINED = _Undetermined()
-
-
-def extend_at_vertex(
-    config: WeightedConfiguration, w: complex, alpha_new: float
-):
-    """Add a point keeping a vertex optimum, when the new weight allows it.
-
-    With w sitting on configuration point i0, a new weight up to the weight
-    at i0 can always be placed so that w stays optimal; the construction
-    spends the free coefficient gamma reported by the certificate at w,
-    whose slack is the weight at i0.  The new point goes in that
-    construction's direction from w, at half the distance from w to the
-    nearest other point (at distance 1 when there is none), so it scales
-    with the configuration.  Weights above twice the vertex weight are
-    impossible (returns None) and the band in between is reported as
-    UNDETERMINED rather than guessed.  The certificate of the extended
-    configuration decides the point returned.  Raises ValueError for a w
-    not finite or too far out.
-    """
-    w = complex(w)
-    if not (alpha_new > 0.0):
-        raise ValueError("alpha_new must be positive")
-    cert = ft_certificate(config, w)
-    # gamma is set exactly when one point lies within the band of w
-    if cert.gamma is None:
-        raise VertexPreconditionFailed("w must equal exactly one configuration point")
-    if not cert.passed:
-        raise VertexPreconditionFailed("w is not a certified optimum")
-    a0, gamma = cert.slack, cert.gamma
-    if alpha_new > 2.0 * a0 * (1.0 + EPS_CLASS):
-        return None
-    if alpha_new > a0 * (1.0 + EPS_CLASS):
-        return UNDETERMINED
-    ratio = alpha_new / a0
-    if abs(gamma) > EPS_REL:
-        delta = gamma * (1.0 - ratio / abs(gamma))
-    else:
-        delta = complex(ratio, 0.0)
-    # gamma - delta has modulus ratio, so this offset is a unit vector
-    direction = (a0 / alpha_new) * (gamma - delta).conjugate()
-    _, mods, mask = _passes(config).offsets(w)
-    others = [float(d) for d, near in zip(mods, mask) if not near]
-    z_new = w + (0.5 * min(others) if others else 1.0) * direction
-    extended = WeightedConfiguration(
-        config.points + (z_new,), config.weights + (float(alpha_new),)
-    )
-    if not ft_certificate(extended, w).passed:
-        raise VertexPreconditionFailed("extension lost the optimum")
-    return z_new

@@ -9,14 +9,14 @@ Hull membership is the exception: it compares the phases of the offsets
 from the query point, banded in angle, and scales its zero band by the
 largest offset.  Which of four points is contained in the hull of the
 others is decided instead by the median's slack test, so the four-point
-shape and the four-point median agree on every input.
+shape and the four-point median agree on every input.  The class of a
+unimodular triple, one of the paper's results, is in ``theorems``.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
-import enum
 import functools
 import math
 import operator
@@ -29,7 +29,6 @@ from .errors import (
     CollinearPoints,
     DuplicatePoints,
     EmptyInput,
-    NotUnimodular,
     OverlappingSegments,
 )
 from .tolerances import EPS_CLASS, EPS_REL, diagonal, spread
@@ -555,32 +554,3 @@ def _convex_order(zs: Sequence[complex]) -> tuple[int, ...]:
     order = sorted(range(len(zs)), key=lambda i: cmath.phase(rel[i] - c))
     k = order.index(min(order, key=lambda i: (zs[i].real, zs[i].imag)))
     return tuple(order[k:] + order[:k])
-
-
-# ---------------------------------------------------------------------------
-# unimodular triples
-
-
-class TripleClass(enum.Enum):
-    SUM_BELOW_ONE = "sum-below-one"
-    SUM_ONE = "sum-one"
-    SUM_ABOVE_ONE = "sum-above-one"
-
-
-def unimodular_triple_class(z1: complex, z2: complex, z3: complex) -> TripleClass:
-    """Classify |z1 + z2 + z3| against 1 for distinct unit-modulus numbers."""
-    zs = [complex(z1), complex(z2), complex(z3)]
-    require_finite(*zs)
-    for z in zs:
-        if abs(abs(z) - 1.0) > EPS_CLASS:
-            raise NotUnimodular(f"{z!r} does not lie on the unit circle")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(zs[i] - zs[j]) <= EPS_CLASS:
-                raise DuplicatePoints("unimodular triple must be pairwise distinct")
-    s = abs(zs[0] + zs[1] + zs[2])
-    if abs(s - 1.0) <= EPS_CLASS:
-        return TripleClass.SUM_ONE
-    if s < 1.0:
-        return TripleClass.SUM_BELOW_ONE
-    return TripleClass.SUM_ABOVE_ONE

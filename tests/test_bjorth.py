@@ -19,7 +19,7 @@ from planarloc import (
     is_bj_orthogonal_linf,
     smoothness_order_linf,
 )
-from planarloc.bjorth import build_l1_certificate
+from planarloc.bjorth import build_l1_certificate, linf_support
 from planarloc.fermat import ARRAY_MIN
 
 from conftest import sample_type3, sample_type4, triangle_weights, unit
@@ -116,6 +116,13 @@ def test_linf_antipodal_max_entries():
 
 def test_linf_unique_max_fails():
     assert is_bj_orthogonal_linf((1, 0.5, 0.5), (1, 1, 1)) is None
+
+
+def test_linf_support_band_is_relative_to_the_top():
+    # a modulus 2e-7 below the top lies outside the band EPS_CLASS * top
+    # and stays off the support; one 5e-8 below lies inside it
+    assert linf_support([1.0, 1 - 2e-7]) == [0]
+    assert linf_support([1.0, 1 - 5e-8]) == [0, 1]
 
 
 def test_linf_symmetric_four_vector():

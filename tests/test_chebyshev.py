@@ -14,6 +14,7 @@ from planarloc import (
     CollinearPoints,
     DuplicatePoints,
     EmptyInput,
+    NotOrthogonal,
     WeightedConfiguration,
     cheby_certificate,
     chebyshev_radius,
@@ -124,6 +125,16 @@ def test_certificate_off_center():
     cert = cheby_certificate([-1, 1, 0.5j], None, 0.1)
     assert not cert.passed
     assert cert.residual == math.inf
+
+
+@pytest.mark.parametrize(
+    "c, passed", [(0, True), (1e-8j, True), (1e-6j, False), (3e-4j, False), (4.9e-4j, False)]
+)
+def test_certificate_refuses_a_gap_just_past_a_half_turn(c, passed):
+    # seen from c above the segment [-1, 1], the two directions leave a
+    # widest gap of pi plus about 2|c|, inside the band of EPS_CLASS only
+    # for the first two centers
+    assert cheby_certificate((-1, 1), None, c).passed is passed
 
 
 def test_certificate_five_points():
@@ -461,6 +472,17 @@ def test_degenerate_circles_reach_the_least_candidate_radius(rng, monkeypatch):
                 least = (warr * np.abs(arr - cands[:, None])).max(axis=1).min()
                 assert abs(res.radius - least) <= EPS_REL * least, (family, kind, n)
     assert max(sizes) <= 4
+
+
+def test_a_wrong_exchange_center_is_refused(monkeypatch):
+    # the solver's own check of the certificate stops a center that the
+    # exchange got wrong
+    def shifted(points, weights, idx):
+        return [p + 0.3 for p in _candidates(points, weights, idx)]
+
+    monkeypatch.setattr(planarloc.chebyshev, "_candidates", shifted)
+    with pytest.raises(NotOrthogonal, match="failed its certificate"):
+        solve_chebyshev([-1, 1, 0.5j, 2 + 1j])
 
 
 def test_all_but_collinear_triple_regression():

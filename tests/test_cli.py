@@ -17,14 +17,21 @@ from conftest import (
     run_planarloc,
     run_python,
 )
-from planarloc import EPS_REL, WeightedConfiguration, documents, solve_chebyshev, solve_ft_n
+from planarloc import (
+    EPS_REL,
+    LengthMismatch,
+    WeightedConfiguration,
+    documents,
+    solve_chebyshev,
+    solve_ft_n,
+)
 from planarloc.cli import main
 from planarloc.documents import (
     ResultDocument,
     cheby_result_document,
     fermat_result_document,
 )
-from planarloc.fermat import IMPORT_MIN
+from planarloc.fermat import ARRAY_MIN, IMPORT_MIN
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -205,6 +212,50 @@ def test_weights_summing_beyond_the_doubles_are_a_format_error(tmp_path, capsys)
     rc, out, err = _run(capsys, ["solve", path])
     assert (rc, out) == (1, "")
     assert err == "error: weights: their sum is beyond the doubles\n"
+
+
+# weights whose left-to-right sum is the largest double; a compensated sum
+# of them is beyond the doubles
+BORDERLINE_WEIGHTS = (1.7976931348623157e308, 6e291, 6e291)
+
+
+def test_weights_summing_to_the_largest_double_are_solved(tmp_path, capsys):
+    path = _problem(tmp_path, "borderline.json", "fermat", [0, 1, 1j], BORDERLINE_WEIGHTS)
+    rc, out, err = _run(capsys, ["solve", path])
+    assert rc == 0, err
+    config = WeightedConfiguration([0, 1, 1j], BORDERLINE_WEIGHTS)
+    assert config.total_weight == BORDERLINE_WEIGHTS[0]
+
+
+def _spoiled(weights, at, value):
+    return [*weights[:at], value, *weights[at + 1:]]
+
+
+@pytest.mark.parametrize("n", [ARRAY_MIN - 1, 200])
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda w: _spoiled(w, 5, 0.0),
+        lambda w: _spoiled(w, 5, -1.0),
+        lambda w: _spoiled(w, 5, math.nan),
+        lambda w: _spoiled(w, 5, math.inf),
+        lambda w: [1e307] * len(w),
+        lambda w: w[:-1],
+        lambda w: [*w, 1.0],
+    ],
+    ids=["zero", "negative", "nan", "inf", "sum-past-the-doubles", "short", "long"],
+)
+def test_the_cli_prints_the_configurations_weight_refusal(tmp_path, capsys, spoil, n):
+    # the configuration is the one weight check: the command line states
+    # its refusal as it is, on both sides of ARRAY_MIN (numpy is loaded)
+    points = [complex(k % 8, k // 8 + 0.1 * k) for k in range(n)]
+    weights = spoil([1.0 + 0.01 * k for k in range(n)])
+    with pytest.raises((ValueError, LengthMismatch)) as refused:
+        WeightedConfiguration(points, weights)
+    path = _problem(tmp_path, "bad.json", "fermat", points, weights)
+    rc, out, err = _run(capsys, ["solve", path])
+    assert (rc, out) == (1, "")
+    assert err == f"error: {refused.value}\n"
 
 
 @pytest.mark.parametrize("kind, value", [("fermat", "objective"), ("chebyshev", "radius")])
@@ -525,6 +576,20 @@ def test_plot_honours_the_stated_tolerance(tmp_path, capsys):
     assert target.exists()
 
 
+def test_plot_withholds_a_location_that_fails_its_stated_tolerance(tmp_path, capsys):
+    # the same location stated at EPS_REL: the re-check runs at EPS_REL,
+    # where it fails, and not at any looser floor
+    path, payload = _light_vertex_result(tmp_path, capsys)
+    payload["tolerances"]["tol"] = EPS_REL
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(payload), encoding="utf-8")
+    target = tmp_path / "light.svg"
+    rc, out, err = _run(capsys, ["plot", path, str(result), str(target)])
+    assert (rc, out) == (2, "")
+    assert err == "certification failed: refusing to plot\n"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("tol", [None, 0.0, -1e-6, math.inf, math.nan, "1e-6", True])
 def test_plot_refuses_an_unusable_stated_tolerance(tmp_path, capsys, tol):
     path, payload = _light_vertex_result(tmp_path, capsys)
@@ -584,6 +649,18 @@ def test_plot_reports_a_malformed_solution(tmp_path, capsys, field, value):
     assert rc == 1
     assert out == ""
     assert err == f"error: result document: solution.{field}: expected a [x, y] pair of numbers\n"
+    assert not target.exists()
+
+
+def test_plot_rechecks_a_segment_at_its_midpoint(tmp_path, capsys):
+    # both ends of the segment from 0 to 1 are optimal; with its end moved
+    # to 1 + 1j the start still passes, but the midpoint checked does not
+    path, payload = _solved(tmp_path, capsys, "seg", "fermat", [0, 1, 3], (3.0, 1.0, 2.0))
+    assert payload["solution"] == {"type": "segment", "start": [0.0, 0.0], "end": [1.0, 0.0]}
+    payload["solution"]["end"] = [1.0, 1.0]
+    rc, out, err, target = _plot(tmp_path, capsys, path, payload, "moved")
+    assert (rc, out) == (2, "")
+    assert err == "certification failed: refusing to plot\n"
     assert not target.exists()
 
 
@@ -806,21 +883,30 @@ if main(["solve", sys.argv[1]]) != 0:
 names = ("dataclasses", "inspect", "planarloc.chebyshev", "planarloc.oracle",
          "planarloc.svgplot", "csv")
 print(json.dumps([m for m in names if m in sys.modules]), file=sys.stderr)
+# the modules that define one of the paper's results, read without loading any
+results = {"addition_preserves", "classify_l1_orthogonal_3", "unimodular_triple_class"}
+defining = [m for m, mod in list(sys.modules.items())
+            if m.split(".")[0] == "planarloc" and not results.isdisjoint(vars(mod))]
+print(json.dumps(defining), file=sys.stderr)
 """
 
 
 def test_a_json_median_loads_neither_svg_nor_csv(tmp_path):
     # a solve imports what its problem needs: the SVG writer, the CSV
     # reader, the covering circle and the grid oracle only when used, and
-    # neither dataclasses nor the inspect module it pulls in
+    # neither dataclasses nor the inspect module it pulls in; no module it
+    # loads holds the paper's results about a certified optimum
     median = _problem(tmp_path, "five.json", "fermat", FIVE)
     circle = _problem(tmp_path, "circle.json", "chebyshev", FIVE)
-    loaded = []
+    loaded, results = [], []
     for path in (median, circle):
         proc = run_python(["-c", MODULES_PROBE, path], cwd=tmp_path, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        loaded.append(json.loads(proc.stderr.splitlines()[-1]))
+        *_, modules, defining = proc.stderr.splitlines()
+        loaded.append(json.loads(modules))
+        results.append(json.loads(defining))
     assert loaded == [[], ["planarloc.chebyshev"]]
+    assert results == [[], []]
 
 
 NUMPY_PROBE = """

@@ -41,6 +41,7 @@ from planarloc import (
     solve_ft_n,
     spread,
 )
+import planarloc.theorems
 from planarloc import fermat
 from planarloc.fermat import ARRAY_MIN
 
@@ -410,6 +411,19 @@ def test_certificate_rejects_an_overflowing_candidate():
     for pts, w in cases:
         with pytest.raises(ValueError, match="offset modulus overflows"):
             ft_certificate(WeightedConfiguration.of(pts), w)
+
+
+def test_certificate_tolerance_is_pinned_at_its_bound():
+    # 1e-4 off a median no point is within the band, so the slack is 0 and
+    # the pass decision is |forced| <= tol * W: it refuses at a tolerance
+    # 1/1.2 of |forced|/W and passes at 1/0.8 of it
+    config = WeightedConfiguration((0, 2, 3 + 1j, 1 + 2j, -1 + 1j), (1.0, 2.0, 1.0, 1.5, 1.2))
+    w = solve_ft_n(config).location + 1e-4
+    forced = abs(ft_certificate(config, w, 0.0).forced)
+    total = config.total_weight
+    assert ft_certificate(config, w, 0.0).slack == 0.0
+    assert not ft_certificate(config, w, forced / (1.2 * total)).passed
+    assert ft_certificate(config, w, forced / (0.8 * total)).passed
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
@@ -844,6 +858,23 @@ def test_perturbation_preconditions():
         scaled_configuration(EQUILATERAL, 0.5, (1.0, 1.0, 1.0))
 
 
+def test_perturbations_refuse_a_result_that_fails_its_certificate(monkeypatch):
+    # the certificate of the configuration handed back decides: taken 0.25
+    # off the optimum for any configuration but the given ones, scaling and
+    # extension refuse what they built
+    certify = planarloc.theorems.ft_certificate
+
+    def off_for_new(config, w, tol=None):
+        given = config is EQUILATERAL or config is VERTEX3
+        return certify(config, w if given else w + 0.25, tol)
+
+    monkeypatch.setattr(planarloc.theorems, "ft_certificate", off_for_new)
+    with pytest.raises(CertificatePreconditionFailed, match="lost the optimum"):
+        scaled_configuration(EQUILATERAL, 0, (2.0, 3.0, 0.5))
+    with pytest.raises(VertexPreconditionFailed, match="lost the optimum"):
+        extend_at_vertex(VERTEX3, 0, 1.0)
+
+
 # ---------------------------------------------------------------- extension
 
 
@@ -970,11 +1001,11 @@ def test_weights_summing_beyond_the_doubles_are_refused():
     # each weight is finite, but a pass bound scaled by their sum would be
     # inf and pass every location
     pts = (0j, 1 + 0j, 1j)
-    with pytest.raises(ValueError, match="finite sum"):
+    with pytest.raises(ValueError, match="sum is beyond the doubles"):
         WeightedConfiguration(pts, (1e308,) * 3)
-    with pytest.raises(ValueError, match="finite sum"):
+    with pytest.raises(ValueError, match="sum is beyond the doubles"):
         solve_ft3_weighted(*pts, (1e308,) * 3)
-    with pytest.raises(ValueError, match="finite sum"):
+    with pytest.raises(ValueError, match="sum is beyond the doubles"):
         WeightedConfiguration([complex(k, k % 7) for k in range(40)], (1e307,) * 40)
     # just below the largest sum a far location is refused, the optimum not
     heavy = WeightedConfiguration(pts, (5e307,) * 3)

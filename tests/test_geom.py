@@ -113,6 +113,12 @@ def test_hull_membership_outside_is_none():
     assert convex_hull_membership(5, [0, 1, 1j]) is None
 
 
+def test_hull_membership_zero_band_is_relative_to_the_largest_offset():
+    # 2e-7 lies outside the band EPS_CLASS * max|v| of zero, so it does
+    # not put zero in the hull, and all three offsets lie in one half-plane
+    assert convex_hull_membership(0, [1, 1 + 1j, 2e-7]) is None
+
+
 def test_hull_membership_random_combinations(rng):
     for _ in range(200):
         n = int(rng.integers(3, 8))

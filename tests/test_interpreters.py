@@ -5,7 +5,8 @@ running interpreter's version, that starts (``-c pass`` exits 0) runs a
 probe with ``PYTHONPATH`` set to the package's source directory: a
 40-point configuration's total weight must equal its weights added left
 to right, a five-point median must certify, neither may load numpy, and
-``python -m planarloc solve`` on a three-point file must exit 0.  The
+``python -m planarloc solve`` must exit 0 on a three-point file and on
+one whose weights add up, left to right, to the largest double.  The
 test skips when no other interpreter starts.
 """
 
@@ -57,10 +58,27 @@ def test_numpy_free_path_on_other_interpreters(tmp_path):
     problem.write_text(
         json.dumps({"kind": "fermat", "points": [[0, 0], [2, 0], [1, 1.5]]}), encoding="utf-8"
     )
+    # weights whose left-to-right sum is the largest double, which the
+    # configuration accepts; a compensated sum of them is beyond the doubles
+    borderline = tmp_path / "borderline.json"
+    borderline.write_text(
+        json.dumps(
+            {
+                "kind": "fermat",
+                "points": [[0, 0], [1, 0], [0, 1]],
+                "weights": [1.7976931348623157e308, 6e291, 6e291],
+            }
+        ),
+        encoding="utf-8",
+    )
     src = os.path.dirname(os.path.dirname(os.path.abspath(planarloc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     for exe in interpreters:
-        for args in (["-c", PROBE], ["-m", "planarloc", "solve", str(problem)]):
+        for args in (
+            ["-c", PROBE],
+            ["-m", "planarloc", "solve", str(problem)],
+            ["-m", "planarloc", "solve", str(borderline)],
+        ):
             proc = subprocess.run(
                 [exe, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
             )
